@@ -38,7 +38,7 @@ from .compression import (
     rank_r_compress,
     top_k_compress,
 )
-from .netprobe import PingPongServer, ProbeResult, ProbeSample, probe, serve
+from .netprobe import PingPongServer, ProbeResult, ProbeSample, probe
 from .optimizer import (
     Problem,
     SimConfig,
@@ -57,7 +57,7 @@ __all__ = [
     "CompressedMessage", "CompressorSpec", "DenseVector", "compress", "decompress",
     "natural_compress", "omega_inf", "rand_k_compress", "rank_r_compress",
     "top_k_compress",
-    "PingPongServer", "ProbeResult", "ProbeSample", "probe", "serve",
+    "PingPongServer", "ProbeResult", "ProbeSample", "probe",
     "Problem", "SimConfig", "SimTrace", "closed_form_optimum",
     "run_compressed_gd", "run_gd",
 ]

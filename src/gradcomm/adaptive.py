@@ -7,30 +7,33 @@ contraction) penalty the operator puts on the iteration count:
     rand_k:  J(k) = (1 + (d/k) / sqrt(n)) * (alpha + beta * s(k))
     top_k:   J(k) = (1 + d/k)             * (alpha + beta * s(k))
 
-with s(k) the exact transmitted bits (index overhead included for top_k).
-Factors independent of k multiply J uniformly and cannot move the argmin, so
-they are dropped.  ``adaptive_controller`` re-selects k as fresh (size, time)
-samples refine the coefficient estimates.
+with s(k) = k * s(1) the exact transmitted bits from ``message_bits`` (index
+overhead included for top_k).  Factors independent of k multiply J uniformly
+and cannot move the argmin, so they are dropped.
+
+Writing J(k) = (1 + c*d/k) * (alpha + beta'*k) with beta' = beta * s(1), the
+derivative beta' - c*d*alpha/k^2 shows that J is convex with its real minimum
+at k_c = sqrt(c*d*alpha/beta') when alpha and beta' are both positive, and is
+monotone or concave otherwise.  ``select_power`` therefore compares J at the
+ends of [1, d] and at the two integers around k_c: the exact integer argmin in
+O(1).  ``adaptive_controller`` re-selects k as fresh (size, time) samples
+refine the coefficient estimates.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import estimator
-from .commodel import TimeModelParams
-from .compression import index_bits
+from .compression import CompressorSpec, message_bits
+from .csvio import write_csv
 from .errors import DegenerateDesignError, ParameterError
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
-
-# Above this dimension the exhaustive scan switches to a geometric sub-grid.
-SCAN_LIMIT = 10**7
-GRID_SIZE = 64
 
 DECISION_CSV_HEADER = "sample_index,alpha_hat,beta_hat,k_star,predicted_cost"
 
@@ -51,55 +54,42 @@ class SelectionObjective:
             raise ParameterError(f"unsupported compressor family: {self.family!r}")
         if self.d < 1 or self.n < 1 or self.b < 1:
             raise ParameterError("d, n, and b must be positive integers")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ParameterError(f"alpha={self.alpha} and beta={self.beta} must be finite")
 
-    @classmethod
-    def from_model(cls, family: str, d: int, n: int, params: TimeModelParams, b: int = 32):
-        return cls(family=family, d=d, n=n, alpha=params.alpha_const, beta=params.beta_const, b=b)
+    @cached_property
+    def penalty_scale(self) -> float:
+        """J's penalty is (d/k) / penalty_scale: sqrt(n) for rand_k, 1 for top_k."""
+        return math.sqrt(self.n) if self.family == "rand_k" else 1.0
 
-    @classmethod
-    def from_fit(cls, family: str, d: int, n: int, fit: estimator.FitResult, b: int = 32):
-        return cls(family=family, d=d, n=n, alpha=fit.alpha_hat, beta=fit.beta_hat, b=b)
-
-
-def _message_bits(obj: SelectionObjective, k) -> object:
-    bits = k * obj.b
-    if obj.family == "top_k":
-        bits = bits + k * index_bits(obj.d)
-    return bits
+    @cached_property
+    def unit_bits(self) -> int:
+        """Transmitted bits per kept coordinate: s(k) = k * unit_bits."""
+        return message_bits(CompressorSpec(self.family, k=1), self.d, self.b)
 
 
-def predicted_cost(obj: SelectionObjective, k: int) -> float:
-    """Predicted relative run time when keeping k coordinates."""
-    if not 1 <= k <= obj.d:
+def _cost(obj: SelectionObjective, k):
+    """J(k) for an integer k or an integer array k; the one J expression."""
+    return (1.0 + (obj.d / k) / obj.penalty_scale) * (obj.alpha + obj.beta * (k * obj.unit_bits))
+
+
+def predicted_cost(obj: SelectionObjective, k):
+    """Predicted relative run time when keeping k coordinates (k may be an array)."""
+    if np.any((k < 1) | (k > obj.d)):
         raise ParameterError(f"power level k={k} outside [1, {obj.d}]")
-    penalty = obj.d / k
-    if obj.family == "rand_k":
-        factor = 1.0 + penalty / math.sqrt(obj.n)
-    else:
-        factor = 1.0 + penalty
-    return factor * (obj.alpha + obj.beta * _message_bits(obj, k))
-
-
-def candidate_powers(d: int) -> np.ndarray:
-    """Powers scanned by select_power: exhaustive up to SCAN_LIMIT, then geometric."""
-    if d <= SCAN_LIMIT:
-        return np.arange(1, d + 1, dtype=np.int64)
-    grid = np.unique(np.clip(np.round(np.geomspace(1, d, GRID_SIZE)), 1, d).astype(np.int64))
-    return grid
+    return _cost(obj, k)
 
 
 def select_power(obj: SelectionObjective) -> tuple[int, float]:
-    """Scan the admissible powers and return (k*, J(k*)); ties go to larger k."""
-    ks = candidate_powers(obj.d)
-    penalty = obj.d / ks
-    if obj.family == "rand_k":
-        factor = 1.0 + penalty / math.sqrt(obj.n)
-    else:
-        factor = 1.0 + penalty
-    costs = factor * (obj.alpha + obj.beta * _message_bits(obj, ks))
-    best_rev = int(np.argmin(costs[::-1]))
-    best = costs.size - 1 - best_rev
-    return int(ks[best]), float(costs[best])
+    """The exact integer argmin of J over [1, d] and its cost; ties go to larger k."""
+    candidates = {1, obj.d}
+    beta_unit = obj.beta * obj.unit_bits
+    if obj.alpha > 0 and beta_unit > 0:
+        # Clipped before rounding: a denormal beta can make k_c infinite.
+        k_c = min(max(math.sqrt(obj.d * obj.alpha / (obj.penalty_scale * beta_unit)), 1.0), obj.d)
+        candidates.update((math.floor(k_c), math.ceil(k_c)))
+    k_star = min(sorted(candidates, reverse=True), key=lambda k: _cost(obj, k))
+    return k_star, _cost(obj, k_star)
 
 
 @dataclass(frozen=True)
@@ -156,17 +146,7 @@ def adaptive_controller(
 
 def write_decisions(target, decisions) -> None:
     """Write decision records as ``sample_index,alpha_hat,beta_hat,k_star,predicted_cost``."""
-    if hasattr(target, "write"):
-        _write(target, decisions)
-    else:
-        with open(target, "w", newline="") as handle:
-            _write(handle, decisions)
-
-
-def _write(handle, decisions) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(DECISION_CSV_HEADER.split(","))
-    for dec in decisions:
-        writer.writerow(
-            [dec.sample_index, dec.fit.alpha_hat, dec.fit.beta_hat, dec.k_star, dec.predicted_cost]
-        )
+    write_csv(target, DECISION_CSV_HEADER, (
+        (dec.sample_index, dec.fit.alpha_hat, dec.fit.beta_hat, dec.k_star, dec.predicted_cost)
+        for dec in decisions
+    ))

@@ -13,6 +13,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ import numpy as np
 from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
 from .compression import CompressorSpec
+from .csvio import write_csv
 from .errors import (
     ConfigError,
     DegenerateDesignError,
@@ -56,6 +59,12 @@ _CONFIG_KEYS = {
 }
 
 _PROBLEM_STREAM = 3  # SeedSequence spawn key for synthetic problem data
+
+# jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it,
+# computed and written JCURVE_CHUNK rows at a time.
+SCAN_LIMIT = 10**7
+GRID_SIZE = 64
+JCURVE_CHUNK = 1 << 16
 
 
 def _parse_bool(text: str) -> bool:
@@ -143,10 +152,7 @@ def cmd_synth(args) -> int:
         for _ in range(args.reps):
             rows.append((size, commodel.sample_time(params, size * BITS_PER_BYTE, rng)))
     path = out / "samples.csv"
-    with open(path, "w", newline="") as handle:
-        handle.write("size_bytes,time_seconds\n")
-        for size, t in rows:
-            handle.write(f"{size},{t!r}\n")
+    write_csv(path, "size_bytes,time_seconds", rows)
     config = {
         "alpha": args.alpha, "beta": args.beta,
         "alpha_m": args.alpha_m, "beta_m": args.beta_m,
@@ -181,14 +187,6 @@ def _fit_pair(state) -> tuple[float, float]:
     return result.alpha_hat, result.beta_hat
 
 
-def _write_fit_trace(path: Path, rows) -> None:
-    # beta_hat is emitted in seconds per byte (boundary convention).
-    with open(path, "w", newline="") as handle:
-        handle.write("k,alpha_hat,beta_hat\n")
-        for k, alpha, beta in rows:
-            handle.write(f"{k},{alpha!r},{beta * BITS_PER_BYTE!r}\n")
-
-
 def cmd_fit(args) -> int:
     out = _out_dir(args)
     path = out / "fit_trace.csv"
@@ -206,7 +204,9 @@ def cmd_fit(args) -> int:
         samples = estimator.read_samples_csv(args.samples)
         rows = _fit_stream(samples, args.forgetting)
         config = {"samples": args.samples, "forgetting": args.forgetting}
-    _write_fit_trace(path, rows)
+    # beta_hat is written in seconds per byte (boundary convention).
+    write_csv(path, "k,alpha_hat,beta_hat",
+              ((k, alpha, beta * BITS_PER_BYTE) for k, alpha, beta in rows))
     seed = args.seed if args.seed is not None else 0
     _write_manifest(out, "fit", config, seed, [path.name])
     k, alpha, beta = rows[-1]
@@ -249,6 +249,15 @@ def _fit_live(args) -> list[tuple[int, float, float]]:
     return rows
 
 
+def candidate_powers(d: int):
+    """The powers jcurve.csv lists, as arrays of at most JCURVE_CHUNK ascending values."""
+    if d > SCAN_LIMIT:
+        yield np.unique(np.clip(np.round(np.geomspace(1, d, GRID_SIZE)), 1, d).astype(np.int64))
+        return
+    for lo in range(1, d + 1, JCURVE_CHUNK):
+        yield np.arange(lo, min(lo + JCURVE_CHUNK, d + 1), dtype=np.int64)
+
+
 def cmd_select(args) -> int:
     out = _out_dir(args)
     if args.fit is not None:
@@ -257,14 +266,18 @@ def cmd_select(args) -> int:
             raise ConfigError(f"fit trace not found: {trace}")
         last = None
         with open(trace, newline="") as handle:
-            import csv as _csv
-
-            for row in _csv.DictReader(handle):
-                last = row
+            reader = csv.DictReader(handle)
+            if not {"alpha_hat", "beta_hat"} <= set(reader.fieldnames or ()):
+                raise ConfigError(f"fit trace {trace} needs alpha_hat and beta_hat columns")
+            for last in reader:
+                pass
         if last is None:
             raise ConfigError(f"fit trace {trace} has no rows")
-        alpha = float(last["alpha_hat"])
-        beta_per_byte = float(last["beta_hat"])
+        try:
+            alpha = float(last["alpha_hat"])
+            beta_per_byte = float(last["beta_hat"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fit trace {trace}: bad number in its last row: {exc}") from exc
     elif args.alpha is not None and args.beta is not None:
         alpha, beta_per_byte = args.alpha, args.beta
     else:
@@ -275,10 +288,10 @@ def cmd_select(args) -> int:
     )
     k_star, cost = adaptive.select_power(obj)
     path = out / "jcurve.csv"
-    with open(path, "w", newline="") as handle:
-        handle.write("k,predicted_cost\n")
-        for k in adaptive.candidate_powers(obj.d):
-            handle.write(f"{int(k)},{adaptive.predicted_cost(obj, int(k))!r}\n")
+    write_csv(path, "k,predicted_cost", itertools.chain.from_iterable(
+        zip(ks.tolist(), adaptive.predicted_cost(obj, ks).tolist())
+        for ks in candidate_powers(obj.d)
+    ))
     config = {
         "family": args.family, "d": args.d, "n": args.n, "b": args.b,
         "alpha": alpha, "beta": beta_per_byte,
@@ -295,16 +308,14 @@ def cmd_regions(args) -> int:
     params = _time_model(args.alpha, args.beta)
     sizes = parse_sizes(args.sizes)
     regions_path = out / "regions.csv"
-    with open(regions_path, "w", newline="") as handle:
-        handle.write("size_bits,region\n")
-        for size in sizes:
-            bits = size * BITS_PER_BYTE
-            handle.write(f"{bits},{commodel.classify_region(params, bits, args.rho).value}\n")
+    bits = [size * BITS_PER_BYTE for size in sizes]
+    write_csv(regions_path, "size_bits,region",
+              ((s, commodel.classify_region(params, s, args.rho).value) for s in bits))
     if args.omegas:
         omegas = [float(w) for w in args.omegas.split(",")]
     else:
         omegas = [float(w) for w in np.geomspace(1.0, 1e6, 61)]
-    curve = commodel.speedup_curve(params, max(sizes) * BITS_PER_BYTE, sorted(omegas), args.rho)
+    curve = commodel.speedup_curve(params, max(bits), sorted(omegas), args.rho)
     speedup_path = out / "speedup.csv"
     curve.to_csv(speedup_path)
     config = {"alpha": args.alpha, "beta": args.beta, "sizes": args.sizes,

@@ -9,13 +9,12 @@ operating regime by which term dominates, and tabulated speedup reports.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DegenerateModelError, ParameterError
 
 # Sampled transmission times are clamped here: normal noise admits negative
@@ -132,31 +131,11 @@ class SpeedupReport:
 
     def to_csv(self, target) -> None:
         """Write the report; ``target`` is a path or a writable text file."""
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as handle:
-                self._write(handle)
-
-    def _write(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER.split(","))
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.omega,
-                    row.compressed_bits,
-                    row.region_from.value,
-                    row.region_to.value,
-                    row.expected_time_s,
-                    row.speedup,
-                ]
-            )
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
+        write_csv(target, CSV_HEADER, (
+            (row.omega, row.compressed_bits, row.region_from.value, row.region_to.value,
+             row.expected_time_s, row.speedup)
+            for row in self.rows
+        ))
 
 
 def transition_report(

@@ -130,7 +130,7 @@ def rand_k_compress(x: DenseVector, k: int, seed) -> CompressedMessage:
     the same seed reconstructs the index set, so only the k scaled values are
     charged: bits = k * bits_per_scalar.
     """
-    _check_k(k, x.d)
+    bits = message_bits(CompressorSpec("rand_k", k=k), x.d, x.bits_per_scalar)
     if seed is None:
         raise ParameterError("rand_k requires a shared randomness seed")
     idx = rand_k_indices(x.d, k, seed)
@@ -138,7 +138,7 @@ def rand_k_compress(x: DenseVector, k: int, seed) -> CompressedMessage:
     return CompressedMessage(
         kind="rand_k",
         payload={"values": scaled},
-        bits=k * x.bits_per_scalar,
+        bits=bits,
         d=x.d,
         bits_per_scalar=x.bits_per_scalar,
         seed=seed,
@@ -151,10 +151,9 @@ def top_k_compress(x: DenseVector, k: int) -> CompressedMessage:
     Ties on equal magnitude break toward the lowest index, which makes the
     operator a deterministic function.  bits = k*b + k*ceil(log2 d).
     """
-    _check_k(k, x.d)
+    bits = message_bits(CompressorSpec("top_k", k=k), x.d, x.bits_per_scalar)
     order = np.argsort(-np.abs(x.values), kind="stable")
     idx = np.sort(order[:k])
-    bits = k * x.bits_per_scalar + k * index_bits(x.d)
     return CompressedMessage(
         kind="top_k",
         payload={"values": x.values[idx], "indices": idx.astype(np.int64)},
@@ -196,7 +195,7 @@ def natural_compress(x: DenseVector, seed) -> CompressedMessage:
     return CompressedMessage(
         kind="natural",
         payload={"values": rounded},
-        bits=NATURAL_BITS_PER_SCALAR * x.d,
+        bits=message_bits(CompressorSpec("natural"), x.d, x.bits_per_scalar),
         d=x.d,
         bits_per_scalar=x.bits_per_scalar,
     )
@@ -209,6 +208,10 @@ def default_matrix_shape(d: int) -> tuple[int, int]:
         rows += 1
     cols = -(-d // rows)
     return rows, cols
+
+
+def _matrix_shape(d: int, rows: int | None, cols: int | None) -> tuple[int, int]:
+    return default_matrix_shape(d) if rows is None or cols is None else (rows, cols)
 
 
 def _orthonormalize_columns(m: np.ndarray) -> np.ndarray:
@@ -239,12 +242,8 @@ def rank_r_compress(
     orthonormal columns) and Q = X.T @ P; decompression flattens P @ Q.T and
     truncates to d entries.  bits = r * (rows + cols) * bits_per_scalar.
     """
-    if rows is None or cols is None:
-        rows, cols = default_matrix_shape(x.d)
-    if rows < 1 or cols < 1 or rows * cols < x.d:
-        raise ParameterError(f"matrix shape {rows}x{cols} cannot hold {x.d} entries")
-    if not 1 <= r <= min(rows, cols):
-        raise ParameterError(f"rank r={r} outside [1, {min(rows, cols)}]")
+    bits = message_bits(CompressorSpec("rank_r", r=r), x.d, x.bits_per_scalar, rows, cols)
+    rows, cols = _matrix_shape(x.d, rows, cols)
     mat = np.zeros((rows, cols))
     mat.flat[: x.d] = x.values
     test = np.random.default_rng(seed).standard_normal((cols, r))
@@ -253,7 +252,7 @@ def rank_r_compress(
     return CompressedMessage(
         kind="rank_r",
         payload={"p": p, "q": q, "rows": rows, "cols": cols},
-        bits=r * (rows + cols) * x.bits_per_scalar,
+        bits=bits,
         d=x.d,
         bits_per_scalar=x.bits_per_scalar,
     )
@@ -264,7 +263,7 @@ def identity_compress(x: DenseVector) -> CompressedMessage:
     return CompressedMessage(
         kind="identity",
         payload={"values": x.values},
-        bits=x.total_bits,
+        bits=message_bits(CompressorSpec(), x.d, x.bits_per_scalar),
         d=x.d,
         bits_per_scalar=x.bits_per_scalar,
     )
@@ -366,7 +365,11 @@ def message_bits(
     rows: int | None = None,
     cols: int | None = None,
 ) -> int:
-    """Closed-form transmitted bits for the operator at dimension d."""
+    """Closed-form transmitted bits for the operator at dimension d.
+
+    This is the package's one bit formula: every operator, ``omega_inf`` and
+    the power selector take their bit counts from it.
+    """
     if d < 1 or b < 1:
         raise ParameterError("d and b must be positive integers")
     if spec.kind == "identity":
@@ -379,9 +382,8 @@ def message_bits(
         return spec.k * b + spec.k * index_bits(d)
     if spec.kind == "natural":
         return NATURAL_BITS_PER_SCALAR * d
-    if rows is None or cols is None:
-        rows, cols = default_matrix_shape(d)
-    if rows * cols < d:
+    rows, cols = _matrix_shape(d, rows, cols)
+    if rows < 1 or cols < 1 or rows * cols < d:
         raise ParameterError(f"matrix shape {rows}x{cols} cannot hold {d} entries")
     if not 1 <= spec.r <= min(rows, cols):
         raise ParameterError(f"rank r={spec.r} outside [1, {min(rows, cols)}]")
@@ -401,24 +403,11 @@ def omega_inf(
     identically.  For ``rank_r`` the ratio is only defined when the reshape
     exactly fills the matrix (d == rows * cols).
     """
-    if d < 1 or b < 1:
-        raise ParameterError("d and b must be positive integers")
-    if spec.kind == "identity":
-        return Fraction(1)
-    if spec.kind == "rand_k":
-        _check_k(spec.k, d)
-        return Fraction(d, spec.k)
-    if spec.kind == "top_k":
-        _check_k(spec.k, d)
-        return Fraction(d * b, spec.k * b + spec.k * index_bits(d))
-    if spec.kind == "natural":
-        return Fraction(b, NATURAL_BITS_PER_SCALAR)
-    if rows is None or cols is None:
-        rows, cols = default_matrix_shape(d)
-    if rows * cols != d:
-        raise ParameterError(
-            f"rank_r ratio needs an exactly filled matrix: {rows}x{cols} != d={d}"
-        )
-    if not 1 <= spec.r <= min(rows, cols):
-        raise ParameterError(f"rank r={spec.r} outside [1, {min(rows, cols)}]")
-    return Fraction(rows * cols, spec.r * (rows + cols))
+    bits = message_bits(spec, d, b, rows, cols)
+    if spec.kind == "rank_r":
+        rows, cols = _matrix_shape(d, rows, cols)
+        if rows * cols != d:
+            raise ParameterError(
+                f"rank_r ratio needs an exactly filled matrix: {rows}x{cols} != d={d}"
+            )
+    return Fraction(d * b, bits)

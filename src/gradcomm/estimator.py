@@ -160,25 +160,12 @@ def read_samples_csv(path) -> list[tuple[float, float]]:
         fields = reader.fieldnames or []
         if "size_bytes" not in fields or "time_seconds" not in fields:
             raise ParameterError(
-                f"sample CSV must have size_bytes and time_seconds columns, got {fields}"
+                f"{path}: sample CSV must have size_bytes and time_seconds columns, got {fields}"
             )
-        return [
-            (float(row["size_bytes"]) * 8.0, float(row["time_seconds"]))
-            for row in reader
-        ]
-
-
-def write_fit_trace(target, rows) -> None:
-    """Write per-step fits as ``k,alpha_hat,beta_hat`` rows."""
-    if hasattr(target, "write"):
-        _write_trace(target, rows)
-    else:
-        with open(target, "w", newline="") as handle:
-            _write_trace(handle, rows)
-
-
-def _write_trace(handle, rows) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(["k", "alpha_hat", "beta_hat"])
-    for k, alpha, beta in rows:
-        writer.writerow([k, alpha, beta])
+        try:
+            return [
+                (float(row["size_bytes"]) * 8.0, float(row["time_seconds"]))
+                for row in reader
+            ]
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from exc

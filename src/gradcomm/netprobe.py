@@ -11,7 +11,6 @@ pseudorandom bytes so link-level compression cannot shrink them.
 
 from __future__ import annotations
 
-import csv
 import logging
 import socket
 import struct
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import NetworkError, ParameterError
 
 logger = logging.getLogger(__name__)
@@ -159,18 +159,6 @@ class PingPongServer:
             self._sock = None
 
 
-def serve(host: str = "127.0.0.1", port: int = 0,
-          p_max_bytes: int = DEFAULT_P_MAX_BYTES,
-          shutdown: threading.Event | None = None) -> None:
-    """Blocking convenience wrapper around :class:`PingPongServer`."""
-    server = PingPongServer(host, port, p_max_bytes)
-    server.bind()
-    try:
-        server.serve_forever(shutdown)
-    finally:
-        server.close()
-
-
 def _exchange(sock: socket.socket, frame: bytes) -> None:
     sock.sendall(frame)
     ack = _recv_exact(sock, 1)
@@ -238,15 +226,4 @@ def probe(
 
 def write_samples_csv(target, samples) -> None:
     """Write probe samples as ``size_bytes,time_seconds,rep`` rows."""
-
-    def _write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(SAMPLES_CSV_HEADER.split(","))
-        for s in samples:
-            writer.writerow([s.size_bytes, s.rtt_seconds, s.rep])
-
-    if hasattr(target, "write"):
-        _write(target)
-    else:
-        with open(target, "w", newline="") as handle:
-            _write(handle)
+    write_csv(target, SAMPLES_CSV_HEADER, ((s.size_bytes, s.rtt_seconds, s.rep) for s in samples))

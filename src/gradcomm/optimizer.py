@@ -10,13 +10,13 @@ message sizes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .commodel import TimeModelParams, sample_time
 from .compression import DEFAULT_BITS_PER_SCALAR, CompressorSpec, DenseVector, compress, decompress
+from .csvio import write_csv
 from .errors import DivergenceError, ParameterError
 
 DIVERGENCE_LIMIT = 1e12
@@ -134,26 +134,12 @@ class SimTrace:
     final_x: np.ndarray
 
     def to_csv(self, target) -> None:
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as handle:
-                self._write(handle)
-
-    def _write(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_CSV_HEADER.split(","))
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.round,
-                    row.objective,
-                    row.grad_norm,
-                    row.wall_clock_s,
-                    row.uplink_bits,
-                    row.downlink_bits,
-                ]
-            )
+        """Write the trace; ``target`` is a path or a writable text file."""
+        write_csv(target, TRACE_CSV_HEADER, (
+            (row.round, row.objective, row.grad_norm, row.wall_clock_s,
+             row.uplink_bits, row.downlink_bits)
+            for row in self.rows
+        ))
 
 
 def default_stepsize(problem: Problem, spec: CompressorSpec) -> float:

@@ -82,6 +82,22 @@ class TestSelectPower:
                 beta=float(rng.uniform(0, 1e-8)),
             )
             assert select_power(obj) == brute_force_argmin(obj)
+        # Either coefficient may also be zero or negative (a noisy fit can
+        # give either), which leaves J monotone or concave in k.
+        for _ in range(150):
+            alpha, beta = (
+                float(rng.choice([0.0, rng.uniform(-1.0, 1.0)])) * scale
+                for scale in (1e-2, 1e-8)
+            )
+            obj = SelectionObjective(
+                family,
+                d=int(rng.integers(1, 400)),
+                n=int(rng.integers(1, 64)),
+                alpha=alpha,
+                beta=beta,
+                b=int(rng.choice([8, 32])),
+            )
+            assert select_power(obj) == brute_force_argmin(obj)
 
     def test_monotone_in_alpha(self):
         beta = 1e-9
@@ -98,10 +114,38 @@ class TestSelectPower:
             scaled = SelectionObjective("rand_k", d=300, n=8, alpha=c * 3e-4, beta=c * 2e-9)
             assert select_power(scaled)[0] == base
 
-    def test_large_dimension_uses_geometric_grid(self):
+    def test_large_dimension_alpha_zero_selects_one(self):
         obj = SelectionObjective("rand_k", d=2 * 10**7, n=4, alpha=0.0, beta=1e-12)
         k_star, _ = select_power(obj)
         assert k_star == 1  # alpha = 0 still selects the smallest power
+
+    def test_exact_argmin_at_large_dimension(self):
+        # k_c = sqrt((d / sqrt(n)) * alpha / (32 * beta)) = 2.5e6 exactly; a
+        # 64-point geometric grid gave (2234634, 0.121126...) here.
+        obj = SelectionObjective("rand_k", d=10**8, n=16, alpha=1e-3, beta=1.25e-10)
+        k_star, cost = select_power(obj)
+        assert (k_star, cost) == (2_500_000, 0.121)
+        assert predicted_cost(obj, k_star - 1) > cost
+        assert predicted_cost(obj, k_star + 1) > cost
+
+    @pytest.mark.parametrize("family", ["rand_k", "top_k"])
+    def test_denormal_beta_selects_d(self, family):
+        obj = SelectionObjective(family, d=1000, n=16, alpha=1e-3, beta=1e-320)
+        assert select_power(obj)[0] == 1000
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, field, value):
+        params = {"alpha": 1e-3, "beta": 1e-9, field: value}
+        with pytest.raises(ParameterError):
+            SelectionObjective("rand_k", d=64, n=4, **params)
+
+    def test_array_costs_equal_scalar_costs(self):
+        obj = SelectionObjective("top_k", d=300, n=5, alpha=2e-4, beta=3e-9)
+        ks = np.arange(1, 301)
+        assert predicted_cost(obj, ks).tolist() == [predicted_cost(obj, int(k)) for k in ks]
+        with pytest.raises(ParameterError):
+            predicted_cost(obj, np.arange(0, 3))
 
     def test_consistency_with_simulated_uplink_time(self):
         # J(k) models uplink communication; with the iteration count scaled by

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gradcomm.adaptive import SelectionObjective, predicted_cost
 from gradcomm.cli import main
 from gradcomm.netprobe import PingPongServer
 
@@ -83,6 +84,13 @@ class TestFit:
         assert main(["fit", "--out", str(tmp_path)]) == 2
         assert main(["fit", "--samples", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 2
 
+    def test_non_numeric_sample_exit_2(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("size_bytes,time_seconds\n1,5\nlots,7\n")
+        rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "samples.csv" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_alpha_zero_selects_one(self, tmp_path):
@@ -111,6 +119,42 @@ class TestSelect:
 
     def test_requires_parameters(self, tmp_path):
         assert main(["select", "--d", "8", "--n", "2", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coefficient_exit_2(self, tmp_path, flag, value):
+        args = {"--alpha": "1e-3", "--beta": "1e-9", flag: value}
+        rc = main(["select", *(item for pair in args.items() for item in pair),
+                   "--d", "100", "--n", "4", "--out", str(tmp_path)])
+        assert rc == 2
+
+    def test_fit_trace_without_alpha_column_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "fit_trace.csv"
+        trace.write_text("k,beta_hat\n2,8e-6\n")
+        rc = main(["select", "--fit", str(trace), "--d", "32", "--n", "9",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fit_trace.csv" in capsys.readouterr().err
+
+    def test_non_numeric_fit_trace_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "fit_trace.csv"
+        trace.write_text("k,alpha_hat,beta_hat\n2,1.0,0.0\n3,soon,8e-6\n")
+        rc = main(["select", "--fit", str(trace), "--d", "32", "--n", "9",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fit_trace.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["rand_k", "top_k"])
+    def test_jcurve_rows_are_predicted_costs(self, tmp_path, capsys, family):
+        rc = main(["select", "--alpha", "2e-3", "--beta", "1e-8", "--family", family,
+                   "--d", "3000", "--n", "16", "--out", str(tmp_path)])
+        assert rc == 0
+        obj = SelectionObjective(family, d=3000, n=16, alpha=2e-3, beta=1e-8 / 8)
+        rows = [(int(r["k"]), float(r["predicted_cost"]))
+                for r in read_csv(tmp_path / "jcurve.csv")]
+        assert rows == [(k, predicted_cost(obj, k)) for k in range(1, 3001)]
+        k_min, cost_min = min(reversed(rows), key=lambda row: row[1])
+        assert f"k_star={k_min} predicted_cost={cost_min!r}" in capsys.readouterr().out
 
 
 class TestRegions:
@@ -295,3 +339,26 @@ class TestManifests:
         rc = main(["synth", "--alpha", "1", "--beta", "1", "--sizes", "1",
                    "--config", "whatever.cfg", "--out", str(tmp_path)])
         assert rc == 2
+
+
+def test_no_csv_output_has_crlf_line_ends(tmp_path):
+    srv = PingPongServer()
+    port = srv.start()
+    try:
+        runs = {
+            "synth": ["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1,100,1000"],
+            "fit": ["fit", "--samples", str(tmp_path / "synth/samples.csv")],
+            "select": ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "50", "--n", "4"],
+            "regions": ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1:1000:4"],
+            "simulate": ["simulate", "--n", "2", "--d", "8", "--steps", "3",
+                         "--alpha", "1e-3", "--beta", "1e-8"],
+            "probe": ["probe", "--port", str(port), "--sizes", "64", "--reps", "2"],
+        }
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+    finally:
+        srv.stop()
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert len(written) == 7
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path

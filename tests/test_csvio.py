@@ -1,0 +1,21 @@
+import io
+
+from gradcomm.csvio import write_csv
+
+
+class TestWriteCsv:
+    def test_fit_trace_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_csv(path, "k,alpha_hat,beta_hat", [(2, 3.0, 2.0), (3, 3.1, 1.9)])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "k,alpha_hat,beta_hat"
+        assert lines[1] == "2,3.0,2.0"
+
+    def test_path_and_handle_write_the_same_bytes(self, tmp_path):
+        rows = [(1, 0.1, "area1_alpha_dominated"), (2, 1e-300, "x")]
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b,c", rows)
+        buf = io.StringIO()
+        write_csv(buf, "a,b,c", iter(rows))
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes() == b"a,b,c\n1,0.1,area1_alpha_dominated\n2,1e-300,x\n"

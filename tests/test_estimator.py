@@ -210,9 +210,8 @@ class TestCsv:
         with pytest.raises(ParameterError):
             estimator.read_samples_csv(path)
 
-    def test_fit_trace_writer(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        estimator.write_fit_trace(path, [(2, 3.0, 2.0), (3, 3.1, 1.9)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,alpha_hat,beta_hat"
-        assert lines[1] == "2,3.0,2.0"
+    def test_non_numeric_cell_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("size_bytes,time_seconds\n1,5\n2,fast\n")
+        with pytest.raises(ParameterError, match="bad.csv, line 3"):
+            estimator.read_samples_csv(path)
