@@ -31,7 +31,7 @@ import numpy as np
 from . import estimator
 from .compression import CompressorSpec, message_bits
 from .csvio import write_csv
-from .errors import DegenerateDesignError, ParameterError
+from .errors import ParameterError
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
 
@@ -109,38 +109,25 @@ def adaptive_controller(
 ):
     """Track (size, time) samples online and re-select k as the fit drifts.
 
-    The first two samples initialize the estimator (their sizes must differ);
-    every subsequent sample is absorbed, and every ``cadence``-th one the power
-    is re-selected.  A decision record is yielded for the initial fit and then
-    whenever k* changes.  If forgetting has washed out all size variation the
-    fit is degenerate; the controller keeps the last selection and moves on.
+    The first fit (the first sample at which sizes vary) gives the first
+    decision; from there every ``cadence``-th sample re-selects the power.  A
+    decision record is yielded for the first fit and then whenever k* changes.
+    If forgetting has washed out all size variation the fit is degenerate; the
+    controller keeps the last selection and moves on.
     """
     if cadence < 1:
         raise ParameterError("re-fit cadence must be >= 1")
-    stream = iter(samples)
-    try:
-        x1, y1 = next(stream)
-        x2, y2 = next(stream)
-    except StopIteration:
-        raise DegenerateDesignError("need at least two samples to initialize") from None
-    state = estimator.init(x1, y1, x2, y2, p_max, forgetting)
-    current = estimator.fit(state)
-    k_star, cost = select_power(replace(objective, alpha=current.alpha_hat, beta=current.beta_hat))
-    yield Decision(2, current, k_star, cost)
-    last_k = k_star
-    for index, (x, y) in enumerate(stream, start=3):
-        state = estimator.advance(state, x, y)
-        if (index - 2) % cadence != 0:
-            continue
-        try:
-            current = estimator.fit(state)
-        except DegenerateDesignError:
+    first = last_k = None
+    for state, current in estimator.running_fits(samples, p_max, forgetting):
+        if first is None:
+            first = state.count
+        elif current is None or (state.count - first) % cadence != 0:
             continue
         k_star, cost = select_power(
             replace(objective, alpha=current.alpha_hat, beta=current.beta_hat)
         )
         if k_star != last_k:
-            yield Decision(index, current, k_star, cost)
+            yield Decision(state.count, current, k_star, cost)
             last_k = k_star
 
 

@@ -16,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -65,6 +66,9 @@ _PROBLEM_STREAM = 3  # SeedSequence spawn key for synthetic problem data
 SCAN_LIMIT = 10**7
 GRID_SIZE = 64
 JCURVE_CHUNK = 1 << 16
+
+# A negative decimal number, exponent allowed: -5, -.5, -1e-3, -2.5E+4.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _parse_bool(text: str) -> bool:
@@ -163,35 +167,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fit_stream(samples_bits: list[tuple[float, float]], forgetting: float):
-    """Initialize on the first two distinct sizes, then stream the rest."""
-    if len(samples_bits) < 2:
-        raise DegenerateDesignError("degenerate design: need at least two samples")
-    x1, y1 = samples_bits[0]
-    second = next((i for i in range(1, len(samples_bits)) if samples_bits[i][0] != x1), None)
-    if second is None:
-        raise DegenerateDesignError("degenerate design: all message sizes are equal")
-    x2, y2 = samples_bits[second]
-    p_max = max(x for x, _ in samples_bits)
-    state = estimator.init(x1, y1, x2, y2, p_max, forgetting)
-    rows = [(2, *_fit_pair(state))]
-    rest = [samples_bits[i] for i in range(1, len(samples_bits)) if i != second]
-    for x, y in rest:
-        state, result = estimator.update(state, x, y)
-        rows.append((result.k, result.alpha_hat, result.beta_hat))
-    return rows
-
-
-def _fit_pair(state) -> tuple[float, float]:
-    result = estimator.fit(state)
-    return result.alpha_hat, result.beta_hat
-
-
 def cmd_fit(args) -> int:
     out = _out_dir(args)
     path = out / "fit_trace.csv"
     if args.live:
-        rows = _fit_live(args)
+        samples, p_max = _probe_live(args)
         config = {
             "live": args.live, "policy": args.policy, "rounds": args.rounds,
             "pmax": args.pmax, "warmup": args.warmup, "forgetting": args.forgetting,
@@ -202,51 +182,41 @@ def cmd_fit(args) -> int:
         if not Path(args.samples).exists():
             raise ConfigError(f"samples file not found: {args.samples}")
         samples = estimator.read_samples_csv(args.samples)
-        rows = _fit_stream(samples, args.forgetting)
+        p_max = max((x for x, _ in samples), default=1.0)
         config = {"samples": args.samples, "forgetting": args.forgetting}
     # beta_hat is written in seconds per byte (boundary convention).
-    write_csv(path, "k,alpha_hat,beta_hat",
-              ((k, alpha, beta * BITS_PER_BYTE) for k, alpha, beta in rows))
+    rows = []
+    for _, result in estimator.running_fits(samples, p_max, args.forgetting):
+        if result is None:
+            raise DegenerateDesignError(
+                "degenerate design: forgetting has washed out the size variation")
+        rows.append((result.k, result.alpha_hat, result.beta_hat * BITS_PER_BYTE))
+    write_csv(path, "k,alpha_hat,beta_hat", rows)
     seed = args.seed if args.seed is not None else 0
     _write_manifest(out, "fit", config, seed, [path.name])
     k, alpha, beta = rows[-1]
-    print(f"k={k} alpha_hat={alpha!r} beta_hat={beta * BITS_PER_BYTE!r} (s/byte)")
+    print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
     return EXIT_OK
 
 
-def _fit_live(args) -> list[tuple[int, float, float]]:
+def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
+    """Probe p_max, p_max/16 and one proposed size per round over one connection."""
     host, _, port_text = args.live.rpartition(":")
     if not host or not port_text.isdigit():
         raise ConfigError(f"--live expects HOST:PORT, got {args.live!r}")
-    port = int(port_text)
     p_max_bytes = args.pmax
     if p_max_bytes < 2:
         raise ConfigError("--pmax must be at least 2 bytes for two distinct sizes")
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
-
-    def one_rtt(size_bytes: int) -> float:
-        result = netprobe.probe(host, port, [size_bytes], reps=1, warmup=args.warmup)
-        if result.error or not result.samples:
-            raise NetworkError(result.error or "probe returned no samples")
-        return result.samples[0].rtt_seconds
-
-    x1 = p_max_bytes
-    x2 = max(1, p_max_bytes // 16)
-    if x2 == x1:
-        x2 = x1 - 1
-    state = estimator.init(
-        x1 * BITS_PER_BYTE, one_rtt(x1), x2 * BITS_PER_BYTE, one_rtt(x2),
-        p_max_bytes * BITS_PER_BYTE, args.forgetting,
-    )
-    rows = [(2, *_fit_pair(state))]
-    for _ in range(args.rounds):
-        bits = estimator.propose_next_size(state, args.policy, rng)
-        size_bytes = min(p_max_bytes, max(1, round(bits / BITS_PER_BYTE)))
-        rtt = one_rtt(size_bytes)
-        state, result = estimator.update(state, size_bytes * BITS_PER_BYTE, rtt)
-        rows.append((result.k, result.alpha_hat, result.beta_hat))
-    return rows
+    p_max = p_max_bytes * BITS_PER_BYTE
+    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    proposals = (estimator.propose_next_size(count, p_max, args.policy, rng)
+                 for count in range(2, args.rounds + 2))
+    sizes = [p_max_bytes, max(1, p_max_bytes // 16)] + [
+        min(p_max_bytes, max(1, round(bits / BITS_PER_BYTE))) for bits in proposals]
+    result = netprobe.probe(host, int(port_text), sizes, reps=1, warmup=args.warmup)
+    if result.error or len(result.samples) < len(sizes):
+        raise NetworkError(result.error or "probe returned too few samples")
+    return [(s.size_bytes * BITS_PER_BYTE, s.rtt_seconds) for s in result.samples], p_max
 
 
 def candidate_powers(d: int):
@@ -510,9 +480,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha -1e-3`` as ``--alpha=-1e-3``.
+
+    argparse reads a dash-led token that is not a plain ``-5`` or ``-0.5``,
+    such as ``-1e-3``, as an option, so a negative coefficient as ``fit``
+    prints it would otherwise be refused.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and _NEGATIVE_NUMBER.fullmatch(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.config is not None and args.command != "simulate":
         print("error: --config only applies to the simulate subcommand", file=sys.stderr)
         return EXIT_USAGE

@@ -1,20 +1,24 @@
 """Online least-squares estimation of the time-model coefficients.
 
 The estimator keeps four running sums (sizes, times, size*time products,
-squared sizes) plus a sample count, so each (size, time) observation is
-absorbed in O(1) memory and time while reproducing the full batch
-least-squares fit:
+squared sizes) plus a sample count and weight, so each (size, time)
+observation is absorbed in O(1) memory and time while reproducing the full
+batch least-squares fit:
 
-    beta  = (k * s_xy - s_x * s_y) / (k * s_xx - s_x^2)
-    alpha = (s_y - beta * s_x) / k
+    beta  = (w * s_xy - s_x * s_y) / (w * s_xx - s_x^2)
+    alpha = (s_y - beta * s_x) / w
 
-``batch_ls`` is the independent oracle: a centered two-pass fit over the
-stored points.  States are immutable; ``update`` returns a new state, so a
-snapshot can be read at any time while a single owner advances the stream.
+``start`` returns a state with zero sums and every sample goes through
+``advance``; ``fit`` raises :class:`DegenerateDesignError` until two sizes
+differ.  ``running_fits`` is the one loop that turns a (size, time) stream into
+fits.  ``batch_ls`` is the independent oracle: a centered two-pass fit over the
+stored points.  States are immutable, so a snapshot can be read at any time
+while a single owner advances the stream.
 
-An optional exponential forgetting factor (an extension; 1.0 reproduces the
-plain recursion exactly) decays the sums and an effective sample weight
-before each update so drifting channel parameters can be tracked.
+An optional exponential forgetting factor lambda (an extension; 1.0 reproduces
+the plain sums exactly) decays the sums and the weight before each sample, so
+after n samples sample i carries weight lambda**(n - i) and drifting channel
+parameters can be tracked.
 """
 
 from __future__ import annotations
@@ -54,28 +58,14 @@ def _check_size(x: float, p_max: float) -> None:
         raise ParameterError(f"message size {x} outside (0, {p_max}]")
 
 
-def init(x1, y1, x2, y2, p_max, forgetting: float = 1.0) -> EstimatorState:
-    """Seed the running sums from two measurements at distinct sizes."""
+def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
+    """An estimator that has seen no samples yet."""
     if p_max <= 0:
         raise ParameterError("p_max must be positive")
     if not 0.0 < forgetting <= 1.0:
         raise ParameterError("forgetting factor must lie in (0, 1]")
-    _check_size(x1, p_max)
-    _check_size(x2, p_max)
-    if x1 == x2:
-        raise DegenerateDesignError(
-            "degenerate design: the two initial sizes must differ"
-        )
-    return EstimatorState(
-        count=2,
-        weight=2.0,
-        s_x=x1 + x2,
-        s_y=y1 + y2,
-        s_xy=x1 * y1 + x2 * y2,
-        s_xx=x1 * x1 + x2 * x2,
-        p_max=p_max,
-        forgetting=forgetting,
-    )
+    return EstimatorState(count=0, weight=0.0, s_x=0.0, s_y=0.0, s_xy=0.0, s_xx=0.0,
+                          p_max=p_max, forgetting=forgetting)
 
 
 def fit(state: EstimatorState) -> FitResult:
@@ -113,6 +103,30 @@ def update(state: EstimatorState, x_k, y_k) -> tuple[EstimatorState, FitResult]:
     return new_state, fit(new_state)
 
 
+def running_fits(samples, p_max: float, forgetting: float = 1.0):
+    """Absorb (size, time) samples from an empty state, one ``advance`` each.
+
+    Yields ``(state, fit)`` for every sample from the first one at which the
+    sizes vary.  A later fit that forgetting has made degenerate comes as
+    ``(state, None)``.  A stream whose sizes never vary raises
+    :class:`DegenerateDesignError` once it ends.
+    """
+    state = start(p_max, forgetting)
+    identified = False
+    for x, y in samples:
+        state = advance(state, x, y)
+        try:
+            result = fit(state)
+        except DegenerateDesignError:
+            if not identified:
+                continue
+            result = None
+        identified = True
+        yield state, result
+    if not identified:
+        raise DegenerateDesignError("degenerate design: all message sizes are equal")
+
+
 def batch_ls(points) -> FitResult:
     """Ordinary least squares over the full point set (testing oracle).
 
@@ -133,19 +147,20 @@ def batch_ls(points) -> FitResult:
     return FitResult(alpha_hat=float(alpha), beta_hat=float(beta), k=pts.shape[0])
 
 
-def propose_next_size(state: EstimatorState, policy: str = "uniform", rng=None) -> float:
-    """Next probe size in bits under the named exploration policy.
+def propose_next_size(count: int, p_max: float, policy: str = "uniform", rng=None) -> float:
+    """Size in bits to probe after ``count`` samples, under the named policy.
 
     ``uniform`` draws from (0, p_max]; ``grid`` walks a fixed 16-point
     geometric grid spanning p_max/1e4 up to p_max, cycling with the sample
-    count so consecutive updates visit consecutive grid points.
+    count so consecutive samples visit consecutive grid points.  No proposal
+    reads a measurement, so a whole probe schedule can be drawn up front.
     """
     if policy == "uniform":
         gen = np.random.default_rng(rng)
-        return state.p_max * (1.0 - gen.random())
+        return p_max * (1.0 - gen.random())
     if policy == "grid":
-        i = state.count % GRID_POINTS
-        return state.p_max * GRID_SPAN ** ((i - (GRID_POINTS - 1)) / (GRID_POINTS - 1))
+        i = count % GRID_POINTS
+        return p_max * GRID_SPAN ** ((i - (GRID_POINTS - 1)) / (GRID_POINTS - 1))
     raise ParameterError(f"unknown proposal policy: {policy!r}")
 
 

@@ -87,10 +87,8 @@ class PingPongServer:
     def bind(self) -> int:
         """Bind and listen; returns the actual port (useful with port=0)."""
         try:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.host, self.port))
-            sock.listen(1)
+            # create_server sets SO_REUSEADDR and closes its socket if bind or listen fails.
+            sock = socket.create_server((self.host, self.port), backlog=1)
         except OSError as exc:
             raise NetworkError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
         sock.settimeout(0.2)

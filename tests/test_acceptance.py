@@ -175,8 +175,8 @@ def test_criterion_5_estimator_correctness():
             x = rng.uniform(1.0, 1e6, size=n_pts)
             y = rng.uniform(0.1, 2.0) + rng.uniform(1e-9, 1e-5) * x
             y = y + rng.normal(0, 0.01, size=n_pts)
-            state = estimator.init(x[0], y[0], x[1], y[1], p_max=1e6)
-            for i in range(2, n_pts):
+            state = estimator.start(p_max=1e6)
+            for i in range(n_pts):
                 state = estimator.advance(state, x[i], y[i])
             online = estimator.fit(state)
             batch = estimator.batch_ls(zip(x, y))
@@ -186,7 +186,9 @@ def test_criterion_5_estimator_correctness():
         # (b) noiseless exact recovery
         alpha, beta = 0.375, 7.5e-7
         x = rng.uniform(1.0, 1e6, size=200)
-        state = estimator.init(x[0], alpha + beta * x[0], x[1], alpha + beta * x[1], p_max=1e6)
+        state = estimator.start(p_max=1e6)
+        for i in range(2):
+            state = estimator.advance(state, x[i], alpha + beta * x[i])
         for i in range(2, 200):
             state, fit = estimator.update(state, x[i], alpha + beta * x[i])
             assert fit.beta_hat == pytest.approx(beta, rel=1e-9)
@@ -202,8 +204,8 @@ def test_criterion_5_estimator_correctness():
             alphas = alpha + rng.normal(0, 0.1 * alpha, size=50)
             betas = beta + rng.normal(0, 0.1 * beta, size=50)
             y = alphas + betas * sizes
-            state = estimator.init(sizes[0], y[0], sizes[1], y[1], p_max=1e6)
-            for i in range(2, 50):
+            state = estimator.start(p_max=1e6)
+            for i in range(50):
                 state = estimator.advance(state, sizes[i], y[i])
             fit = estimator.fit(state)
             alpha_hats[rep], beta_hats[rep] = fit.alpha_hat, fit.beta_hat

@@ -205,10 +205,26 @@ class TestController:
         assert any(k > first for k in ks[1:])
         assert max(d.sample_index for d in decisions) > 200
 
-    def test_equal_initial_sizes_surface_degenerate_error(self):
+    def test_first_decision_at_first_distinct_size(self):
         samples = [(5.0, 1.0), (5.0, 1.1), (6.0, 1.2)]
-        with pytest.raises(DegenerateDesignError):
-            list(adaptive_controller(samples, self.template(), p_max=10.0))
+        decisions = list(adaptive_controller(samples, self.template(), p_max=10.0))
+        assert [d.sample_index for d in decisions] == [3]
+        assert decisions[0].fit.k == 3
+
+    def test_equal_sizes_throughout_raise(self):
+        for samples in ([], [(5.0, 1.0)], [(5.0, 1.0), (5.0, 1.1), (5.0, 1.2)]):
+            with pytest.raises(DegenerateDesignError):
+                list(adaptive_controller(samples, self.template(), p_max=10.0))
+
+    def test_cadence_counts_from_first_decision(self):
+        rng = np.random.default_rng(2)
+        sizes = [5e4, 5e4, 5e4] + list(rng.uniform(1e3, 1e6, size=100))
+        samples = [(s, (1e-6 if i < 50 else 1e-4) + 1e-9 * s) for i, s in enumerate(sizes)]
+        decisions = list(adaptive_controller(samples, self.template(), p_max=1e6,
+                                             cadence=10, forgetting=0.9))
+        assert decisions[0].sample_index == 4
+        assert len(decisions) > 1
+        assert all((d.sample_index - 4) % 10 == 0 for d in decisions)
 
     def test_constant_stream_keeps_last_selection(self):
         # forgetting decays away the initial size spread; the fit degenerates

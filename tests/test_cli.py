@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from gradcomm import estimator, netprobe
 from gradcomm.adaptive import SelectionObjective, predicted_cost
 from gradcomm.cli import main
-from gradcomm.netprobe import PingPongServer
+from gradcomm.netprobe import PingPongServer, probe
 
 
 def read_csv(path):
@@ -65,7 +66,22 @@ class TestFit:
         samples.write_text("size_bytes,time_seconds\n5,1\n5,2\n5,3\n")
         rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path)])
         assert rc == 3
-        assert "degenerate design" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "degenerate design" in err
+        assert "degenerate design: all message sizes are equal" in err
+
+    def test_rows_start_at_first_distinct_size(self, tmp_path):
+        rc = main(["synth", "--alpha", "1e-3", "--beta", "2e-9", "--alpha-m", "0.1",
+                   "--sizes", "64:65536:8", "--reps", "3", "--seed", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        rc = main(["fit", "--samples", str(tmp_path / "samples.csv"), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_csv(tmp_path / "fit_trace.csv")
+        assert [int(r["k"]) for r in rows] == list(range(4, 25))
+        batch = estimator.batch_ls(estimator.read_samples_csv(tmp_path / "samples.csv"))
+        assert int(rows[-1]["k"]) == batch.k
+        assert float(rows[-1]["alpha_hat"]) == pytest.approx(batch.alpha_hat, rel=1e-9)
+        assert float(rows[-1]["beta_hat"]) == pytest.approx(batch.beta_hat * 8, rel=1e-9)
 
     def test_recovers_noisy_synth_parameters(self, tmp_path):
         alpha, beta = 0.05, 2e-7
@@ -116,6 +132,16 @@ class TestSelect:
         assert rc == 0
         # last row has alpha=0, so the smallest power wins
         assert "k_star=1" in capsys.readouterr().out
+
+    def test_negative_exponent_alpha_is_a_value(self, tmp_path, capsys):
+        outputs = []
+        for alpha in (["--alpha", "-1e-3"], ["--alpha=-1e-3"]):
+            rc = main(["select", *alpha, "--beta", "1e-9", "--d", "100", "--n", "4",
+                       "--out", str(tmp_path)])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("k_star=")
 
     def test_requires_parameters(self, tmp_path):
         assert main(["select", "--d", "8", "--n", "2", "--out", str(tmp_path)]) == 2
@@ -279,6 +305,28 @@ class TestProbeAndServe:
         assert len(rows) == 7
         assert int(rows[-1]["k"]) == 8
 
+    def test_fit_live_probes_over_one_connection(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_probe(*args, **kwargs):
+            calls.append(args[2])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(netprobe, "probe", counting_probe)
+        srv = PingPongServer()
+        port = srv.start()
+        try:
+            rc = main(["fit", "--live", f"127.0.0.1:{port}", "--rounds", "5",
+                       "--pmax", "4096", "--policy", "uniform", "--warmup", "1",
+                       "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 0
+        assert len(calls) == 1 and len(calls[0]) == 5 + 2
+        assert calls[0][:2] == [4096, 256]
+        assert srv.messages == 2 * (5 + 2)  # one warm-up and one timed exchange per size
+        assert int(read_csv(tmp_path / "fit_trace.csv")[-1]["k"]) == 5 + 2
+
     def test_serve_subcommand_answers_probes(self, tmp_path, cli_env):
         import re
         import subprocess
@@ -310,6 +358,7 @@ class TestProbeAndServe:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_serve_bind_failure_exit_4(self):
         import socket

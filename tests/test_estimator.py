@@ -13,14 +13,51 @@ def make_stream(rng, n_points, alpha=2.0, beta=3e-6, alpha_m=0.0, beta_m=0.0, p_
     return x, alphas + betas * x
 
 
+def two_samples(x1, y1, x2, y2, p_max, forgetting=1.0):
+    """An estimator that has absorbed (x1, y1) and then (x2, y2)."""
+    state = estimator.start(p_max, forgetting)
+    return estimator.advance(estimator.advance(state, x1, y1), x2, y2)
+
+
+def weighted_ls(x, y, forgetting):
+    """Exponentially weighted least squares: weight forgetting**(n - i) on sample i."""
+    w = forgetting ** np.arange(len(x) - 1, -1, -1, dtype=np.float64)
+    x_mean, y_mean = (w @ x) / w.sum(), (w @ y) / w.sum()
+    beta = (w * (x - x_mean)) @ (y - y_mean) / ((w * (x - x_mean)) @ (x - x_mean))
+    return y_mean - beta * x_mean, beta
+
+
+class TestStart:
+    def test_empty_state(self):
+        state = estimator.start(p_max=10)
+        assert (state.count, state.weight, state.s_x, state.s_y, state.s_xy, state.s_xx) == (
+            0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert state.forgetting == 1.0
+
+    def test_arguments_validated(self):
+        with pytest.raises(ParameterError):
+            estimator.start(p_max=0)
+        for forgetting in (0.0, 1.5):
+            with pytest.raises(ParameterError):
+                estimator.start(p_max=10, forgetting=forgetting)
+
+    def test_fit_degenerate_until_sizes_differ(self):
+        state = estimator.start(p_max=10)
+        for x, y in ((5, 1.0), (5, 2.0), (6, 3.0)):
+            with pytest.raises(DegenerateDesignError):
+                estimator.fit(state)  # no sample, one sample, two equal sizes
+            state = estimator.advance(state, x, y)
+        assert estimator.fit(state).k == 3
+
+
 class TestInit:
     def test_example_sums(self):
-        state = estimator.init(1, 5, 2, 7, p_max=10)
+        state = two_samples(1, 5, 2, 7, p_max=10)
         assert (state.s_x, state.s_y, state.s_xy, state.s_xx) == (3, 12, 19, 5)
         assert state.count == 2 and state.weight == 2.0
 
     def test_two_points_determine_the_line(self):
-        state = estimator.init(1, 5, 2, 7, p_max=10)
+        state = two_samples(1, 5, 2, 7, p_max=10)
         result = estimator.fit(state)
         assert result.beta_hat == 2.0
         assert result.alpha_hat == 3.0
@@ -28,20 +65,20 @@ class TestInit:
 
     def test_equal_sizes_rejected(self):
         with pytest.raises(DegenerateDesignError):
-            estimator.init(5, 1.0, 5, 2.0, p_max=10)
+            estimator.fit(two_samples(5, 1.0, 5, 2.0, p_max=10))
 
     def test_size_bounds(self):
         with pytest.raises(ParameterError):
-            estimator.init(0, 1.0, 2, 2.0, p_max=10)
+            two_samples(0, 1.0, 2, 2.0, p_max=10)
         with pytest.raises(ParameterError):
-            estimator.init(1, 1.0, 20, 2.0, p_max=10)
+            two_samples(1, 1.0, 20, 2.0, p_max=10)
         with pytest.raises(ParameterError):
-            estimator.init(1, 1.0, 2, 2.0, p_max=10, forgetting=0.0)
+            two_samples(1, 1.0, 2, 2.0, p_max=10, forgetting=0.0)
 
 
 class TestUpdate:
     def test_noiseless_line_recovered(self):
-        state = estimator.init(10, 0.5 * 10 + 10, 20, 0.5 * 20 + 10, p_max=100)
+        state = two_samples(10, 0.5 * 10 + 10, 20, 0.5 * 20 + 10, p_max=100)
         state, result = estimator.update(state, 30, 0.5 * 30 + 10)
         assert result.beta_hat == pytest.approx(0.5, abs=1e-9)
         assert result.alpha_hat == pytest.approx(10.0, abs=1e-9)
@@ -49,7 +86,7 @@ class TestUpdate:
     def test_online_equals_batch_on_every_prefix(self):
         rng = np.random.default_rng(42)
         x, y = make_stream(rng, 200, alpha_m=0.05, beta_m=0.05)
-        state = estimator.init(x[0], y[0], x[1], y[1], p_max=1e6)
+        state = two_samples(x[0], y[0], x[1], y[1], p_max=1e6)
         for i in range(2, 200):
             state, online = estimator.update(state, x[i], y[i])
             batch = estimator.batch_ls(zip(x[: i + 1], y[: i + 1]))
@@ -61,7 +98,7 @@ class TestUpdate:
         rng = np.random.default_rng(5)
         alpha, beta = 0.125, 4.25e-7
         x, y = make_stream(rng, 50, alpha=alpha, beta=beta)
-        state = estimator.init(x[0], y[0], x[1], y[1], p_max=1e6)
+        state = two_samples(x[0], y[0], x[1], y[1], p_max=1e6)
         for i in range(2, 50):
             state, result = estimator.update(state, x[i], y[i])
             assert result.beta_hat == pytest.approx(beta, rel=1e-9)
@@ -78,7 +115,7 @@ class TestUpdate:
             noise_a = alpha + rng.normal(0, 0.1 * alpha, size=30)
             noise_b = beta + rng.normal(0, 0.1 * beta, size=30)
             y = noise_a + noise_b * sizes
-            state = estimator.init(sizes[0], y[0], sizes[1], y[1], p_max=1e6)
+            state = two_samples(sizes[0], y[0], sizes[1], y[1], p_max=1e6)
             for i in range(2, 30):
                 state, result = estimator.update(state, sizes[i], y[i])
             alpha_hats[rep], beta_hats[rep] = result.alpha_hat, result.beta_hat
@@ -90,7 +127,7 @@ class TestUpdate:
         rng = np.random.default_rng(9)
         x, y = make_stream(rng, 40, alpha_m=0.1, beta_m=0.1)
         def ingest(order):
-            state = estimator.init(x[order[0]], y[order[0]], x[order[1]], y[order[1]], p_max=1e6)
+            state = two_samples(x[order[0]], y[order[0]], x[order[1]], y[order[1]], p_max=1e6)
             for i in order[2:]:
                 state = estimator.advance(state, x[i], y[i])
             return state
@@ -100,7 +137,7 @@ class TestUpdate:
             assert getattr(shuffled, field) == pytest.approx(getattr(base, field), rel=1e-12)
 
     def test_size_out_of_bounds(self):
-        state = estimator.init(1, 1.0, 2, 2.0, p_max=10)
+        state = two_samples(1, 1.0, 2, 2.0, p_max=10)
         with pytest.raises(ParameterError):
             estimator.update(state, 0, 1.0)
         with pytest.raises(ParameterError):
@@ -130,8 +167,8 @@ class TestForgetting:
     def test_lambda_one_matches_plain_recursion(self):
         rng = np.random.default_rng(2)
         x, y = make_stream(rng, 30, alpha_m=0.1, beta_m=0.1)
-        plain = estimator.init(x[0], y[0], x[1], y[1], p_max=1e6)
-        with_lam = estimator.init(x[0], y[0], x[1], y[1], p_max=1e6, forgetting=1.0)
+        plain = two_samples(x[0], y[0], x[1], y[1], p_max=1e6)
+        with_lam = two_samples(x[0], y[0], x[1], y[1], p_max=1e6, forgetting=1.0)
         for i in range(2, 30):
             plain, fit_plain = estimator.update(plain, x[i], y[i])
             with_lam, fit_lam = estimator.update(with_lam, x[i], y[i])
@@ -141,7 +178,7 @@ class TestForgetting:
         rng = np.random.default_rng(3)
         alpha0, alpha1, beta = 0.01, 1.0, 1e-6
         sizes = rng.uniform(1.0, 1e6, size=200)
-        state = estimator.init(sizes[0], alpha0 + beta * sizes[0],
+        state = two_samples(sizes[0], alpha0 + beta * sizes[0],
                                sizes[1], alpha0 + beta * sizes[1],
                                p_max=1e6, forgetting=0.9)
         for i in range(2, 100):
@@ -152,24 +189,65 @@ class TestForgetting:
         assert result.alpha_hat == pytest.approx(alpha1, rel=1e-3)
 
     def test_constant_sizes_eventually_degenerate(self):
-        state = estimator.init(10.0, 1.0, 1000.0, 2.0, p_max=1e6, forgetting=0.5)
+        state = two_samples(10.0, 1.0, 1000.0, 2.0, p_max=1e6, forgetting=0.5)
         with pytest.raises(DegenerateDesignError):
             for _ in range(200):
                 state, _ = estimator.update(state, 500.0, 1.5)
 
 
+class TestRunningFits:
+    def test_first_fit_at_first_distinct_size(self):
+        samples = [(5.0, 1.0), (5.0, 1.1), (5.0, 1.2), (6.0, 1.3), (7.0, 1.4)]
+        fits = list(estimator.running_fits(samples, p_max=10))
+        assert [state.count for state, _ in fits] == [4, 5]
+        assert [result.k for _, result in fits] == [4, 5]
+        assert fits[-1][1] == estimator.fit(fits[-1][0])
+
+    def test_last_fit_equals_batch(self):
+        rng = np.random.default_rng(4)
+        x, y = make_stream(rng, 300, alpha_m=0.1, beta_m=0.1)
+        *_, (state, last) = estimator.running_fits(zip(x, y), p_max=1e6)
+        batch = estimator.batch_ls(zip(x, y))
+        assert last.k == state.count == batch.k == 300
+        assert last.beta_hat == pytest.approx(batch.beta_hat, rel=1e-9)
+        assert last.alpha_hat == pytest.approx(batch.alpha_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("forgetting", [0.5, 0.9, 0.99])
+    def test_forgetting_equals_weighted_batch_on_every_prefix(self, forgetting):
+        rng = np.random.default_rng(8)
+        x, y = make_stream(rng, 200, alpha_m=0.05, beta_m=0.05)
+        fits = estimator.running_fits(zip(x, y), p_max=1e6, forgetting=forgetting)
+        for n, (state, online) in enumerate(fits, start=2):
+            alpha, beta = weighted_ls(x[:n], y[:n], forgetting)
+            assert online.k == state.count == n
+            assert online.beta_hat == pytest.approx(beta, rel=1e-9)
+            assert online.alpha_hat == pytest.approx(alpha, rel=1e-9)
+
+    def test_all_equal_sizes_raise_at_the_end(self):
+        for samples in ([], [(5.0, 1.0)], [(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)]):
+            with pytest.raises(DegenerateDesignError, match="all message sizes are equal"):
+                list(estimator.running_fits(samples, p_max=10))
+
+    def test_washed_out_fit_comes_as_none(self):
+        samples = [(10.0, 1.0), (1000.0, 2.0)] + [(500.0, 1.5)] * 100
+        fits = list(estimator.running_fits(samples, p_max=1e4, forgetting=0.5))
+        assert len(fits) == 101
+        assert fits[0][1] is not None and fits[-1][1] is None
+
+
 class TestProposeNextSize:
     def test_uniform_in_range(self):
-        state = estimator.init(1, 1.0, 2, 2.0, p_max=123.0)
+        state = two_samples(1, 1.0, 2, 2.0, p_max=123.0)
         rng = np.random.default_rng(0)
-        draws = [estimator.propose_next_size(state, "uniform", rng) for _ in range(500)]
+        draws = [estimator.propose_next_size(state.count, state.p_max, "uniform", rng)
+                 for _ in range(500)]
         assert all(0 < s <= 123.0 for s in draws)
 
     def test_grid_cycles_through_16_sizes(self):
-        state = estimator.init(1, 1.0, 2, 2.0, p_max=1e6)
+        state = two_samples(1, 1.0, 2, 2.0, p_max=1e6)
         seen = []
         for _ in range(32):
-            size = estimator.propose_next_size(state, "grid")
+            size = estimator.propose_next_size(state.count, state.p_max, "grid")
             assert 0 < size <= state.p_max
             seen.append(size)
             state = estimator.advance(state, size, 1.0)
@@ -179,17 +257,17 @@ class TestProposeNextSize:
         assert min(seen) == pytest.approx(state.p_max / estimator.GRID_SPAN)
 
     def test_two_distinct_proposals_make_fit_well_posed(self):
-        state = estimator.init(1, 1.0, 2, 2.0, p_max=1e6)
+        state = two_samples(1, 1.0, 2, 2.0, p_max=1e6)
         rng = np.random.default_rng(1)
         for _ in range(2):
-            size = estimator.propose_next_size(state, "uniform", rng)
+            size = estimator.propose_next_size(state.count, state.p_max, "uniform", rng)
             state = estimator.advance(state, size, 1.0)
         assert state.weight * state.s_xx - state.s_x**2 > 0
 
     def test_unknown_policy(self):
-        state = estimator.init(1, 1.0, 2, 2.0, p_max=10)
+        state = two_samples(1, 1.0, 2, 2.0, p_max=10)
         with pytest.raises(ParameterError):
-            estimator.propose_next_size(state, "sobol")
+            estimator.propose_next_size(state.count, state.p_max, "sobol")
 
 
 class TestCsv:

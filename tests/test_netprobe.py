@@ -1,5 +1,7 @@
+import gc
 import socket
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,17 @@ class TestServer:
         assert server.messages == exchanges
         assert server.bytes_in == sum((s + 8) * (reps + warmup) for s in sizes)
         assert server.bytes_out == exchanges
+
+
+    def test_bind_to_busy_port_leaves_no_open_socket(self):
+        with socket.create_server(("127.0.0.1", 0)) as blocker:
+            busy = PingPongServer(port=blocker.getsockname()[1])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NetworkError):
+                    busy.bind()
+                gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestProbe:
