@@ -23,7 +23,6 @@ from .commodel import (
     eta,
     expected_time,
     sample_time,
-    speedup_curve,
     transition_report,
 )
 from .compression import (
@@ -45,7 +44,6 @@ from .optimizer import (
     SimTrace,
     closed_form_optimum,
     run_compressed_gd,
-    run_gd,
 )
 
 __all__ = [
@@ -53,11 +51,11 @@ __all__ = [
     "adaptive", "commodel", "compression", "estimator", "netprobe", "optimizer",
     "SelectionObjective", "adaptive_controller", "predicted_cost", "select_power",
     "Region", "SpeedupReport", "TimeModelParams", "classify_region", "eta",
-    "expected_time", "sample_time", "speedup_curve", "transition_report",
+    "expected_time", "sample_time", "transition_report",
     "CompressedMessage", "CompressorSpec", "DenseVector", "compress", "decompress",
     "natural_compress", "omega_inf", "rand_k_compress", "rank_r_compress",
     "top_k_compress",
     "PingPongServer", "ProbeResult", "ProbeSample", "probe",
     "Problem", "SimConfig", "SimTrace", "closed_form_optimum",
-    "run_compressed_gd", "run_gd",
+    "run_compressed_gd",
 ]

@@ -30,12 +30,9 @@ import numpy as np
 
 from . import estimator
 from .compression import CompressorSpec, message_bits
-from .csvio import write_csv
 from .errors import ParameterError
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
-
-DECISION_CSV_HEADER = "sample_index,alpha_hat,beta_hat,k_star,predicted_cost"
 
 
 @dataclass(frozen=True)
@@ -129,11 +126,3 @@ def adaptive_controller(
         if k_star != last_k:
             yield Decision(state.count, current, k_star, cost)
             last_k = k_star
-
-
-def write_decisions(target, decisions) -> None:
-    """Write decision records as ``sample_index,alpha_hat,beta_hat,k_star,predicted_cost``."""
-    write_csv(target, DECISION_CSV_HEADER, (
-        (dec.sample_index, dec.fit.alpha_hat, dec.fit.beta_hat, dec.k_star, dec.predicted_cost)
-        for dec in decisions
-    ))

@@ -4,7 +4,8 @@ Unit conventions at this boundary: message sizes are BYTES and rates are
 seconds per byte (human convention); all library internals work in bits and
 seconds per bit, with the factor of 8 applied exactly once on the way in or
 out.  Every run writes a manifest next to its outputs recording the resolved
-configuration, seed, output names, and tool version.
+configuration, seed (null for subcommands that draw no random numbers),
+output names, and tool version.
 
 Exit codes: 0 success, 2 usage/config error, 3 degenerate data, 4 network
 error.
@@ -108,7 +109,10 @@ def parse_sizes(text: str) -> list[int]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"size range must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"bad size range {text!r}: {exc}") from exc
         if lo < 1 or hi < lo or count < 1:
             raise ConfigError(f"invalid size range {text!r}")
         grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
@@ -149,8 +153,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     params = _time_model(args.alpha, args.beta, args.alpha_m, args.beta_m)
     sizes = parse_sizes(args.sizes)
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for size in sizes:
         for _ in range(args.reps):
@@ -162,7 +165,7 @@ def cmd_synth(args) -> int:
         "alpha_m": args.alpha_m, "beta_m": args.beta_m,
         "sizes": args.sizes, "reps": args.reps,
     }
-    _write_manifest(out, "synth", config, seed, [path.name])
+    _write_manifest(out, "synth", config, args.seed, [path.name])
     print(f"wrote {len(rows)} samples to {path}")
     return EXIT_OK
 
@@ -192,8 +195,7 @@ def cmd_fit(args) -> int:
                 "degenerate design: forgetting has washed out the size variation")
         rows.append((result.k, result.alpha_hat, result.beta_hat * BITS_PER_BYTE))
     write_csv(path, "k,alpha_hat,beta_hat", rows)
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "fit", config, seed, [path.name])
+    _write_manifest(out, "fit", config, args.seed, [path.name])
     k, alpha, beta = rows[-1]
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
     return EXIT_OK
@@ -208,7 +210,8 @@ def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
     if p_max_bytes < 2:
         raise ConfigError("--pmax must be at least 2 bytes for two distinct sizes")
     p_max = p_max_bytes * BITS_PER_BYTE
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    estimator.start(p_max, args.forgetting)  # refuse a bad --forgetting before any exchange
+    rng = np.random.default_rng(args.seed)
     proposals = (estimator.propose_next_size(count, p_max, args.policy, rng)
                  for count in range(2, args.rounds + 2))
     sizes = [p_max_bytes, max(1, p_max_bytes // 16)] + [
@@ -267,8 +270,7 @@ def cmd_select(args) -> int:
         "alpha": alpha, "beta": beta_per_byte,
         "fit": args.fit,
     }
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "select", config, seed, [path.name])
+    _write_manifest(out, "select", config, None, [path.name])
     print(f"k_star={k_star} predicted_cost={cost!r}")
     return EXIT_OK
 
@@ -282,16 +284,18 @@ def cmd_regions(args) -> int:
     write_csv(regions_path, "size_bits,region",
               ((s, commodel.classify_region(params, s, args.rho).value) for s in bits))
     if args.omegas:
-        omegas = [float(w) for w in args.omegas.split(",")]
+        try:
+            omegas = [float(w) for w in args.omegas.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad compression ratio list {args.omegas!r}: {exc}") from exc
     else:
         omegas = [float(w) for w in np.geomspace(1.0, 1e6, 61)]
-    curve = commodel.speedup_curve(params, max(bits), sorted(omegas), args.rho)
+    curve = commodel.transition_report(params, max(bits), sorted(omegas), args.rho)
     speedup_path = out / "speedup.csv"
     curve.to_csv(speedup_path)
     config = {"alpha": args.alpha, "beta": args.beta, "sizes": args.sizes,
               "rho": args.rho, "omegas": args.omegas}
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "regions", config, seed, [regions_path.name, speedup_path.name])
+    _write_manifest(out, "regions", config, None, [regions_path.name, speedup_path.name])
     print(f"wrote {regions_path} and {speedup_path}")
     return EXIT_OK
 
@@ -364,8 +368,7 @@ def cmd_probe(args) -> int:
     netprobe.write_samples_csv(path, result.samples)
     config = {"host": args.host, "port": args.port, "sizes": args.sizes,
               "reps": args.reps, "warmup": args.warmup}
-    seed = args.seed if args.seed is not None else 0
-    _write_manifest(out, "probe", config, seed, [path.name])
+    _write_manifest(out, "probe", config, None, [path.name])
     if result.error:
         print(f"error: {result.error} ({len(result.samples)} partial samples kept)",
               file=sys.stderr)
@@ -388,10 +391,8 @@ def cmd_serve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="randomness seed")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--config", default=None, help="flat key=value config file")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=".", help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="gradcomm",
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[writes],
                        help="generate synthetic (size, delay) samples")
     p.add_argument("--alpha", type=float, required=True, help="startup time, seconds")
     p.add_argument("--beta", type=float, required=True, help="seconds per byte")
@@ -409,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-m", type=float, default=0.0, dest="beta_m")
     p.add_argument("--sizes", required=True, help="bytes: 'a,b,c' or 'lo:hi:count'")
     p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="randomness seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[writes],
                        help="estimate (alpha, beta) from samples or a live server")
     p.add_argument("--samples", default=None, help="sample CSV (size_bytes,time_seconds)")
     p.add_argument("--live", default=None, help="HOST:PORT of a running serve instance")
@@ -420,9 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, default=1 << 20, help="largest probe size, bytes")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--forgetting", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --live size proposals")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("select", parents=[common],
+    p = sub.add_parser("select", parents=[writes],
                        help="pick the compression power minimizing predicted time")
     p.add_argument("--alpha", type=float, default=None, help="startup time, seconds")
     p.add_argument("--beta", type=float, default=None, help="seconds per byte")
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=32)
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("regions", parents=[common],
+    p = sub.add_parser("regions", parents=[writes],
                        help="classify sizes and tabulate the speedup curve")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True, help="seconds per byte")
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omegas", default=None, help="comma list of compression ratios")
     p.set_defaults(func=cmd_regions)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[writes],
                        help="run the distributed GD simulator on the mean problem")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
@@ -457,9 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-m", type=float, default=None, dest="alpha_m")
     p.add_argument("--beta-m", type=float, default=None, dest="beta_m")
     p.add_argument("--downlink-compressed", action="store_true", dest="downlink_compressed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="randomness seed (default: the config's seed, else 0)")
+    p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("probe", parents=[common],
+    p = sub.add_parser("probe", parents=[writes],
                        help="measure (size, RTT) samples against a serve instance")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True)
@@ -469,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=netprobe.DEFAULT_TIMEOUT_S)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("serve", parents=[common],
-                       help="run the ping-pong measurement server")
+    p = sub.add_parser("serve", help="run the ping-pong measurement server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--pmax", type=int, default=netprobe.DEFAULT_P_MAX_BYTES,
@@ -500,9 +505,6 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.config is not None and args.command != "simulate":
-        print("error: --config only applies to the simulate subcommand", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:

@@ -126,7 +126,6 @@ class SpeedupRow:
 class SpeedupReport:
     """Per-omega speedup table for a fixed source message size."""
 
-    source_bits: float
     rows: list[SpeedupRow]
 
     def to_csv(self, target) -> None:
@@ -163,17 +162,4 @@ def transition_report(
                 speedup=eta(params, s_from, omega),
             )
         )
-    return SpeedupReport(source_bits=float(s_from), rows=rows)
-
-
-def speedup_curve(
-    params: TimeModelParams,
-    s: float,
-    omega_grid,
-    rho: float = DEFAULT_RHO,
-) -> SpeedupReport:
-    """Saturation curve over an ascending grid of compression ratios."""
-    grid = [float(w) for w in omega_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("omega grid must be sorted ascending")
-    return transition_report(params, s, grid, rho)
+    return SpeedupReport(rows=rows)

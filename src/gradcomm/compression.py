@@ -21,7 +21,6 @@ compressed bit ratio as an exact rational.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ DEFAULT_BITS_PER_SCALAR = 32
 NATURAL_BITS_PER_SCALAR = 9
 
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
-_KIND_CODE = {kind: i for i, kind in enumerate(KINDS)}
 
 
 def index_bits(d: int) -> int:
@@ -87,29 +85,6 @@ class CompressedMessage:
     d: int
     bits_per_scalar: int = DEFAULT_BITS_PER_SCALAR
     seed: int | None = None
-
-    def to_bytes(self) -> bytes:
-        """Canonical byte serialization; identical inputs yield identical bytes."""
-        parts = [
-            struct.pack(
-                ">BIQI", _KIND_CODE[self.kind], self.d, self.bits, self.bits_per_scalar
-            )
-        ]
-        seed_repr = b"" if self.seed is None else str(self.seed).encode()
-        parts.append(struct.pack(">I", len(seed_repr)))
-        parts.append(seed_repr)
-        for key in sorted(self.payload):
-            value = self.payload[key]
-            blob = (
-                np.asarray(value).astype(">f8").tobytes()
-                if not isinstance(value, (int, np.integer))
-                else struct.pack(">q", int(value))
-            )
-            head = key.encode()
-            parts.append(struct.pack(">II", len(head), len(blob)))
-            parts.append(head)
-            parts.append(blob)
-        return b"".join(parts)
 
 
 def _check_k(k: int, d: int) -> None:

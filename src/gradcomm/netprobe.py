@@ -37,7 +37,6 @@ SAMPLES_CSV_HEADER = "size_bytes,time_seconds,rep"
 class ProbeSample:
     size_bytes: int
     rtt_seconds: float
-    timestamp: float
     rep: int
 
 
@@ -212,7 +211,6 @@ def probe(
                         ProbeSample(
                             size_bytes=size,
                             rtt_seconds=max((t1 - t0) / 1e9, 1e-9),
-                            timestamp=time.time(),
                             rep=rep,
                         )
                     )

@@ -10,7 +10,7 @@ message sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,18 +104,14 @@ def closed_form_optimum(problem: Problem) -> tuple[np.ndarray, float]:
 class SimConfig:
     steps: int
     time_model: TimeModelParams
-    gamma: object = None  # float, sequence, or callable(round) -> float; None = auto
+    gamma: float | None = None  # None = default_stepsize
     compressor: CompressorSpec = field(default_factory=CompressorSpec)
     seed: int = 0
     downlink_compressed: bool = False
-    bits_per_scalar: int = DEFAULT_BITS_PER_SCALAR
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.bits_per_scalar < 1:
-            raise ParameterError("bits_per_scalar must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -151,18 +147,6 @@ def default_stepsize(problem: Problem, spec: CompressorSpec) -> float:
     return 1.0 / L
 
 
-def _gamma_at(gamma, k: int) -> float:
-    if callable(gamma):
-        value = float(gamma(k))
-    elif isinstance(gamma, (list, tuple, np.ndarray)):
-        value = float(gamma[k])
-    else:
-        value = float(gamma)
-    if value <= 0:
-        raise ParameterError(f"stepsize at round {k} must be positive, got {value}")
-    return value
-
-
 def _message_seed(seed: int, stream: int, round_idx: int, worker: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx, worker))
     return int(ss.generate_state(1)[0])
@@ -177,15 +161,15 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     uncompressed unless ``downlink_compressed`` is set.
     """
     spec = config.compressor
-    d, n, b = problem.d, problem.n, config.bits_per_scalar
+    d, n, b = problem.d, problem.n, DEFAULT_BITS_PER_SCALAR
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
+    if gamma <= 0:
+        raise ParameterError(f"stepsize must be positive, got {gamma}")
     time_model = config.time_model
     time_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(_TIME_STREAM,))
     )
-    x = np.zeros(d) if config.x0 is None else np.array(config.x0, dtype=np.float64)
-    if x.shape != (d,):
-        raise ParameterError(f"x0 must have shape ({d},)")
+    x = np.zeros(d)
 
     identity = spec.kind == "identity"
     wall = 0.0
@@ -226,7 +210,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
             up_round += bits_i
             t_up = max(t_up, sample_time(time_model, bits_i, time_rng))
 
-        x = x - _gamma_at(gamma, k) * (agg / n)
+        x = x - gamma * (agg / n)
         wall += t_round + t_up
         up_total += up_round
         down_total += down_bits
@@ -239,10 +223,3 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         grad_norm = float(np.linalg.norm(problem.worker_gradients(x).mean(axis=0)))
         rows.append(TraceRow(k + 1, obj, grad_norm, wall, up_total, down_total))
     return SimTrace(rows=rows, final_x=x)
-
-
-def run_gd(problem: Problem, config: SimConfig) -> SimTrace:
-    """Plain distributed GD; requires an identity compressor in the config."""
-    if config.compressor.kind != "identity":
-        raise ParameterError("run_gd expects an identity compressor; use run_compressed_gd")
-    return run_compressed_gd(problem, replace(config))

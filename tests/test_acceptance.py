@@ -17,7 +17,7 @@ import pytest
 
 from gradcomm import estimator
 from gradcomm.adaptive import SelectionObjective, predicted_cost, select_power
-from gradcomm.commodel import TimeModelParams, eta, expected_time, speedup_curve, transition_report
+from gradcomm.commodel import TimeModelParams, eta, expected_time, transition_report
 from gradcomm.compression import (
     CompressorSpec,
     DenseVector,
@@ -32,7 +32,7 @@ from gradcomm.compression import (
     top_k_compress,
 )
 from gradcomm.netprobe import ACK, PingPongServer, probe
-from gradcomm.optimizer import Problem, SimConfig, closed_form_optimum, run_compressed_gd, run_gd
+from gradcomm.optimizer import Problem, SimConfig, closed_form_optimum, run_compressed_gd
 
 
 @contextmanager
@@ -142,7 +142,7 @@ def test_criterion_3_eta_limits_and_bounds():
         plateau = expected_time(params, s) / params.alpha_const
         omega_floor = 1e4 * params.beta_const * s / params.alpha_const
         grid = np.geomspace(omega_floor, 100 * omega_floor, 20)
-        report = speedup_curve(params, s, grid)
+        report = transition_report(params, s, grid)
         for row in report.rows:
             assert abs(row.speedup - plateau) <= 1e-3 * plateau
 
@@ -223,7 +223,8 @@ def test_criterion_6_simulator_fidelity():
         # (a) mean problem converges in one step with gamma = 1, exactly
         rng = np.random.default_rng(600)
         problem = Problem.mean(rng.standard_normal((6, 12)))
-        trace = run_gd(problem, SimConfig(steps=1, time_model=quiet, gamma=1.0, seed=1))
+        config = SimConfig(steps=1, time_model=quiet, gamma=1.0, seed=1)
+        trace = run_compressed_gd(problem, config)
         x_star, f_star = closed_form_optimum(problem)
         assert np.array_equal(trace.final_x, x_star)
         assert trace.rows[1].objective == f_star
@@ -231,7 +232,8 @@ def test_criterion_6_simulator_fidelity():
         # (b) zero-noise wall clock equals K * (T_down + T_up) to 1e-9
         d, n, steps = 24, 5, 9
         problem = Problem.mean(rng.standard_normal((n, d)))
-        trace = run_gd(problem, SimConfig(steps=steps, time_model=quiet, gamma=0.5, seed=2))
+        config = SimConfig(steps=steps, time_model=quiet, gamma=0.5, seed=2)
+        trace = run_compressed_gd(problem, config)
         per_round = 2 * expected_time(quiet, d * 32)
         assert trace.rows[-1].wall_clock_s == pytest.approx(steps * per_round, rel=1e-9)
 
@@ -242,7 +244,7 @@ def test_criterion_6_simulator_fidelity():
             plain_cfg = SimConfig(steps=steps, time_model=params, gamma=0.05, seed=3)
             comp_cfg = SimConfig(steps=steps, time_model=params, gamma=0.05, seed=3,
                                  compressor=spec)
-            t_plain = run_gd(problem, plain_cfg).rows[-1].wall_clock_s
+            t_plain = run_compressed_gd(problem, plain_cfg).rows[-1].wall_clock_s
             t_comp = run_compressed_gd(problem, comp_cfg).rows[-1].wall_clock_s
             omega = omega_inf(spec, d, 32)
             t_full = expected_time(params, d * 32)

@@ -1,16 +1,13 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from gradcomm.adaptive import (
-    Decision,
     SelectionObjective,
     adaptive_controller,
     predicted_cost,
     select_power,
-    write_decisions,
 )
 from gradcomm.commodel import TimeModelParams, expected_time
 from gradcomm.compression import CompressorSpec
@@ -245,12 +242,3 @@ class TestController:
         )
         assert all(d.sample_index == 2 or (d.sample_index - 2) % 10 == 0 for d in all_decisions)
 
-    def test_decision_csv_schema(self):
-        from gradcomm.estimator import FitResult
-
-        decisions = [Decision(2, FitResult(1e-3, 1e-9, 2), 5, 0.123)]
-        buf = io.StringIO()
-        write_decisions(buf, decisions)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "sample_index,alpha_hat,beta_hat,k_star,predicted_cost"
-        assert lines[1].split(",")[0] == "2"

@@ -327,6 +327,17 @@ class TestProbeAndServe:
         assert srv.messages == 2 * (5 + 2)  # one warm-up and one timed exchange per size
         assert int(read_csv(tmp_path / "fit_trace.csv")[-1]["k"]) == 5 + 2
 
+    def test_fit_live_bad_forgetting_exits_before_probing(self, tmp_path):
+        srv = PingPongServer()
+        port = srv.start()
+        try:
+            rc = main(["fit", "--live", f"127.0.0.1:{port}", "--rounds", "4",
+                       "--pmax", "4096", "--forgetting", "0", "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 2
+        assert srv.messages == 0
+
     def test_serve_subcommand_answers_probes(self, tmp_path, cli_env):
         import re
         import subprocess
@@ -384,10 +395,35 @@ class TestManifests:
         assert manifest["outputs"] == ["samples.csv"]
         assert "/" not in manifest["outputs"][0]
 
-    def test_config_rejected_outside_simulate(self, tmp_path):
-        rc = main(["synth", "--alpha", "1", "--beta", "1", "--sizes", "1",
-                   "--config", "whatever.cfg", "--out", str(tmp_path)])
-        assert rc == 2
+    def test_select_draws_no_seed(self, tmp_path):
+        rc = main(["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "50", "--n", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "select.manifest.json").read_text())
+        assert manifest["seed"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--pmax", "0", "--out", "."],  # a bad --pmax, so it can never start serving
+        ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "50", "--n", "4", "--seed", "1"],
+        ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10", "--seed", "1"],
+        ["probe", "--port", "1", "--sizes", "64", "--seed", "1"],
+        ["synth", "--alpha", "1", "--beta", "1", "--sizes", "1", "--config", "whatever.cfg"],
+    ], ids=["serve-out", "select-seed", "regions-seed", "probe-seed", "synth-config"])
+    def test_flag_outside_its_subcommands_is_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["synth", "--alpha", "1", "--beta", "1", "--sizes", "a:10:3"], "a:10:3"),
+    (["synth", "--alpha", "1", "--beta", "1", "--sizes", "1:10:2.5"], "1:10:2.5"),
+    (["regions", "--alpha", "1e-3", "--beta", "1e-9", "--sizes", "10", "--omegas", "2,x"], "2,x"),
+], ids=["range-bound", "range-count", "omegas"])
+def test_non_numeric_range_exit_2(tmp_path, capsys, argv, bad):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert bad in capsys.readouterr().err
 
 
 def test_no_csv_output_has_crlf_line_ends(tmp_path):

@@ -11,7 +11,6 @@ from gradcomm.commodel import (
     eta,
     expected_time,
     sample_time,
-    speedup_curve,
     transition_report,
 )
 from gradcomm.errors import DegenerateModelError, ParameterError
@@ -178,25 +177,21 @@ class TestReports:
     def test_curve_alpha_zero_is_identity(self):
         params = TimeModelParams(0.0, 1e-9)
         grid = np.geomspace(1, 1e6, 25)
-        report = speedup_curve(params, 1e9, grid)
+        report = transition_report(params, 1e9, grid)
         for row in report.rows:
             assert row.speedup == row.omega
 
     def test_curve_monotone_and_bounded(self):
         params = TimeModelParams(1e-3, 1e-9)
         s = 1e8
-        report = speedup_curve(params, s, np.geomspace(1, 1e8, 40))
+        report = transition_report(params, s, np.geomspace(1, 1e8, 40))
         speeds = [row.speedup for row in report.rows]
         assert all(a <= b + 1e-12 for a, b in zip(speeds, speeds[1:]))
         assert speeds[-1] <= 1 + params.beta_const * s / params.alpha_const
 
-    def test_curve_requires_sorted_grid(self):
-        with pytest.raises(ParameterError):
-            speedup_curve(TimeModelParams(1.0, 1.0), 10, [2.0, 1.0])
-
     def test_csv_header_and_roundtrip(self):
         params = TimeModelParams(1e-3, 1e-9)
-        report = speedup_curve(params, 1e6, [1.0, 10.0, 100.0])
+        report = transition_report(params, 1e6, [1.0, 10.0, 100.0])
         buf = io.StringIO()
         report.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()

@@ -132,4 +132,3 @@ class TestProbe:
         result = probe("127.0.0.1", server.port, [64], reps=3, warmup=0)
         reps = [s.rep for s in result.samples]
         assert reps == [0, 1, 2]
-        assert all(s.timestamp > 0 for s in result.samples)

@@ -12,7 +12,6 @@ from gradcomm.optimizer import (
     SimConfig,
     closed_form_optimum,
     run_compressed_gd,
-    run_gd,
 )
 
 QUIET = TimeModelParams(1e-3, 1e-9)
@@ -49,7 +48,7 @@ class TestRunGd:
         rng = np.random.default_rng(0)
         problem = Problem.mean(rng.standard_normal((5, 7)))
         config = SimConfig(steps=1, time_model=QUIET, gamma=1.0, seed=1)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         x_star, f_star = closed_form_optimum(problem)
         np.testing.assert_array_equal(trace.final_x, x_star)
         assert trace.rows[1].objective == f_star
@@ -57,7 +56,7 @@ class TestRunGd:
     def test_descent_with_safe_stepsize(self):
         problem = Problem.random_quadratic(3, 5, seed=7)
         config = SimConfig(steps=40, time_model=QUIET, gamma=1.0 / problem.smoothness(), seed=2)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         objectives = [row.objective for row in trace.rows]
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
@@ -68,7 +67,7 @@ class TestRunGd:
         # distance contracts by (1 - mu/L) per step, objective gap by its square
         k_pred = math.ceil(math.log(1e-6) / (2 * math.log(1 - mu / L))) + 2
         config = SimConfig(steps=k_pred, time_model=QUIET, gamma=1.0 / L, seed=3)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         gap0 = trace.rows[0].objective - f_star
         assert trace.rows[-1].objective - f_star <= 1e-6 * gap0
 
@@ -76,7 +75,7 @@ class TestRunGd:
         problem = Problem.mean(np.random.default_rng(1).standard_normal((4, 16)))
         steps = 7
         config = SimConfig(steps=steps, time_model=QUIET, gamma=0.5, seed=4)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         per_round = 2 * expected_time(QUIET, 16 * 32)
         assert trace.rows[-1].wall_clock_s == pytest.approx(steps * per_round, rel=1e-9)
         assert trace.rows[-1].downlink_bits == steps * 16 * 32
@@ -86,47 +85,31 @@ class TestRunGd:
         problem = Problem.mean(np.random.default_rng(2).standard_normal((3, 8)))
         noisy = TimeModelParams(1e-3, 1e-9, alpha_m=0.2, beta_m=0.2)
         config = SimConfig(steps=20, time_model=noisy, gamma=0.5, seed=5)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         clocks = [row.wall_clock_s for row in trace.rows]
         assert all(a < b for a, b in zip(clocks, clocks[1:]))
-
-    def test_rejects_non_identity_compressor(self):
-        problem = Problem.mean(np.zeros((2, 2)) + 1.0)
-        config = SimConfig(steps=1, time_model=QUIET, gamma=1.0,
-                           compressor=CompressorSpec("rand_k", k=1))
-        with pytest.raises(ParameterError):
-            run_gd(problem, config)
 
     def test_divergence_guard(self):
         problem = Problem.random_quadratic(2, 4, seed=9)
         config = SimConfig(steps=200, time_model=QUIET, gamma=50.0 / problem.smoothness(), seed=6)
         with pytest.raises(DivergenceError):
-            run_gd(problem, config)
+            run_compressed_gd(problem, config)
 
     def test_zero_stepsize_rejected(self):
         problem = Problem.mean(np.ones((2, 2)))
         config = SimConfig(steps=1, time_model=QUIET, gamma=0.0)
         with pytest.raises(ParameterError):
-            run_gd(problem, config)
+            run_compressed_gd(problem, config)
 
 
 class TestRunCompressedGd:
-    def test_identity_matches_run_gd_bit_for_bit(self):
-        problem = Problem.mean(np.random.default_rng(3).standard_normal((4, 10)))
-        noisy = TimeModelParams(1e-3, 1e-9, alpha_m=0.1, beta_m=0.1)
-        config = SimConfig(steps=12, time_model=noisy, gamma=0.5, seed=21)
-        a = run_gd(problem, config)
-        b = run_compressed_gd(problem, config)
-        assert a.rows == b.rows
-        np.testing.assert_array_equal(a.final_x, b.final_x)
-
     def test_rand_k_full_support_matches_plain(self):
         problem = Problem.mean(np.random.default_rng(4).standard_normal((3, 6)))
         noisy = TimeModelParams(1e-3, 1e-9, alpha_m=0.1, beta_m=0.1)
         plain = SimConfig(steps=8, time_model=noisy, gamma=0.7, seed=13)
         full = SimConfig(steps=8, time_model=noisy, gamma=0.7, seed=13,
                          compressor=CompressorSpec("rand_k", k=6))
-        assert run_gd(problem, plain).rows == run_compressed_gd(problem, full).rows
+        assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, full).rows
 
     def test_compressed_step_unbiased(self):
         # gamma=1 from x0=0 makes the uncompressed step land exactly on the
@@ -153,7 +136,7 @@ class TestRunCompressedGd:
         base = SimConfig(steps=steps, time_model=params, gamma=0.05, seed=9)
         compressed = SimConfig(steps=steps, time_model=params, gamma=0.05, seed=9,
                                compressor=spec)
-        t_plain = run_gd(problem, base).rows[-1].wall_clock_s
+        t_plain = run_compressed_gd(problem, base).rows[-1].wall_clock_s
         t_comp = run_compressed_gd(problem, compressed).rows[-1].wall_clock_s
         omega = omega_inf(spec, d, b)
         t_full = expected_time(params, d * b)
@@ -201,7 +184,7 @@ class TestTraceCsv:
     def test_schema_and_values(self):
         problem = Problem.mean(np.random.default_rng(11).standard_normal((2, 4)))
         config = SimConfig(steps=2, time_model=QUIET, gamma=0.5, seed=0)
-        trace = run_gd(problem, config)
+        trace = run_compressed_gd(problem, config)
         buf = io.StringIO()
         trace.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
