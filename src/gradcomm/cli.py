@@ -156,8 +156,8 @@ def cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for size in sizes:
-        for _ in range(args.reps):
-            rows.append((size, commodel.sample_time(params, size * BITS_PER_BYTE, rng)))
+        times = commodel.sample_time(params, [size * BITS_PER_BYTE] * args.reps, rng)
+        rows.extend((size, t) for t in times.tolist())
     path = out / "samples.csv"
     write_csv(path, "size_bytes,time_seconds", rows)
     config = {

@@ -67,14 +67,22 @@ def expected_time(params: TimeModelParams, s: float) -> float:
     return params.alpha_const + params.beta_const * s
 
 
-def sample_time(params: TimeModelParams, s: float, rng=None) -> float:
-    """One noisy transmission time; coefficients are redrawn independently per call."""
-    if s < 0:
+def sample_time(params: TimeModelParams, s, rng=None):
+    """Noisy transmission time of an s-bit message, or one per entry of an array of sizes.
+
+    Coefficients are redrawn independently per message, alpha's noise before
+    beta's, so one call on an array draws the same numbers, in the same
+    order, as one call per size.  A scalar size gives a float.
+    """
+    sizes = np.asarray(s, dtype=np.float64)
+    if np.any(sizes < 0):
         raise ParameterError("message size must be nonnegative")
     gen = np.random.default_rng(rng)
-    alpha = params.alpha_const + gen.normal(0.0, params.sigma_alpha)
-    beta = params.beta_const + gen.normal(0.0, params.sigma_beta)
-    return max(alpha + beta * s, MIN_TIME_S)
+    noise = gen.normal(0.0, [params.sigma_alpha, params.sigma_beta], size=sizes.shape + (2,))
+    alpha = params.alpha_const + noise[..., 0]
+    beta = params.beta_const + noise[..., 1]
+    times = np.maximum(alpha + beta * sizes, MIN_TIME_S)
+    return float(times) if times.ndim == 0 else times
 
 
 def eta(params: TimeModelParams, s: float, omega: float) -> float:

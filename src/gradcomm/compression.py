@@ -16,6 +16,11 @@ All operations are pure functions; randomness enters only through explicit
 seeds, and every ``CompressedMessage`` carries the exact number of bits a
 real transmission would need.  ``omega_inf`` reports the uncompressed-to-
 compressed bit ratio as an exact rational.
+
+``add_decompressed`` is the in-process twin of ``compress`` followed by
+``decompress``: it adds the receiver's vector straight into an aggregate.
+Both paths build their values from the same index, rounding and factor
+helpers, so each operator's math exists once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ DEFAULT_BITS_PER_SCALAR = 32
 NATURAL_BITS_PER_SCALAR = 9
 
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
+# The operators that draw from their seed; the others ignore it.
+RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
 
 
 def index_bits(d: int) -> int:
@@ -94,8 +101,27 @@ def _check_k(k: int, d: int) -> None:
 
 def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
     """Uniformly random k-subset of range(d), reproducible from the shared seed."""
+    if seed is None:
+        raise ParameterError("rand_k requires a shared randomness seed")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(d, size=k, replace=False))
+
+
+def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k largest magnitudes, ties going to the lowest index.
+
+    Equals ``np.sort(np.argsort(-np.abs(values), kind="stable")[:k])``, but a
+    partial selection finds the k-th largest magnitude in O(d); every larger
+    magnitude is kept, and the remaining places go to the lowest-indexed
+    entries equal to it.  k must lie in [1, d].
+    """
+    magnitudes = np.abs(values)
+    d = magnitudes.size
+    boundary = np.partition(magnitudes, d - k)[d - k]
+    keep = magnitudes > boundary
+    ties = np.flatnonzero(magnitudes == boundary)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def rand_k_compress(x: DenseVector, k: int, seed) -> CompressedMessage:
@@ -106,8 +132,6 @@ def rand_k_compress(x: DenseVector, k: int, seed) -> CompressedMessage:
     charged: bits = k * bits_per_scalar.
     """
     bits = message_bits(CompressorSpec("rand_k", k=k), x.d, x.bits_per_scalar)
-    if seed is None:
-        raise ParameterError("rand_k requires a shared randomness seed")
     idx = rand_k_indices(x.d, k, seed)
     scaled = x.values[idx] * (x.d / k)
     return CompressedMessage(
@@ -127,8 +151,7 @@ def top_k_compress(x: DenseVector, k: int) -> CompressedMessage:
     operator a deterministic function.  bits = k*b + k*ceil(log2 d).
     """
     bits = message_bits(CompressorSpec("top_k", k=k), x.d, x.bits_per_scalar)
-    order = np.argsort(-np.abs(x.values), kind="stable")
-    idx = np.sort(order[:k])
+    idx = top_k_indices(x.values, k)
     return CompressedMessage(
         kind="top_k",
         payload={"values": x.values[idx], "indices": idx.astype(np.int64)},
@@ -155,21 +178,24 @@ def power_of_two_bounds(magnitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return lower, upper, p_lower
 
 
-def natural_compress(x: DenseVector, seed) -> CompressedMessage:
-    """Round each scalar to an adjacent power of two, unbiased in expectation.
+def natural_round(values: np.ndarray, seed) -> np.ndarray:
+    """Round each entry to an adjacent power of two, unbiased in expectation.
 
     Each entry independently becomes sign(x) * 2^floor(log2|x|) with the
     probability from :func:`power_of_two_bounds`, else sign(x) * 2^ceil(log2|x|).
-    Zero stays zero.  Only sign and exponent are transmitted: 9 bits/scalar.
+    Zero stays zero.
     """
     rng = np.random.default_rng(seed)
-    magnitudes = np.abs(x.values)
-    lower, upper, p_lower = power_of_two_bounds(magnitudes)
-    u = rng.random(x.d)
-    rounded = np.copysign(np.where(u < p_lower, lower, upper), x.values)
+    lower, upper, p_lower = power_of_two_bounds(np.abs(values))
+    u = rng.random(values.size)
+    return np.copysign(np.where(u < p_lower, lower, upper), values)
+
+
+def natural_compress(x: DenseVector, seed) -> CompressedMessage:
+    """Stochastic power-of-two rounding; only sign and exponent travel: 9 bits/scalar."""
     return CompressedMessage(
         kind="natural",
-        payload={"values": rounded},
+        payload={"values": natural_round(x.values, seed)},
         bits=message_bits(CompressorSpec("natural"), x.d, x.bits_per_scalar),
         d=x.d,
         bits_per_scalar=x.bits_per_scalar,
@@ -203,27 +229,41 @@ def _orthonormalize_columns(m: np.ndarray) -> np.ndarray:
     return q
 
 
+def rank_r_factors(
+    values: np.ndarray, r: int, rows: int, cols: int, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors P (rows x r, orthonormal columns) and Q = X.T @ P of the reshaped vector.
+
+    The vector fills a rows x cols matrix X row-major with zero padding; one
+    power iteration against a Gaussian test matrix seeded by ``seed`` (0 when
+    None) yields P.
+    """
+    mat = np.zeros((rows, cols))
+    mat.flat[: values.size] = values
+    test = np.random.default_rng(0 if seed is None else seed).standard_normal((cols, r))
+    p = _orthonormalize_columns(mat @ test)
+    return p, mat.T @ p
+
+
+def rank_r_expand(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
+    """The receiver's vector: P @ Q.T flattened row-major and truncated to d entries."""
+    return (p @ q.T).reshape(-1)[:d]
+
+
 def rank_r_compress(
     x: DenseVector,
     r: int,
     rows: int | None = None,
     cols: int | None = None,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> CompressedMessage:
-    """Transmit rank-r factors of the vector reshaped into a rows x cols matrix.
+    """Transmit the rank-r factors from :func:`rank_r_factors`.
 
-    The vector fills the matrix row-major with zero padding.  One power
-    iteration against a seeded Gaussian test matrix yields P (rows x r,
-    orthonormal columns) and Q = X.T @ P; decompression flattens P @ Q.T and
-    truncates to d entries.  bits = r * (rows + cols) * bits_per_scalar.
+    bits = r * (rows + cols) * bits_per_scalar.
     """
     bits = message_bits(CompressorSpec("rank_r", r=r), x.d, x.bits_per_scalar, rows, cols)
     rows, cols = _matrix_shape(x.d, rows, cols)
-    mat = np.zeros((rows, cols))
-    mat.flat[: x.d] = x.values
-    test = np.random.default_rng(seed).standard_normal((cols, r))
-    p = _orthonormalize_columns(mat @ test)
-    q = mat.T @ p
+    p, q = rank_r_factors(x.values, r, rows, cols, seed)
     return CompressedMessage(
         kind="rank_r",
         payload={"p": p, "q": q, "rows": rows, "cols": cols},
@@ -280,8 +320,7 @@ def decompress(msg: CompressedMessage) -> DenseVector:
                 raise DecodeError("rank_r factor shapes are inconsistent")
             if rows * cols < msg.d:
                 raise DecodeError(f"rank_r matrix {rows}x{cols} smaller than d={msg.d}")
-            flat = (p @ q.T).reshape(-1)[: msg.d]
-            return DenseVector(flat, msg.bits_per_scalar)
+            return DenseVector(rank_r_expand(p, q, msg.d), msg.bits_per_scalar)
     except KeyError as exc:
         raise DecodeError(f"{msg.kind} payload is missing field {exc}") from exc
     raise DecodeError(f"unknown message kind: {msg.kind!r}")
@@ -330,7 +369,36 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None) -> CompressedMessa
         return top_k_compress(x, spec.k)
     if spec.kind == "natural":
         return natural_compress(x, seed)
-    return rank_r_compress(x, spec.r, seed=0 if seed is None else seed)
+    return rank_r_compress(x, spec.r, seed=seed)
+
+
+def add_decompressed(out: np.ndarray, spec: CompressorSpec, values: np.ndarray,
+                     seed=None) -> int:
+    """Add the receiver's vector C(values) into ``out``; return the message's bits.
+
+    Same result, bit for bit, as ``out += decompress(compress(DenseVector(values),
+    spec, seed)).values``, from the same seed and helpers, but no message is
+    built: rand_k draws its index set once, and the sparse kinds touch only
+    their k coordinates (adding the other coordinates' zeros changes nothing
+    unless ``out`` holds a negative zero).  ``values`` must be finite.
+    """
+    d = values.size
+    bits = message_bits(spec, d)
+    if spec.kind == "identity":
+        out += values
+    elif spec.kind == "rand_k":
+        idx = rand_k_indices(d, spec.k, seed)
+        out[idx] += values[idx] * (d / spec.k)
+    elif spec.kind == "top_k":
+        idx = top_k_indices(values, spec.k)
+        out[idx] += values[idx]
+    elif spec.kind == "natural":
+        out += natural_round(values, seed)
+    else:
+        rows, cols = default_matrix_shape(d)
+        p, q = rank_r_factors(values, spec.r, rows, cols, seed)
+        out += rank_r_expand(p, q, d)
+    return bits
 
 
 def message_bits(

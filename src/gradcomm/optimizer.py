@@ -5,17 +5,28 @@ gradient (optionally compressed for the uplink), and the server averages the
 received vectors.  Simulated wall-clock time charges one downlink transmission
 plus the maximum of the n parallel uplink transmissions per round; gradient
 compute time is charged as zero.  Bit accounting uses the compressors' exact
-message sizes.
+message sizes.  Each compressed uplink gradient is reconstructed in-process
+by ``compression.add_decompressed``, from the same operator code and seeds as
+a message round trip, so the trace is identical to one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .commodel import TimeModelParams, sample_time
-from .compression import DEFAULT_BITS_PER_SCALAR, CompressorSpec, DenseVector, compress, decompress
+from .compression import (
+    DEFAULT_BITS_PER_SCALAR,
+    RANDOMIZED_KINDS,
+    CompressorSpec,
+    DenseVector,
+    add_decompressed,
+    compress,
+    decompress,
+)
 from .csvio import write_csv
 from .errors import DivergenceError, ParameterError
 
@@ -51,6 +62,8 @@ class Problem:
         arr = np.asarray(targets, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError("targets must be an (n, d) array with n, d >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("targets must be finite")
         return cls(n=arr.shape[0], d=arr.shape[1], targets=arr)
 
     @classmethod
@@ -163,63 +176,57 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     spec = config.compressor
     d, n, b = problem.d, problem.n, DEFAULT_BITS_PER_SCALAR
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ParameterError(f"stepsize must be positive, got {gamma}")
+    if gamma == math.inf:
+        raise ParameterError("stepsize must be finite, got inf")
     time_model = config.time_model
     time_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(_TIME_STREAM,))
     )
     x = np.zeros(d)
 
-    identity = spec.kind == "identity"
+    compress_downlink = config.downlink_compressed and spec.kind != "identity"
+    seeded = spec.kind in RANDOMIZED_KINDS
     wall = 0.0
     up_total = 0
     down_total = 0
-    grads0 = problem.worker_gradients(x)
-    rows = [
-        TraceRow(0, problem.objective(x), float(np.linalg.norm(grads0.mean(axis=0))), 0.0, 0, 0)
-    ]
+    # Gradients at the current iterate: they give the trace's grad_norm and,
+    # with an exact downlink, the next round's worker gradients.
+    grads = problem.worker_gradients(x)
+    rows = [TraceRow(0, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))),
+                     0.0, 0, 0)]
     for k in range(config.steps):
         down_bits = d * b
-        x_bcast = x
-        if config.downlink_compressed and not identity:
+        if compress_downlink:
             msg = compress(
                 DenseVector(x, b), spec, seed=_message_seed(config.seed, _DOWNLINK_STREAM, k, 0)
             )
             down_bits = msg.bits
-            x_bcast = decompress(msg).values
-        t_round = sample_time(time_model, down_bits, time_rng)
+            grads = problem.worker_gradients(decompress(msg).values)
 
-        grads = problem.worker_gradients(x_bcast)
         agg = np.zeros(d)
-        up_round = 0
-        t_up = 0.0
-        for i in range(n):
-            if identity:
-                g_hat = grads[i]
-                bits_i = d * b
-            else:
-                msg = compress(
-                    DenseVector(grads[i], b),
-                    spec,
-                    seed=_message_seed(config.seed, _UPLINK_STREAM, k, i),
-                )
-                g_hat = decompress(msg).values
-                bits_i = msg.bits
-            agg += g_hat
-            up_round += bits_i
-            t_up = max(t_up, sample_time(time_model, bits_i, time_rng))
+        up_bits = [
+            add_decompressed(
+                agg, spec, grads[i],
+                _message_seed(config.seed, _UPLINK_STREAM, k, i) if seeded else None,
+            )
+            for i in range(n)
+        ]
+        # One draw per round: the downlink's time first, then each uplink's.
+        t_down, *t_up = sample_time(time_model, [down_bits, *up_bits], time_rng).tolist()
 
         x = x - gamma * (agg / n)
-        wall += t_round + t_up
-        up_total += up_round
+        wall += t_down + max(t_up)
+        up_total += sum(up_bits)
         down_total += down_bits
         obj = problem.objective(x)
-        if obj > DIVERGENCE_LIMIT:
+        if not obj <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {k + 1}; "
                 "reduce the stepsize"
             )
-        grad_norm = float(np.linalg.norm(problem.worker_gradients(x).mean(axis=0)))
+        grads = problem.worker_gradients(x)
+        grad_norm = float(np.linalg.norm(grads.mean(axis=0)))
         rows.append(TraceRow(k + 1, obj, grad_norm, wall, up_total, down_total))
     return SimTrace(rows=rows, final_x=x)

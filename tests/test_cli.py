@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -264,6 +265,47 @@ class TestSimulate:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/trace.csv").read_bytes() == (tmp_path / "b/trace.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_stepsize_exit_2(self, tmp_path, capsys, gamma):
+        rc = main(["simulate", "--n", "2", "--d", "4", "--steps", "2", "--alpha", "1e-3",
+                   "--beta", "1e-8", f"--gamma={gamma}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "stepsize must be" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+
+# sha256 of trace.csv from GOLDEN_ARGS, recorded before the simulator added
+# uplink gradients in-process instead of through compress/decompress
+# messages.  They pin that the two paths give the same trace; never
+# regenerate them from the current code.
+GOLDEN_ARGS = ["simulate", "--n", "4", "--d", "17", "--steps", "5", "--alpha", "1e-3",
+               "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "7"]
+GOLDEN_KIND_ARGS = {"identity": [], "rand_k": ["--k", "5"], "top_k": ["--k", "5"],
+                    "natural": [], "rank_r": ["--r", "2"]}
+GOLDEN_TRACE_SHA256 = {
+    ("identity", False): "4386741ebd2a52d0d7492a2b17e7e6e8aa5fed1f89097be6237b612a7b6c0ea0",
+    ("identity", True): "4386741ebd2a52d0d7492a2b17e7e6e8aa5fed1f89097be6237b612a7b6c0ea0",
+    ("rand_k", False): "e736d2735270a39148519909d038cd2a332a3bb3625538f7e09dd67cc9c48df8",
+    ("rand_k", True): "e254ef3b546584107def4f276aa165f4c4ccdae6298c07bacaf317595ca4c28e",
+    ("top_k", False): "1a37ac45d7e65b928e559e102f627a19de7e3edb6d70f23684abfa7e45a02877",
+    ("top_k", True): "b1391dabe591ea0cf6dddef936606f9ec1f1bd49d883a5c011b49c7398178c23",
+    ("natural", False): "19b8be4a20158d819de9ffedae3771bf85a9f89974f2e21b7876ca2044bc744d",
+    ("natural", True): "7b26045186a7341b4043e4bb245b8ab8a6c5520a55ee5c3857d73ae102a004ea",
+    ("rank_r", False): "eb0df2a4da106134d0b564abfa50457c06394acf8bf21a4786c3c082e599309b",
+    ("rank_r", True): "88901270327e9b64a1f35aa006791bee65c2e5cf20de4ca706ba145f35f5e237",
+}
+
+
+@pytest.mark.parametrize("kind,downlink", sorted(GOLDEN_TRACE_SHA256))
+def test_simulate_trace_matches_golden_hash(tmp_path, kind, downlink):
+    args = GOLDEN_ARGS + ["--compressor", kind] + GOLDEN_KIND_ARGS[kind]
+    if downlink:
+        args.append("--downlink-compressed")
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256[kind, downlink]
 
 
 class TestProbeAndServe:

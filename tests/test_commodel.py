@@ -64,6 +64,22 @@ class TestSampleTime:
         draws = [sample_time(params, 0, rng) for _ in range(200)]
         assert min(draws) == MIN_TIME_S
 
+    @pytest.mark.parametrize("noise", [(0.1, 0.3), (0.0, 0.0), (0.5, 0.0)])
+    def test_array_call_equals_scalar_calls(self, noise):
+        params = TimeModelParams(1e-3, 2e-9, *noise)
+        sizes = [0, 1, 512, 8192, 10**9, 123_456_789]
+        one, each = np.random.default_rng(17), np.random.default_rng(17)
+        times = sample_time(params, np.array(sizes), one)
+        expected = np.array([sample_time(params, s, each) for s in sizes])
+        assert times.tobytes() == expected.tobytes()
+        # Same draws in the same order: the generators end in the same state.
+        assert one.bit_generator.state == each.bit_generator.state
+        assert type(sample_time(params, 64, one)) is float
+
+    def test_negative_size_in_array_rejected(self):
+        with pytest.raises(ParameterError):
+            sample_time(TimeModelParams(1.0, 1.0), np.array([1.0, -1.0]))
+
     def test_monte_carlo_mean_and_variance(self):
         params = TimeModelParams(1.0, 2e-6, alpha_m=0.1, beta_m=0.05)
         s = 1e6

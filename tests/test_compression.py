@@ -8,6 +8,7 @@ from gradcomm.compression import (
     CompressedMessage,
     CompressorSpec,
     DenseVector,
+    add_decompressed,
     compress,
     decompress,
     default_matrix_shape,
@@ -21,6 +22,7 @@ from gradcomm.compression import (
     rand_k_indices,
     rank_r_compress,
     top_k_compress,
+    top_k_indices,
 )
 from gradcomm.errors import DecodeError, ParameterError
 
@@ -342,3 +344,75 @@ class TestDeterminism:
                             rand_k_compress(x, 3, seed=9))
         assert same_message(compress(x, CompressorSpec("top_k", k=3)), top_k_compress(x, 3))
         assert same_message(compress(x, CompressorSpec("identity")), identity_compress(x))
+
+
+def bits_of(a: np.ndarray) -> bytes:
+    """Exact IEEE-754 contents, so -0.0 and 0.0 (and NaN payloads) differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def fused_specs(d):
+    """Every operator at powers 1, d//2 and d (rank_r: 1 and the largest rank)."""
+    yield CompressorSpec("identity")
+    yield CompressorSpec("natural")
+    for k in sorted({1, max(1, d // 2), d}):
+        yield CompressorSpec("rand_k", k=k)
+        yield CompressorSpec("top_k", k=k)
+    for r in sorted({1, min(default_matrix_shape(d))}):
+        yield CompressorSpec("rank_r", r=r)
+
+
+class TestAddDecompressed:
+    # d = 2, 6 and 17 reshape to the non-square 2x1, 3x2 and 5x4 for rank_r;
+    # d = 1000 pads a 32x32 matrix.
+    @pytest.mark.parametrize("d", [1, 2, 6, 17, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_equals_message_round_trip_bitwise(self, d, seed):
+        rng = np.random.default_rng([d, seed])
+        values = rng.standard_normal(d)
+        base = rng.standard_normal(d)
+        for spec in fused_specs(d):
+            msg = compress(DenseVector(values), spec, seed)
+            dense = decompress(msg).values
+            out = np.zeros(d)
+            assert add_decompressed(out, spec, values, seed) == msg.bits
+            assert bits_of(out) == bits_of(dense), spec
+            # The simulator's use: accumulate into a running sum.
+            out = base.copy()
+            add_decompressed(out, spec, values, seed)
+            assert bits_of(out) == bits_of(base + dense), spec
+
+    def test_top_k_ignores_seed(self):
+        values = np.random.default_rng(4).standard_normal(50)
+        spec = CompressorSpec("top_k", k=7)
+        dense = decompress(compress(DenseVector(values), spec)).values
+        for seed in (None, 0, 99):
+            out = np.zeros(50)
+            add_decompressed(out, spec, values, seed)
+            assert bits_of(out) == bits_of(dense)
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 1000])
+    def test_top_k_ties_match_stable_argsort_for_every_k(self, d):
+        # Integer values in [-3, 3]: almost every boundary magnitude is tied.
+        values = np.random.default_rng(d).integers(-3, 4, size=d).astype(np.float64)
+        order = np.argsort(-np.abs(values), kind="stable")
+        for k in range(1, d + 1):
+            expected = np.sort(order[:k])
+            np.testing.assert_array_equal(top_k_indices(values, k), expected)
+            dense = np.zeros(d)
+            dense[expected] = values[expected]
+            out = np.zeros(d)
+            add_decompressed(out, CompressorSpec("top_k", k=k), values)
+            assert bits_of(out) == bits_of(dense), k
+            np.testing.assert_array_equal(
+                top_k_compress(DenseVector(values), k).payload["indices"], expected)
+
+    def test_invalid_power_and_missing_seed_rejected(self):
+        out = np.zeros(4)
+        with pytest.raises(ParameterError):
+            add_decompressed(out, CompressorSpec("top_k", k=5), np.ones(4))
+        with pytest.raises(ParameterError):
+            add_decompressed(out, CompressorSpec("rank_r", r=3), np.ones(4))
+        with pytest.raises(ParameterError):
+            add_decompressed(out, CompressorSpec("rand_k", k=2), np.ones(4), seed=None)
+        assert not out.any()

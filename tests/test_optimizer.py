@@ -24,6 +24,11 @@ class TestProblem:
         np.testing.assert_array_equal(x_star, [1.0, 1.0])
         assert f_star == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mean_rejects_non_finite_targets(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            Problem.mean([[1.0, bad], [0.0, 0.0]])
+
     def test_single_worker_optimum_is_its_target(self):
         problem = Problem.mean([[3.0, -1.0, 2.0]])
         x_star, f_star = closed_form_optimum(problem)
@@ -99,6 +104,19 @@ class TestRunGd:
         problem = Problem.mean(np.ones((2, 2)))
         config = SimConfig(steps=1, time_model=QUIET, gamma=0.0)
         with pytest.raises(ParameterError):
+            run_compressed_gd(problem, config)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stepsize_rejected(self, gamma):
+        problem = Problem.mean(np.ones((2, 2)))
+        config = SimConfig(steps=1, time_model=QUIET, gamma=gamma)
+        with pytest.raises(ParameterError):
+            run_compressed_gd(problem, config)
+
+    def test_nan_objective_counts_as_divergence(self):
+        problem = Problem(n=1, d=2, mats=np.eye(2)[None], vecs=np.array([[math.nan, 0.0]]))
+        config = SimConfig(steps=3, time_model=QUIET, gamma=0.5)
+        with pytest.raises(DivergenceError, match="objective nan"):
             run_compressed_gd(problem, config)
 
 
