@@ -22,10 +22,9 @@ from .compression import (
     DEFAULT_BITS_PER_SCALAR,
     RANDOMIZED_KINDS,
     CompressorSpec,
-    DenseVector,
     add_decompressed,
-    compress,
-    decompress,
+    compress,  # noqa: F401  (unused here; perfbench/spans.py patches it on this module)
+    decompress,  # noqa: F401  (same)
 )
 from .csvio import write_csv
 from .errors import DivergenceError, ParameterError
@@ -176,10 +175,8 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     spec = config.compressor
     d, n, b = problem.d, problem.n, DEFAULT_BITS_PER_SCALAR
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
-    if not gamma > 0:
-        raise ParameterError(f"stepsize must be positive, got {gamma}")
-    if gamma == math.inf:
-        raise ParameterError("stepsize must be finite, got inf")
+    if not 0 < gamma < math.inf:
+        raise ParameterError(f"stepsize must be positive and finite, got {gamma}")
     time_model = config.time_model
     time_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(_TIME_STREAM,))
@@ -199,11 +196,12 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     for k in range(config.steps):
         down_bits = d * b
         if compress_downlink:
-            msg = compress(
-                DenseVector(x, b), spec, seed=_message_seed(config.seed, _DOWNLINK_STREAM, k, 0)
+            x_bcast = np.zeros(d)
+            down_bits = add_decompressed(
+                x_bcast, spec, x,
+                _message_seed(config.seed, _DOWNLINK_STREAM, k, 0) if seeded else None,
             )
-            down_bits = msg.bits
-            grads = problem.worker_gradients(decompress(msg).values)
+            grads = problem.worker_gradients(x_bcast)
 
         agg = np.zeros(d)
         up_bits = [
