@@ -5,9 +5,10 @@ gradient (optionally compressed for the uplink), and the server averages the
 received vectors.  Simulated wall-clock time charges one downlink transmission
 plus the maximum of the n parallel uplink transmissions per round; gradient
 compute time is charged as zero.  Bit accounting uses the compressors' exact
-message sizes.  Each compressed uplink gradient is reconstructed in-process
-by ``compression.add_decompressed``, from the same operator code and seeds as
-a message round trip, so the trace is identical to one.
+message sizes.  Each compressed gradient, and a compressed downlink's iterate,
+is reconstructed in-process by ``compression.add_decompressed``, from the same
+operator code and seeds as a message round trip, so the trace is identical to
+one.
 """
 
 from __future__ import annotations
