@@ -150,6 +150,8 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed, outputs: lis
 
 
 def cmd_synth(args) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     out = _out_dir(args)
     params = _time_model(args.alpha, args.beta, args.alpha_m, args.beta_m)
     sizes = parse_sizes(args.sizes)
@@ -386,7 +388,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
+        server.server_close()
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ operating regime by which term dominates, and tabulated speedup reports.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ class TimeModelParams:
     beta_m: float = 0.0
 
     def __post_init__(self):
-        if self.alpha_const < 0 or self.beta_const < 0:
-            raise ParameterError("time model coefficients must be nonnegative")
-        if self.alpha_m < 0 or self.beta_m < 0:
-            raise ParameterError("noise levels must be nonnegative")
+        if not (0 <= self.alpha_const < math.inf and 0 <= self.beta_const < math.inf):
+            raise ParameterError("time model coefficients must be finite and nonnegative")
+        if not (0 <= self.alpha_m < math.inf and 0 <= self.beta_m < math.inf):
+            raise ParameterError("noise levels must be finite and nonnegative")
         if self.alpha_const + self.beta_const == 0:
             raise DegenerateModelError("alpha and beta cannot both be zero")
 
@@ -93,8 +94,8 @@ def eta(params: TimeModelParams, s: float, omega: float) -> float:
     """
     if s <= 0:
         raise ParameterError("message size must be positive")
-    if omega < 1:
-        raise ParameterError("compression ratio must be >= 1")
+    if not 1 <= omega < math.inf:
+        raise ParameterError("compression ratio must be finite and >= 1")
     if params.alpha_const == 0:
         return float(omega)
     if params.beta_const == 0:
@@ -110,8 +111,8 @@ def classify_region(params: TimeModelParams, s: float, rho: float = DEFAULT_RHO)
     """
     if s < 0:
         raise ParameterError("message size must be nonnegative")
-    if rho <= 1:
-        raise ParameterError("dominance threshold rho must exceed 1")
+    if not 1 < rho < math.inf:
+        raise ParameterError("dominance threshold rho must be finite and exceed 1")
     load = params.beta_const * s
     if load * rho <= params.alpha_const:
         return Region.AREA1_ALPHA_DOMINATED
@@ -157,8 +158,8 @@ def transition_report(
     region_from = classify_region(params, s_from, rho)
     rows = []
     for omega in omegas:
-        if omega < 1:
-            raise ParameterError("compression ratios must be >= 1")
+        if not 1 <= omega < math.inf:
+            raise ParameterError("compression ratios must be finite and >= 1")
         s_to = s_from / omega
         rows.append(
             SpeedupRow(

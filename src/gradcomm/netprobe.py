@@ -7,13 +7,21 @@ first frame byte written to the acknowledgment byte received, so the recorded
 delay is a round-trip time and a fitted alpha absorbs both directions'
 startup cost.  Nagle coalescing is disabled on both ends and payloads are
 pseudorandom bytes so link-level compression cannot shrink them.
+
+The server serves one connection at a time.  It drains each payload through a
+bounded buffer and counts it, never keeping it, so a frame near p_max costs
+it no p_max allocation.  A connection idle for ``DEFAULT_TIMEOUT_S`` (5 s) is
+closed, and a connection that fails is logged in one line while serving goes
+on, so one peer can neither stall nor stop the server.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
+import socketserver
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,20 +56,45 @@ class ProbeResult:
     error: str | None = None
 
 
-def _recv_exact(conn: socket.socket, nbytes: int) -> bytes | None:
-    """Read exactly nbytes; None if the peer closed the stream first."""
-    chunks = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = conn.recv(min(remaining, 1 << 16))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+_DRAIN_BYTES = 1 << 20  # payloads are counted, never kept: read through a buffer this big
 
 
-class PingPongServer:
+class _FrameHandler(socketserver.StreamRequestHandler):
+    """Acknowledges each frame of one connection; ``timeout`` closes an idle peer."""
+
+    disable_nagle_algorithm = True
+    timeout = DEFAULT_TIMEOUT_S
+
+    def handle(self) -> None:
+        server = self.server
+        drain = memoryview(bytearray(min(server.p_max_bytes, _DRAIN_BYTES)))
+        while True:
+            header = self.rfile.read(_LEN.size)
+            if len(header) < _LEN.size:
+                return
+            (length,) = _LEN.unpack(header)
+            if length == 0:
+                return  # clean shutdown frame
+            if length > server.p_max_bytes:
+                logger.warning(
+                    "resetting connection: declared payload %d exceeds p_max %d",
+                    length, server.p_max_bytes,
+                )
+                return
+            remaining = length
+            while remaining:
+                got = self.rfile.readinto(drain[:min(remaining, len(drain))])
+                if not got:
+                    logger.warning("peer vanished mid-payload; resetting connection")
+                    return
+                remaining -= got
+            self.wfile.write(ACK)
+            server.messages += 1
+            server.bytes_in += _LEN.size + length
+            server.bytes_out += len(ACK)
+
+
+class PingPongServer(socketserver.TCPServer):
     """Sequential echo-acknowledge server; one connection at a time.
 
     Concurrency would contaminate the client's timing, so connections are
@@ -69,97 +102,57 @@ class PingPongServer:
     count acknowledged frames for exact byte-accounting checks.
     """
 
+    allow_reuse_address = True
+    request_queue_size = 1
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  p_max_bytes: int = DEFAULT_P_MAX_BYTES):
         if p_max_bytes < 1:
             raise ParameterError("p_max_bytes must be >= 1")
-        self.host = host
+        super().__init__((host, port), _FrameHandler, bind_and_activate=False)
         self.port = port
         self.p_max_bytes = p_max_bytes
         self.messages = 0
         self.bytes_in = 0
         self.bytes_out = 0
-        self._sock: socket.socket | None = None
         self._thread: threading.Thread | None = None
-        self._shutdown = threading.Event()
 
     def bind(self) -> int:
         """Bind and listen; returns the actual port (useful with port=0)."""
         try:
-            # create_server sets SO_REUSEADDR and closes its socket if bind or listen fails.
-            sock = socket.create_server((self.host, self.port), backlog=1)
+            self.server_bind()
+            self.server_activate()
         except OSError as exc:
-            raise NetworkError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
+            self.server_close()
+            host, port = self.server_address
+            raise NetworkError(f"cannot bind {host}:{port}: {exc}") from exc
+        self.port = self.server_address[1]
         return self.port
 
-    def serve_forever(self, shutdown: threading.Event | None = None) -> None:
-        """Accept loop; returns when the shutdown event is set or the socket closes."""
-        if self._sock is None:
-            self.bind()
-        stop = shutdown if shutdown is not None else self._shutdown
-        while not stop.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with conn:
-                logger.debug("connection from %s", addr)
-                self._handle(conn)
-
-    def _handle(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        while True:
-            header = _recv_exact(conn, _LEN.size)
-            if header is None:
-                return
-            (length,) = _LEN.unpack(header)
-            if length == 0:
-                return  # clean shutdown frame
-            if length > self.p_max_bytes:
-                logger.warning(
-                    "resetting connection: declared payload %d exceeds p_max %d",
-                    length, self.p_max_bytes,
-                )
-                return
-            payload = _recv_exact(conn, length)
-            if payload is None:
-                logger.warning("peer vanished mid-payload; resetting connection")
-                return
-            conn.sendall(ACK)
-            self.messages += 1
-            self.bytes_in += _LEN.size + length
-            self.bytes_out += len(ACK)
+    def handle_error(self, request, client_address) -> None:
+        """Log a failed connection in one line and go on serving."""
+        logger.warning("connection from %s failed: %s", client_address, sys.exc_info()[1])
 
     def start(self) -> int:
-        """Run the accept loop in a daemon thread (test/tooling convenience)."""
+        """Serve in a daemon thread (test/tooling convenience)."""
         port = self.bind()
-        self._shutdown.clear()
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.2}, daemon=True)
         self._thread.start()
         return port
 
     def stop(self) -> None:
-        self._shutdown.set()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self.shutdown()
+            self._thread.join()
             self._thread = None
-        self.close()
-
-    def close(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        self.server_close()
 
 
 def _exchange(sock: socket.socket, frame: bytes) -> None:
     sock.sendall(frame)
-    ack = _recv_exact(sock, 1)
-    if ack is None:
+    ack = sock.recv(1)
+    if not ack:
         raise ConnectionResetError("server closed the connection mid-exchange")
     if ack != ACK:
         raise ConnectionError(f"protocol desync: expected ack 0x06, got {ack!r}")

@@ -51,6 +51,13 @@ class TestSynth:
         stderr = times.std(ddof=1) / np.sqrt(times.size)
         assert abs(times.mean() - expected) < 3 * stderr
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exit_2(self, tmp_path, reps):
+        rc = main(["synth", "--alpha", "1e-3", "--beta", "1e-9", "--sizes", "1,2",
+                   f"--reps={reps}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "samples.csv").exists()
+
 
 class TestFit:
     def test_two_point_example(self, tmp_path):
@@ -466,6 +473,23 @@ class TestManifests:
 def test_non_numeric_range_exit_2(tmp_path, capsys, argv, bad):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert bad in capsys.readouterr().err
+
+
+_REGIONS = ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--alpha=nan", "--beta", "1e-9", "--sizes", "1,2"],
+    ["synth", "--alpha", "1e-3", "--beta", "inf", "--sizes", "1,2"],
+    ["simulate", "--alpha=nan", "--beta", "1e-8", "--n", "2", "--d", "4", "--steps", "2"],
+    ["regions", "--alpha=nan", "--beta", "1e-8", "--sizes", "10"],
+    _REGIONS + ["--omegas", "nan"],
+    _REGIONS + ["--omegas", "inf"],
+    _REGIONS + ["--rho", "nan"],
+], ids=["synth-alpha-nan", "synth-beta-inf", "simulate-alpha-nan", "regions-alpha-nan",
+        "regions-omegas-nan", "regions-omegas-inf", "regions-rho-nan"])
+def test_non_finite_input_exit_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
 def test_no_csv_output_has_crlf_line_ends(tmp_path):

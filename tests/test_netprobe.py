@@ -1,6 +1,9 @@
 import gc
+import logging
 import socket
 import struct
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,6 +75,43 @@ class TestServer:
         assert server.messages == exchanges
         assert server.bytes_in == sum((s + 8) * (reps + warmup) for s in sizes)
         assert server.bytes_out == exchanges
+
+    def test_frame_is_drained_not_kept(self, server):
+        size = server.p_max_bytes - 1
+        frame = struct.pack(">Q", size) + bytes(size)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            tracemalloc.start()
+            try:
+                sock.sendall(frame)
+                assert sock.recv(1) == ACK
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            sock.sendall(struct.pack(">Q", 0))
+        assert peak < size
+
+    def test_stalled_peer_delays_next_client_by_at_most_the_timeout(self, server, monkeypatch):
+        idle_s = 0.5
+        monkeypatch.setattr(server.RequestHandlerClass, "timeout", idle_s)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as staller:
+            staller.sendall(struct.pack(">Q", 64)[:3])
+            t0 = time.monotonic()
+            result = probe("127.0.0.1", server.port, [64], reps=2, warmup=0, timeout=5)
+            elapsed = time.monotonic() - t0
+        assert result.error is None and len(result.samples) == 2
+        assert elapsed < idle_s + 1.5
+
+    def test_peer_reset_mid_payload_is_logged_and_serving_goes_on(self, server, caplog):
+        caplog.set_level(logging.WARNING, logger="gradcomm.netprobe")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as peer:
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            peer.sendall(struct.pack(">Q", 64 * 1024) + bytes(1024))
+            peer_port = peer.getsockname()[1]
+        result = probe("127.0.0.1", server.port, [64], reps=2, warmup=0)
+        assert result.error is None and len(result.samples) == 2
+        [record] = [r for r in caplog.records if r.name == "gradcomm.netprobe"]
+        assert record.levelno == logging.WARNING and record.exc_info is None
+        assert str(peer_port) in record.getMessage()
 
 
     def test_bind_to_busy_port_leaves_no_open_socket(self):
