@@ -14,9 +14,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import itertools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -239,19 +241,18 @@ def cmd_select(args) -> int:
         trace = Path(args.fit)
         if not trace.exists():
             raise ConfigError(f"fit trace not found: {trace}")
-        last = None
         with open(trace, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if not {"alpha_hat", "beta_hat"} <= set(reader.fieldnames or ()):
+            reader = csv.reader(handle)
+            columns = {name: i for i, name in enumerate(next(reader, []))}
+            if not {"alpha_hat", "beta_hat"} <= columns.keys():
                 raise ConfigError(f"fit trace {trace} needs alpha_hat and beta_hat columns")
-            for last in reader:
-                pass
-        if last is None:
+            last = collections.deque(filter(None, reader), maxlen=1)  # blank lines skipped
+        if not last:
             raise ConfigError(f"fit trace {trace} has no rows")
         try:
-            alpha = float(last["alpha_hat"])
-            beta_per_byte = float(last["beta_hat"])
-        except (TypeError, ValueError) as exc:
+            alpha = float(last[0][columns["alpha_hat"]])
+            beta_per_byte = float(last[0][columns["beta_hat"]])
+        except (IndexError, ValueError) as exc:
             raise ConfigError(f"fit trace {trace}: bad number in its last row: {exc}") from exc
     elif args.alpha is not None and args.beta is not None:
         alpha, beta_per_byte = args.alpha, args.beta
@@ -360,6 +361,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if not 0 < args.timeout < math.inf:
+        raise ConfigError(f"--timeout must be a finite number of seconds > 0, got {args.timeout}")
     out = _out_dir(args)
     sizes = parse_sizes(args.sizes)
     result = netprobe.probe(

@@ -12,8 +12,8 @@ batch least-squares fit:
 ``advance``; ``fit`` raises :class:`DegenerateDesignError` until two sizes
 differ.  ``running_fits`` is the one loop that turns a (size, time) stream into
 fits.  ``batch_ls`` is the independent oracle: a centered two-pass fit over the
-stored points.  States are immutable, so a snapshot can be read at any time
-while a single owner advances the stream.
+stored points.  States and fits are immutable ``NamedTuple``s, so a snapshot
+can be read at any time while a single owner advances the stream.
 
 An optional exponential forgetting factor lambda (an extension; 1.0 reproduces
 the plain sums exactly) decays the sums and the weight before each sample, so
@@ -24,7 +24,7 @@ parameters can be tracked.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ GRID_POINTS = 16
 GRID_SPAN = 1e4  # the geometric proposal grid covers (p_max / GRID_SPAN, p_max]
 
 
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(NamedTuple):
     count: int
     weight: float  # effective sample count; equals ``count`` when forgetting=1
     s_x: float
@@ -46,16 +45,10 @@ class EstimatorState:
     forgetting: float = 1.0
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     alpha_hat: float
     beta_hat: float
     k: int
-
-
-def _check_size(x: float, p_max: float) -> None:
-    if not 0 < x <= p_max:
-        raise ParameterError(f"message size {x} outside (0, {p_max}]")
 
 
 def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
@@ -78,22 +71,23 @@ def fit(state: EstimatorState) -> FitResult:
         raise DegenerateDesignError("degenerate design: message sizes do not vary")
     beta = (w * state.s_xy - state.s_x * state.s_y) / denom
     alpha = (state.s_y - beta * state.s_x) / w
-    return FitResult(alpha_hat=alpha, beta_hat=beta, k=state.count)
+    return FitResult(alpha, beta, state.count)
 
 
 def advance(state: EstimatorState, x_k, y_k) -> EstimatorState:
     """Absorb one sample into the sums without computing a fit."""
-    _check_size(x_k, state.p_max)
+    if not 0 < x_k <= state.p_max:
+        raise ParameterError(f"message size {x_k} outside (0, {state.p_max}]")
     lam = state.forgetting
-    return EstimatorState(
-        count=state.count + 1,
-        weight=lam * state.weight + 1.0,
-        s_x=lam * state.s_x + x_k,
-        s_y=lam * state.s_y + y_k,
-        s_xy=lam * state.s_xy + x_k * y_k,
-        s_xx=lam * state.s_xx + x_k * x_k,
-        p_max=state.p_max,
-        forgetting=lam,
+    return EstimatorState(  # positional, in field order: the cheapest call
+        state.count + 1,
+        lam * state.weight + 1.0,
+        lam * state.s_x + x_k,
+        lam * state.s_y + y_k,
+        lam * state.s_xy + x_k * y_k,
+        lam * state.s_xx + x_k * x_k,
+        state.p_max,
+        lam,
     )
 
 
@@ -171,16 +165,14 @@ def read_samples_csv(path) -> list[tuple[float, float]]:
     probe's ``rep`` are ignored.
     """
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        if "size_bytes" not in fields or "time_seconds" not in fields:
-            raise ParameterError(
-                f"{path}: sample CSV must have size_bytes and time_seconds columns, got {fields}"
-            )
+        reader = csv.reader(handle)
+        fields = next(reader, [])
+        columns = {name: i for i, name in enumerate(fields)}  # last one wins, as in DictReader
+        if "size_bytes" not in columns or "time_seconds" not in columns:
+            raise ParameterError(f"{path}: sample CSV must have size_bytes and time_seconds"
+                                 f" columns, got {fields}")
+        size_col, time_col = columns["size_bytes"], columns["time_seconds"]
         try:
-            return [
-                (float(row["size_bytes"]) * 8.0, float(row["time_seconds"]))
-                for row in reader
-            ]
-        except (TypeError, ValueError) as exc:
+            return [(float(row[size_col]) * 8.0, float(row[time_col])) for row in reader if row]
+        except (IndexError, ValueError) as exc:
             raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from exc

@@ -8,6 +8,7 @@ import pytest
 from gradcomm import estimator, netprobe
 from gradcomm.adaptive import SelectionObjective, predicted_cost
 from gradcomm.cli import main
+from gradcomm.errors import ParameterError
 from gradcomm.netprobe import PingPongServer, probe
 
 
@@ -115,6 +116,18 @@ class TestFit:
         assert rc == 2
         assert "samples.csv" in capsys.readouterr().err
 
+    def test_short_sample_row_names_its_line(self, tmp_path):
+        samples = tmp_path / "short.csv"
+        samples.write_text("size_bytes,time_seconds\n1,5\n2\n")
+        with pytest.raises(ParameterError, match="short.csv, line 3"):
+            estimator.read_samples_csv(samples)
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
+
+    def test_blank_lines_and_extra_columns_are_ignored(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("rep,time_seconds,size_bytes\n0,5,1\n\n1,7,2\n\n")
+        assert estimator.read_samples_csv(samples) == [(8.0, 5.0), (16.0, 7.0)]
+
 
 class TestSelect:
     def test_alpha_zero_selects_one(self, tmp_path):
@@ -177,6 +190,22 @@ class TestSelect:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "fit_trace.csv" in capsys.readouterr().err
+
+    def test_short_last_fit_row_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "fit_trace.csv"
+        trace.write_text("k,alpha_hat,beta_hat\n2,1.0,0.0\n3,1.0\n")
+        rc = main(["select", "--fit", str(trace), "--d", "32", "--n", "9",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "fit_trace.csv" in capsys.readouterr().err
+
+    def test_blank_lines_after_last_fit_row_are_skipped(self, tmp_path, capsys):
+        trace = tmp_path / "fit_trace.csv"
+        trace.write_text("k,alpha_hat,beta_hat\n2,1.0,0.0\n3,0.0,8e-6\n\n\n")
+        rc = main(["select", "--fit", str(trace), "--d", "32", "--n", "9",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "k_star=1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("family", ["rand_k", "top_k"])
     def test_jcurve_rows_are_predicted_costs(self, tmp_path, capsys, family):
@@ -315,6 +344,50 @@ def test_simulate_trace_matches_golden_hash(tmp_path, kind, downlink):
     assert digest == GOLDEN_TRACE_SHA256[kind, downlink]
 
 
+# sha256 of the offline outputs of GOLDEN_OFFLINE_RUNS, recorded while
+# write_csv still went through csv.writer and the sample and fit-trace readers
+# through csv.DictReader.  They pin that every byte stayed the same; never
+# regenerate them from the current code.  "{name}" in an argument is the output
+# directory of the earlier run of that name.
+GOLDEN_OFFLINE_RUNS = {
+    "synth": ["synth", "--alpha", "0.01", "--beta", "1e-8", "--alpha-m", "0.1",
+              "--beta-m", "0.1", "--sizes", "16:1048576:40", "--reps", "5", "--seed", "99"],
+    "fit": ["fit", "--samples", "{synth}/samples.csv"],
+    "fit_forgetting": ["fit", "--samples", "{synth}/samples.csv", "--forgetting", "0.9"],
+    "select": ["select", "--fit", "{fit}/fit_trace.csv", "--d", "10000", "--n", "16"],
+    "regions": ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "16:1048576:20"],
+}
+GOLDEN_OFFLINE_SHA256 = {
+    ("synth", "samples.csv"):
+        "c2644fbaee132c8a279bbead684c299befa375f23df38f3b601dafe622d8e769",
+    ("fit", "fit_trace.csv"):
+        "53aa2ee11be579512afb0fefd138ed39417f0a7240297a0d61d21518dbc0eaf3",
+    ("fit_forgetting", "fit_trace.csv"):
+        "fda2f9f1b1af7f47e2bb4a2034d83ac8cbacf3fc216cc466fcac526ca094bde3",
+    ("select", "jcurve.csv"):
+        "f5fb7bc982870e02a1edf1de722898cefa9654707ee51ac7c1a739ef41eca4e8",
+    ("regions", "regions.csv"):
+        "c8244fa8083fb6bdc4c76cd894a3ab0c7afb428f0fc142ad0259e9f190e516fb",
+    ("regions", "speedup.csv"):
+        "5f70732cb1313939e12b9eeef3c0cd4bff5968114374784610620f9b0e0e2a21",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_offline_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("golden_offline")
+    dirs = {name: str(base / name) for name in GOLDEN_OFFLINE_RUNS}
+    for name, argv in GOLDEN_OFFLINE_RUNS.items():
+        assert main([arg.format(**dirs) for arg in argv] + ["--out", dirs[name]]) == 0, name
+    return base
+
+
+@pytest.mark.parametrize("run,filename", sorted(GOLDEN_OFFLINE_SHA256))
+def test_offline_output_matches_golden_hash(golden_offline_dir, run, filename):
+    digest = hashlib.sha256((golden_offline_dir / run / filename).read_bytes()).hexdigest()
+    assert digest == GOLDEN_OFFLINE_SHA256[run, filename]
+
+
 class TestProbeAndServe:
     def test_probe_against_local_server(self, tmp_path):
         srv = PingPongServer()
@@ -339,6 +412,18 @@ class TestProbeAndServe:
         rc = main(["probe", "--port", str(port), "--sizes", "64", "--reps", "1",
                    "--timeout", "0.5", "--out", str(tmp_path)])
         assert rc == 4
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_timeout_exit_2_before_connecting(self, tmp_path, monkeypatch, capsys, timeout):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe called")
+
+        monkeypatch.setattr(netprobe, "probe", no_probe)
+        rc = main(["probe", "--port", "1", "--sizes", "64", f"--timeout={timeout}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--timeout" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fit_live(self, tmp_path):
         srv = PingPongServer()

@@ -1,4 +1,8 @@
+import csv
 import io
+import math
+
+import pytest
 
 from gradcomm.csvio import write_csv
 
@@ -19,3 +23,18 @@ class TestWriteCsv:
         write_csv(buf, "a,b,c", iter(rows))
         assert path.read_bytes() == buf.getvalue().encode()
         assert path.read_bytes() == b"a,b,c\n1,0.1,area1_alpha_dominated\n2,1e-300,x\n"
+
+
+@pytest.mark.parametrize("value", [
+    0, 7, -12, 2**70, 0.1, -0.0, 1e16, 1e-300, 5e-324, math.inf, -math.inf, math.nan,
+    "area1_alpha_dominated",
+])
+def test_same_bytes_as_csv_writer(value):
+    rows = [(1, value, 2.5), (value, -3, "x")]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["a", "b", "c"])
+    writer.writerows(rows)
+    written = io.StringIO()
+    write_csv(written, "a,b,c", rows)
+    assert written.getvalue() == expected.getvalue()
