@@ -44,6 +44,15 @@ EXIT_NETWORK = 4
 
 BITS_PER_BYTE = 8
 
+
+def non_negative_int(text: str) -> int:
+    """Parse a seed: a base-10 integer >= 0 (NumPy refuses negative seeds)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 # Flat config keys accepted by `simulate`, with their parsers.  Unknown keys
 # are rejected outright so an experiment cannot run silently misconfigured.
 _CONFIG_KEYS = {
@@ -58,7 +67,7 @@ _CONFIG_KEYS = {
     "beta": float,
     "alpha_m": float,
     "beta_m": float,
-    "seed": int,
+    "seed": non_negative_int,
     "downlink_compressed": None,  # bool, parsed specially
 }
 
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-m", type=float, default=0.0, dest="beta_m")
     p.add_argument("--sizes", required=True, help="bytes: 'a,b,c' or 'lo:hi:count'")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="randomness seed")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="randomness seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", parents=[writes],
@@ -427,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, default=1 << 20, help="largest probe size, bytes")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--forgetting", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0, help="seed of the --live size proposals")
+    p.add_argument("--seed", type=non_negative_int, default=0,
+                   help="seed of the --live size proposals")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", parents=[writes],
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-m", type=float, default=None, dest="alpha_m")
     p.add_argument("--beta-m", type=float, default=None, dest="beta_m")
     p.add_argument("--downlink-compressed", action="store_true", dest="downlink_compressed")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=non_negative_int, default=None,
                    help="randomness seed (default: the config's seed, else 0)")
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=cmd_simulate)

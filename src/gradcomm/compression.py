@@ -381,6 +381,8 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, values: np.ndarray,
     built: rand_k draws its index set once, and the sparse kinds touch only
     their k coordinates (adding the other coordinates' zeros changes nothing
     unless ``out`` holds a negative zero).  ``values`` must be finite.
+    ``seed`` is what ``np.random.default_rng`` takes: an int, or a Generator,
+    which the operator draws from as it stands.
     """
     d = values.size
     bits = message_bits(spec, d)

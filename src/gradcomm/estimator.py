@@ -24,6 +24,7 @@ parameters can be tracked.
 from __future__ import annotations
 
 import csv
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -158,11 +159,19 @@ def propose_next_size(count: int, p_max: float, policy: str = "uniform", rng=Non
     raise ParameterError(f"unknown proposal policy: {policy!r}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_samples_csv(path) -> list[tuple[float, float]]:
     """Load (size_bits, time_seconds) pairs from a ``size_bytes,time_seconds`` CSV.
 
     Sizes are converted from bytes to bits (x8).  Extra columns such as the
-    probe's ``rep`` are ignored.
+    probe's ``rep`` are ignored.  A missing, non-numeric or non-finite field
+    raises :class:`ParameterError` naming its line.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -173,6 +182,6 @@ def read_samples_csv(path) -> list[tuple[float, float]]:
                                  f" columns, got {fields}")
         size_col, time_col = columns["size_bytes"], columns["time_seconds"]
         try:
-            return [(float(row[size_col]) * 8.0, float(row[time_col])) for row in reader if row]
+            return [(_finite(row[size_col]) * 8.0, _finite(row[time_col])) for row in reader if row]
         except (IndexError, ValueError) as exc:
             raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from exc

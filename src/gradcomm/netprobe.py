@@ -149,8 +149,15 @@ class PingPongServer(socketserver.TCPServer):
         self.server_close()
 
 
-def _exchange(sock: socket.socket, frame: bytes) -> None:
-    sock.sendall(frame)
+def _exchange(sock: socket.socket, header: bytes, payload) -> None:
+    # One sendmsg carries the header in the payload's first segment and copies
+    # neither; a partial send is finished from what is left of each.
+    sent = sock.sendmsg([header, payload])
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent - len(header) < len(payload):
+        sock.sendall(memoryview(payload)[sent - len(header):])
     ack = sock.recv(1)
     if not ack:
         raise ConnectionResetError("server closed the connection mid-exchange")
@@ -193,12 +200,16 @@ def probe(
         sock.settimeout(timeout)
         try:
             for size in sizes:
-                frame = _LEN.pack(size) + rng.bytes(size)
+                # rng.bytes(size) as a view of the one array it is drawn into
+                # (the same bytes on a little-endian host): rng.bytes holds
+                # two copies while it builds them.
+                words = rng.integers(0, 1 << 32, size=(size + 3) // 4, dtype=np.uint32)
+                header, payload = _LEN.pack(size), memoryview(words).cast("B")[:size]
                 for _ in range(warmup):
-                    _exchange(sock, frame)
+                    _exchange(sock, header, payload)
                 for rep in range(reps):
                     t0 = time.perf_counter_ns()
-                    _exchange(sock, frame)
+                    _exchange(sock, header, payload)
                     t1 = time.perf_counter_ns()
                     result.samples.append(
                         ProbeSample(

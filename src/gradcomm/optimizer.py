@@ -9,10 +9,19 @@ message sizes.  Each compressed gradient, and a compressed downlink's iterate,
 is reconstructed in-process by ``compression.add_decompressed``, from the same
 operator code and seeds as a message round trip, so the trace is identical to
 one.
+
+Message (round, worker) of a seeded compressor draws from
+``default_rng(int(SeedSequence(seed, spawn_key=(stream, round, worker))
+.generate_state(1)[0]))``.  The simulator does not build those two
+SeedSequences per message: ``_message_generators`` runs the same integer
+recurrences (NumPy's SeedSequence hash and PCG64's set-seed step) once per
+block of whole rounds, vectorized over the block's messages, and sets one
+generator per run to each message's state in turn.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +47,19 @@ DIVERGENCE_LIMIT = 1e12
 _TIME_STREAM = 0
 _UPLINK_STREAM = 1
 _DOWNLINK_STREAM = 2
+
+# NumPy's SeedSequence hash (after O'Neill's seed_seq_fe) and PCG64's LCG
+# multiplier: _message_generators derives message states with them.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Most messages of one stream whose states are derived in one pass; a pass
+# holds whole rounds, at least one.
+_SEED_BLOCK = 4096
 
 TRACE_CSV_HEADER = "round,objective,grad_norm,wall_clock_s,uplink_bits,downlink_bits"
 
@@ -123,8 +145,11 @@ class SimConfig:
     downlink_compressed: bool = False
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        # Message generators take the round index as one uint32 word.
+        if not 1 <= self.steps <= 2**32:
+            raise ParameterError("steps must be between 1 and 2**32")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +185,97 @@ def default_stepsize(problem: Problem, spec: CompressorSpec) -> float:
     return 1.0 / L
 
 
-def _message_seed(seed: int, stream: int, round_idx: int, worker: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx, worker))
-    return int(ss.generate_state(1)[0])
+def _hash(value, consts):
+    """One SeedSequence hash of ``value`` (a Python int or a uint32 array)."""
+    xor, mult = consts
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words, each a Python int or a uint32 array.
+
+    Each product is masked to 32 bits first, so an int may meet an array.
+    """
+    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return result ^ result >> 16
+
+
+def _hash_consts(init: int, mult: int):
+    """Yield the (xor, multiply) constants of successive SeedSequence hashes."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _mix_entropy(entropy: list):
+    """SeedSequence's entropy pool for ``entropy``, a list of uint32 words.
+
+    Each word is a Python int or a uint32 array; arrays broadcast, so one call
+    mixes the pools of many seeds.  Also returns the hash constants that
+    mixing further words would use.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i] if i < len(entropy) else 0, next(consts))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, next(consts)))
+    return pool, consts
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """SeedSequence.generate_state(n_words) as a list of uint32 words."""
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    return [_hash(pool[i % _POOL_SIZE], next(consts)) for i in range(n_words)]
+
+
+def _message_generators(rng: np.random.Generator, seed: int, stream: int,
+                        rounds: range, n_workers: int):
+    """Yield ``rng`` once per message (round, worker) of ``stream``, round-major.
+
+    Each time ``rng`` holds the state that ``np.random.default_rng(int(
+    SeedSequence(entropy=seed, spawn_key=(stream, round, worker))
+    .generate_state(1)[0]))`` starts in.  The states are derived for blocks of
+    whole rounds, up to ``_SEED_BLOCK`` messages, with the same integer
+    recurrences NumPy runs per seed, vectorized over the block.  ``seed`` is a
+    non-negative int; rounds and workers are below 2**32.
+    """
+    seed_words = []
+    while True:  # the seed's little-endian uint32 words, zero-padded to the pool
+        seed_words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    pool, consts = _mix_entropy(seed_words + [stream])
+    # The round and worker words are mixed in last.  generate_state(1) reads
+    # only pool[0], which takes each of them through the first of its four
+    # hashes.
+    round_consts, *_, worker_consts = itertools.islice(consts, _POOL_SIZE + 1)
+    worker_hash = _hash(np.arange(n_workers, dtype=np.uint32), worker_consts)
+    bitgen = rng.bit_generator
+    rounds_per_block = max(1, _SEED_BLOCK // n_workers)
+    for start in range(0, len(rounds), rounds_per_block):
+        block = rounds[start:start + rounds_per_block]
+        round_hash = _hash(np.arange(block.start, block.stop, dtype=np.uint32), round_consts)
+        head = _mix(_mix(pool[0], round_hash)[:, None], worker_hash).ravel()
+        # default_rng(word) seeds PCG64 from SeedSequence(word).generate_state(4, uint64).
+        (message_seed,) = _generate_state([head], 1)
+        words = np.array(_generate_state(_mix_entropy([message_seed])[0], 8), dtype=np.uint64)
+        halves = words[0::2] | words[1::2] << 32  # little-endian pairs: initstate, initseq
+        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves.tolist()):
+            # pcg64_set_seed: state 0, inc = initseq << 1 | 1, step, add initstate, step.
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
@@ -185,7 +298,14 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
-    seeded = spec.kind in RANDOMIZED_KINDS
+    if spec.kind in RANDOMIZED_KINDS:
+        # One generator serves every message; each takes it at its own state.
+        rng = np.random.Generator(np.random.PCG64())
+        rounds = range(config.steps)
+        up_seeds = _message_generators(rng, int(config.seed), _UPLINK_STREAM, rounds, n)
+        down_seeds = _message_generators(rng, int(config.seed), _DOWNLINK_STREAM, rounds, 1)
+    else:
+        up_seeds = down_seeds = itertools.repeat(None)
     wall = 0.0
     up_total = 0
     down_total = 0
@@ -198,20 +318,11 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         down_bits = d * b
         if compress_downlink:
             x_bcast = np.zeros(d)
-            down_bits = add_decompressed(
-                x_bcast, spec, x,
-                _message_seed(config.seed, _DOWNLINK_STREAM, k, 0) if seeded else None,
-            )
+            down_bits = add_decompressed(x_bcast, spec, x, next(down_seeds))
             grads = problem.worker_gradients(x_bcast)
 
         agg = np.zeros(d)
-        up_bits = [
-            add_decompressed(
-                agg, spec, grads[i],
-                _message_seed(config.seed, _UPLINK_STREAM, k, i) if seeded else None,
-            )
-            for i in range(n)
-        ]
+        up_bits = [add_decompressed(agg, spec, grads[i], next(up_seeds)) for i in range(n)]
         # One draw per round: the downlink's time first, then each uplink's.
         t_down, *t_up = sample_time(time_model, [down_bits, *up_bits], time_rng).tolist()
 

@@ -123,6 +123,15 @@ class TestFit:
             estimator.read_samples_csv(samples)
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row", ["nan,5", "inf,5", "-inf,5", "2,nan", "2,inf", "2,-inf"])
+    def test_non_finite_sample_names_its_line(self, tmp_path, row):
+        samples = tmp_path / "odd.csv"
+        samples.write_text(f"size_bytes,time_seconds\n1,5\n{row}\n3,9\n")
+        with pytest.raises(ParameterError, match="odd.csv, line 3: non-finite"):
+            estimator.read_samples_csv(samples)
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "fit_trace.csv").exists()
+
     def test_blank_lines_and_extra_columns_are_ignored(self, tmp_path):
         samples = tmp_path / "samples.csv"
         samples.write_text("rep,time_seconds,size_bytes\n0,5,1\n\n1,7,2\n\n")
@@ -344,6 +353,33 @@ def test_simulate_trace_matches_golden_hash(tmp_path, kind, downlink):
     assert digest == GOLDEN_TRACE_SHA256[kind, downlink]
 
 
+# sha256 of trace.csv from MULTI_BLOCK_ARGS, recorded while every message's
+# generator was still built from its own SeedSequence.  50 workers over 100
+# rounds send 5000 uplink messages, more than one block of message states.
+# Never regenerate them from the current code.
+MULTI_BLOCK_ARGS = ["simulate", "--n", "50", "--d", "6", "--steps", "100", "--alpha", "1e-3",
+                    "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "11"]
+MULTI_BLOCK_KIND_ARGS = {"rand_k": ["--k", "2"], "natural": [], "rank_r": ["--r", "1"]}
+MULTI_BLOCK_TRACE_SHA256 = {
+    ("rand_k", False): "4965d71e726e6b64c786dfd6e4fd6a0861c7b7551ee022eed350d6b8383021f5",
+    ("rand_k", True): "044dcc280b8661c0d5ca93c3653afe935df83cfc06331464bebf69820397ad7e",
+    ("natural", False): "47a9fd5ac32620aab98a52379ac5558e477c2ef926fe6bd4649cd78441f5be14",
+    ("natural", True): "9162cd95912d704aa713a473cddfa44345d6bc316afac438d8f72e5849f14c39",
+    ("rank_r", False): "515a4b5ec5a65c058ad9753824212263fb0cb72165f2cb11cacb797b539e3960",
+    ("rank_r", True): "b1899007a7a0182baeda0323d91b799627e49bfaab6b8a20c00b67aa6a6f41e2",
+}
+
+
+@pytest.mark.parametrize("kind,downlink", sorted(MULTI_BLOCK_TRACE_SHA256))
+def test_multi_block_trace_matches_golden_hash(tmp_path, kind, downlink):
+    args = MULTI_BLOCK_ARGS + ["--compressor", kind] + MULTI_BLOCK_KIND_ARGS[kind]
+    if downlink:
+        args.append("--downlink-compressed")
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == MULTI_BLOCK_TRACE_SHA256[kind, downlink]
+
+
 # sha256 of the offline outputs of GOLDEN_OFFLINE_RUNS, recorded while
 # write_csv still went through csv.writer and the sample and fit-trace readers
 # through csv.DictReader.  They pin that every byte stayed the same; never
@@ -558,6 +594,28 @@ class TestManifests:
 def test_non_numeric_range_exit_2(tmp_path, capsys, argv, bad):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1,2"],
+    ["simulate", "--n", "2", "--d", "4", "--steps", "2", "--alpha", "1e-3", "--beta", "1e-8"],
+    ["fit", "--live", "127.0.0.1:1"],
+], ids=["synth", "simulate", "fit-live"])
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_bad_seed_is_usage_error(tmp_path, capsys, argv, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--seed={seed}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_config_seed_exit_2(tmp_path, capsys):
+    config = tmp_path / "sim.cfg"
+    config.write_text("n=2\nd=4\nsteps=2\nalpha=1e-3\nbeta=1e-8\nseed=-1\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "bad value for 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 _REGIONS = ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10"]

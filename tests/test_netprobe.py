@@ -14,6 +14,7 @@ from gradcomm.errors import NetworkError, ParameterError
 from gradcomm.netprobe import (
     ACK,
     PingPongServer,
+    _exchange,
     probe,
     write_samples_csv,
 )
@@ -126,6 +127,46 @@ class TestServer:
 
 
 class TestProbe:
+    def test_frame_is_sent_without_a_copy(self, server):
+        size = server.p_max_bytes - 1
+        tracemalloc.start()
+        try:
+            result = probe("127.0.0.1", server.port, [size], reps=1, warmup=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.error is None
+        # The payload plus the server's 1 MiB drain buffer: rng.bytes(size)
+        # alone holds the payload twice while it builds it.
+        assert peak < 2 * size
+
+    @pytest.mark.parametrize("accepted", [0, 3, 8, 13, 8 + 64])
+    def test_partial_sendmsg_is_finished_from_views(self, accepted):
+        class ShortSendSocket:
+            def __init__(self):
+                self.stream = bytearray()
+                self.sendall_types = []
+
+            def sendmsg(self, buffers):
+                data = b"".join(buffers)[:accepted]
+                self.stream += data
+                return len(data)
+
+            def sendall(self, data):
+                self.sendall_types.append(type(data))
+                self.stream += data
+
+            def recv(self, n):
+                return ACK
+
+        header, payload = struct.pack(">Q", 64), np.random.default_rng(1).bytes(64)
+        sock = ShortSendSocket()
+        _exchange(sock, header, payload)
+        assert bytes(sock.stream) == header + payload
+        # Only the header's tail is sliced; the payload is sent from a view.
+        assert sock.sendall_types == (
+            [bytes, memoryview] if accepted < 8 else [memoryview] if accepted < 72 else [])
+
     def test_reps_zero_returns_empty_without_error(self):
         # no server needed: reps=0 short-circuits before connecting
         result = probe("127.0.0.1", 1, [1024], reps=0)

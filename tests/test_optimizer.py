@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,12 @@ from gradcomm.commodel import TimeModelParams, expected_time
 from gradcomm.compression import CompressorSpec, omega_inf
 from gradcomm.errors import DivergenceError, ParameterError
 from gradcomm.optimizer import (
+    _DOWNLINK_STREAM,
+    _SEED_BLOCK,
+    _UPLINK_STREAM,
     Problem,
     SimConfig,
+    _message_generators,
     closed_form_optimum,
     run_compressed_gd,
 )
@@ -210,3 +215,60 @@ class TestTraceCsv:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[3]) == 0.0
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="seed must be"):
+            SimConfig(steps=1, time_model=QUIET, seed=seed)
+
+    def test_numpy_integer_seed_is_an_int(self):
+        problem = Problem.mean(np.random.default_rng(12).standard_normal((2, 5)))
+        spec = CompressorSpec("rand_k", k=2)
+        plain = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=9, compressor=spec)
+        wide = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=np.uint64(9), compressor=spec)
+        assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, wide).rows
+
+    @pytest.mark.parametrize("steps", [0, 2**32 + 1])
+    def test_steps_out_of_range(self, steps):
+        with pytest.raises(ParameterError, match="steps must be"):
+            SimConfig(steps=steps, time_model=QUIET)
+
+
+def _reference_generator(seed, stream, round_idx, worker):
+    """The per-message rule, one SeedSequence and one default_rng at a time."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx, worker))
+    return np.random.default_rng(int(ss.generate_state(1)[0]))
+
+
+def _first_draws(rng):
+    # The odd uint32 count leaves a buffered half-word, which the next
+    # message's state must clear.
+    return (rng.random(5), rng.choice(1000, 10, replace=False), rng.standard_normal((3, 2)),
+            rng.integers(10, size=3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+@pytest.mark.parametrize("stream", [_UPLINK_STREAM, _DOWNLINK_STREAM])
+@pytest.mark.parametrize("rounds, n_workers", [
+    (range(3), 4),
+    (range(2**16, 2**16 + 2), 3),
+    (range(1), 2**16 + 2),  # one round larger than a block
+    (range(2 * _SEED_BLOCK // 64 + 1), 64),  # two full blocks and a one-round third
+], ids=["from-zero", "rounds-2**16", "workers-2**16", "three-blocks"])
+def test_message_generators_match_seed_sequence(seed, stream, rounds, n_workers):
+    rng = np.random.Generator(np.random.PCG64())
+    messages = itertools.product(rounds, range(n_workers))
+    total = len(rounds) * n_workers
+    generators = _message_generators(rng, seed, stream, rounds, n_workers)
+    for i, ((round_idx, worker), got) in enumerate(zip(messages, generators, strict=True)):
+        assert got is rng
+        # Every message of the small cases; the first, last and block-edge
+        # messages of the large ones.
+        if total > 64 and not (i < 3 or i == total - 1 or i % _SEED_BLOCK in (0, _SEED_BLOCK - 1)):
+            continue
+        want = _reference_generator(seed, stream, round_idx, worker)
+        assert got.bit_generator.state == want.bit_generator.state, (round_idx, worker)
+        for got_draw, want_draw in zip(_first_draws(got), _first_draws(want)):
+            np.testing.assert_array_equal(got_draw, want_draw)
