@@ -31,11 +31,7 @@ from .compression import (
     DenseVector,
     compress,
     decompress,
-    natural_compress,
     omega_inf,
-    rand_k_compress,
-    rank_r_compress,
-    top_k_compress,
 )
 from .netprobe import PingPongServer, ProbeResult, ProbeSample, probe
 from .optimizer import (
@@ -53,8 +49,7 @@ __all__ = [
     "Region", "SpeedupReport", "TimeModelParams", "classify_region", "eta",
     "expected_time", "sample_time", "transition_report",
     "CompressedMessage", "CompressorSpec", "DenseVector", "compress", "decompress",
-    "natural_compress", "omega_inf", "rand_k_compress", "rank_r_compress",
-    "top_k_compress",
+    "omega_inf",
     "PingPongServer", "ProbeResult", "ProbeSample", "probe",
     "Problem", "SimConfig", "SimTrace", "closed_form_optimum",
     "run_compressed_gd",

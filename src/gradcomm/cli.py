@@ -14,8 +14,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import collections
-import csv
 import itertools
 import json
 import math
@@ -28,7 +26,7 @@ import numpy as np
 from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
 from .compression import CompressorSpec
-from .csvio import write_csv
+from .csvio import read_csv, write_csv
 from .errors import (
     ConfigError,
     DegenerateDesignError,
@@ -250,19 +248,12 @@ def cmd_select(args) -> int:
         trace = Path(args.fit)
         if not trace.exists():
             raise ConfigError(f"fit trace not found: {trace}")
-        with open(trace, newline="") as handle:
-            reader = csv.reader(handle)
-            columns = {name: i for i, name in enumerate(next(reader, []))}
-            if not {"alpha_hat", "beta_hat"} <= columns.keys():
-                raise ConfigError(f"fit trace {trace} needs alpha_hat and beta_hat columns")
-            last = collections.deque(filter(None, reader), maxlen=1)  # blank lines skipped
-        if not last:
+        last = None
+        for last in read_csv(trace, ("alpha_hat", "beta_hat")):  # every row is checked
+            pass
+        if last is None:
             raise ConfigError(f"fit trace {trace} has no rows")
-        try:
-            alpha = float(last[0][columns["alpha_hat"]])
-            beta_per_byte = float(last[0][columns["beta_hat"]])
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"fit trace {trace}: bad number in its last row: {exc}") from exc
+        alpha, beta_per_byte = last
     elif args.alpha is not None and args.beta is not None:
         alpha, beta_per_byte = args.alpha, args.beta
     else:

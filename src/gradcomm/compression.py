@@ -1,21 +1,26 @@
 """Gradient compression operators with exact transmitted-bit accounting.
 
-Four operators are implemented alongside an identity baseline:
+``compress(x, spec, seed)`` applies the operator ``spec`` names, and the
+message it returns carries the exact number of bits a real transmission would
+need, from ``message_bits``, the package's one bit formula:
 
-* ``rand_k``  -- unbiased random sparsification; the selected k-subset is
-  reconstructed from a shared seed, so index positions cost zero bits.
-* ``top_k``   -- magnitude sparsification; explicit indices are transmitted
-  at ceil(log2(d)) bits each.
+* ``identity`` -- the full vector: d * b bits.
+* ``rand_k``  -- unbiased random sparsification: a k-subset drawn from the
+  shared seed, scaled by d/k.  The receiver re-derives the subset from the
+  seed, so index positions cost zero bits: k * b.
+* ``top_k``   -- magnitude sparsification: the k largest magnitudes, ties
+  going to the lowest index, with explicit indices at ceil(log2(d)) bits
+  each: k * b + k * ceil(log2(d)).
 * ``natural`` -- stochastic rounding of each scalar to an adjacent power of
-  two; only sign and an 8-bit exponent travel (9 bits per scalar).
+  two, unbiased; only sign and an 8-bit exponent travel: 9 bits per scalar.
 * ``rank_r``  -- low-rank factor transmission: the vector is reshaped into a
-  matrix, one power-iteration step produces factors P and Q, and P @ Q.T is
-  the decompressed approximation.
+  rows x cols matrix (square-ish unless given), one power-iteration step
+  produces factors P and Q, and P @ Q.T is the decompressed approximation:
+  r * (rows + cols) * b bits.
 
-All operations are pure functions; randomness enters only through explicit
-seeds, and every ``CompressedMessage`` carries the exact number of bits a
-real transmission would need.  ``omega_inf`` reports the uncompressed-to-
-compressed bit ratio as an exact rational.
+``decompress`` is the receiver side.  Randomness enters only through explicit
+seeds.  ``omega_inf`` reports the uncompressed-to-compressed bit ratio as an
+exact rational.
 
 ``add_decompressed`` is the in-process twin of ``compress`` followed by
 ``decompress``: it adds the receiver's vector straight into an aggregate.
@@ -124,43 +129,6 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def rand_k_compress(x: DenseVector, k: int, seed) -> CompressedMessage:
-    """Keep a random k-subset of coordinates, scaled by d/k.
-
-    The subset is derived deterministically from ``seed``; a receiver holding
-    the same seed reconstructs the index set, so only the k scaled values are
-    charged: bits = k * bits_per_scalar.
-    """
-    bits = message_bits(CompressorSpec("rand_k", k=k), x.d, x.bits_per_scalar)
-    idx = rand_k_indices(x.d, k, seed)
-    scaled = x.values[idx] * (x.d / k)
-    return CompressedMessage(
-        kind="rand_k",
-        payload={"values": scaled},
-        bits=bits,
-        d=x.d,
-        bits_per_scalar=x.bits_per_scalar,
-        seed=seed,
-    )
-
-
-def top_k_compress(x: DenseVector, k: int) -> CompressedMessage:
-    """Keep the k largest-magnitude coordinates with their explicit indices.
-
-    Ties on equal magnitude break toward the lowest index, which makes the
-    operator a deterministic function.  bits = k*b + k*ceil(log2 d).
-    """
-    bits = message_bits(CompressorSpec("top_k", k=k), x.d, x.bits_per_scalar)
-    idx = top_k_indices(x.values, k)
-    return CompressedMessage(
-        kind="top_k",
-        payload={"values": x.values[idx], "indices": idx.astype(np.int64)},
-        bits=bits,
-        d=x.d,
-        bits_per_scalar=x.bits_per_scalar,
-    )
-
-
 def power_of_two_bounds(magnitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-entry (lower, upper, p_lower) for stochastic power-of-two rounding.
 
@@ -189,17 +157,6 @@ def natural_round(values: np.ndarray, seed) -> np.ndarray:
     lower, upper, p_lower = power_of_two_bounds(np.abs(values))
     u = rng.random(values.size)
     return np.copysign(np.where(u < p_lower, lower, upper), values)
-
-
-def natural_compress(x: DenseVector, seed) -> CompressedMessage:
-    """Stochastic power-of-two rounding; only sign and exponent travel: 9 bits/scalar."""
-    return CompressedMessage(
-        kind="natural",
-        payload={"values": natural_round(x.values, seed)},
-        bits=message_bits(CompressorSpec("natural"), x.d, x.bits_per_scalar),
-        d=x.d,
-        bits_per_scalar=x.bits_per_scalar,
-    )
 
 
 def default_matrix_shape(d: int) -> tuple[int, int]:
@@ -248,40 +205,6 @@ def rank_r_factors(
 def rank_r_expand(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
     """The receiver's vector: P @ Q.T flattened row-major and truncated to d entries."""
     return (p @ q.T).reshape(-1)[:d]
-
-
-def rank_r_compress(
-    x: DenseVector,
-    r: int,
-    rows: int | None = None,
-    cols: int | None = None,
-    seed: int | None = 0,
-) -> CompressedMessage:
-    """Transmit the rank-r factors from :func:`rank_r_factors`.
-
-    bits = r * (rows + cols) * bits_per_scalar.
-    """
-    bits = message_bits(CompressorSpec("rank_r", r=r), x.d, x.bits_per_scalar, rows, cols)
-    rows, cols = _matrix_shape(x.d, rows, cols)
-    p, q = rank_r_factors(x.values, r, rows, cols, seed)
-    return CompressedMessage(
-        kind="rank_r",
-        payload={"p": p, "q": q, "rows": rows, "cols": cols},
-        bits=bits,
-        d=x.d,
-        bits_per_scalar=x.bits_per_scalar,
-    )
-
-
-def identity_compress(x: DenseVector) -> CompressedMessage:
-    """No-op compression: the full vector at d * bits_per_scalar bits."""
-    return CompressedMessage(
-        kind="identity",
-        payload={"values": x.values},
-        bits=message_bits(CompressorSpec(), x.d, x.bits_per_scalar),
-        d=x.d,
-        bits_per_scalar=x.bits_per_scalar,
-    )
 
 
 def decompress(msg: CompressedMessage) -> DenseVector:
@@ -359,17 +282,31 @@ class CompressorSpec:
         raise ParameterError(f"delta is not defined for kind {self.kind!r}")
 
 
-def compress(x: DenseVector, spec: CompressorSpec, seed=None) -> CompressedMessage:
-    """Apply the operator named by ``spec`` to ``x``."""
+def compress(x: DenseVector, spec: CompressorSpec, seed=None,
+             rows: int | None = None, cols: int | None = None) -> CompressedMessage:
+    """Apply the operator named by ``spec`` to ``x``; the message's bits are ``message_bits``.
+
+    ``seed`` draws rand_k's index set (and travels in its message), natural's
+    rounding and rank_r's test matrix (0 when None); identity and top_k ignore
+    it.  ``rows`` and ``cols`` are rank_r's matrix shape, as in ``message_bits``.
+    """
+    bits = message_bits(spec, x.d, x.bits_per_scalar, rows, cols)
     if spec.kind == "identity":
-        return identity_compress(x)
-    if spec.kind == "rand_k":
-        return rand_k_compress(x, spec.k, seed)
-    if spec.kind == "top_k":
-        return top_k_compress(x, spec.k)
-    if spec.kind == "natural":
-        return natural_compress(x, seed)
-    return rank_r_compress(x, spec.r, seed=seed)
+        payload = {"values": x.values}
+    elif spec.kind == "rand_k":
+        idx = rand_k_indices(x.d, spec.k, seed)
+        payload = {"values": x.values[idx] * (x.d / spec.k)}
+    elif spec.kind == "top_k":
+        idx = top_k_indices(x.values, spec.k)
+        payload = {"values": x.values[idx], "indices": idx.astype(np.int64)}
+    elif spec.kind == "natural":
+        payload = {"values": natural_round(x.values, seed)}
+    else:
+        rows, cols = _matrix_shape(x.d, rows, cols)
+        p, q = rank_r_factors(x.values, spec.r, rows, cols, seed)
+        payload = {"p": p, "q": q, "rows": rows, "cols": cols}
+    return CompressedMessage(spec.kind, payload, bits, x.d, x.bits_per_scalar,
+                             seed if spec.kind == "rand_k" else None)
 
 
 def add_decompressed(out: np.ndarray, spec: CompressorSpec, values: np.ndarray,
@@ -412,8 +349,8 @@ def message_bits(
 ) -> int:
     """Closed-form transmitted bits for the operator at dimension d.
 
-    This is the package's one bit formula: every operator, ``omega_inf`` and
-    the power selector take their bit counts from it.
+    This is the package's one bit formula: ``compress``, ``add_decompressed``,
+    ``omega_inf`` and the power selector take their bit counts from it.
     """
     if d < 1 or b < 1:
         raise ParameterError("d and b must be positive integers")

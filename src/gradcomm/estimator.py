@@ -23,12 +23,12 @@ parameters can be tracked.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from . import csvio
 from .errors import DegenerateDesignError, ParameterError
 
 GRID_POINTS = 16
@@ -67,8 +67,8 @@ def fit(state: EstimatorState) -> FitResult:
     w = state.weight
     denom = w * state.s_xx - state.s_x * state.s_x
     # Cauchy-Schwarz keeps denom >= 0; a (near-)zero value means the ingested
-    # sizes no longer vary, so the slope is unidentifiable.
-    if denom <= 1e-12 * w * state.s_xx:
+    # sizes no longer vary, so the slope is unidentifiable.  NaN fails too.
+    if not denom > 1e-12 * w * state.s_xx:
         raise DegenerateDesignError("degenerate design: message sizes do not vary")
     beta = (w * state.s_xy - state.s_x * state.s_y) / denom
     alpha = (state.s_y - beta * state.s_x) / w
@@ -159,29 +159,19 @@ def propose_next_size(count: int, p_max: float, policy: str = "uniform", rng=Non
     raise ParameterError(f"unknown proposal policy: {policy!r}")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
 def read_samples_csv(path) -> list[tuple[float, float]]:
     """Load (size_bits, time_seconds) pairs from a ``size_bytes,time_seconds`` CSV.
 
     Sizes are converted from bytes to bits (x8).  Extra columns such as the
-    probe's ``rep`` are ignored.  A missing, non-numeric or non-finite field
-    raises :class:`ParameterError` naming its line.
+    probe's ``rep`` are ignored.  A missing, non-numeric or non-finite field,
+    or a size whose bits squared or bits times time is not finite (the fit's
+    sums could not hold it), raises :class:`ParameterError` naming its line.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        fields = next(reader, [])
-        columns = {name: i for i, name in enumerate(fields)}  # last one wins, as in DictReader
-        if "size_bytes" not in columns or "time_seconds" not in columns:
-            raise ParameterError(f"{path}: sample CSV must have size_bytes and time_seconds"
-                                 f" columns, got {fields}")
-        size_col, time_col = columns["size_bytes"], columns["time_seconds"]
-        try:
-            return [(_finite(row[size_col]) * 8.0, _finite(row[time_col])) for row in reader if row]
-        except (IndexError, ValueError) as exc:
-            raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from exc
+    rows = csvio.read_csv(path, ("size_bytes", "time_seconds"))
+    samples = []
+    for size, time in rows:
+        bits = size * 8.0
+        if not (math.isfinite(bits * bits) and math.isfinite(bits * time)):
+            rows.throw(ValueError(f"non-finite bits**2 or bits*time for size_bytes {size!r}"))
+        samples.append((bits, time))
+    return samples

@@ -21,15 +21,12 @@ from gradcomm.commodel import TimeModelParams, eta, expected_time, transition_re
 from gradcomm.compression import (
     CompressorSpec,
     DenseVector,
+    compress,
     decompress,
     index_bits,
-    natural_compress,
     omega_inf,
     power_of_two_bounds,
-    rand_k_compress,
     rand_k_indices,
-    rank_r_compress,
-    top_k_compress,
 )
 from gradcomm.netprobe import ACK, PingPongServer, probe
 from gradcomm.optimizer import Problem, SimConfig, closed_form_optimum, run_compressed_gd
@@ -62,13 +59,15 @@ def test_criterion_1_compression_ratio_exactness():
             xm = DenseVector(rng.standard_normal(rows * cols), bits_per_scalar=b)
 
             cases = [
-                (CompressorSpec("rand_k", k=k), rand_k_compress(x, k, seed=1), d, {},
+                (CompressorSpec("rand_k", k=k),
+                 compress(x, CompressorSpec("rand_k", k=k), seed=1), d, {},
                  Fraction(d, k)),
-                (CompressorSpec("top_k", k=k), top_k_compress(x, k), d, {},
+                (CompressorSpec("top_k", k=k), compress(x, CompressorSpec("top_k", k=k)), d, {},
                  Fraction(d * b, k * b + k * index_bits(d))),
-                (CompressorSpec("natural"), natural_compress(x, seed=1), d, {},
+                (CompressorSpec("natural"), compress(x, CompressorSpec("natural"), seed=1), d, {},
                  Fraction(b, 9)),
-                (CompressorSpec("rank_r", r=r), rank_r_compress(xm, r, rows=rows, cols=cols),
+                (CompressorSpec("rank_r", r=r),
+                 compress(xm, CompressorSpec("rank_r", r=r), rows=rows, cols=cols),
                  rows * cols, {"rows": rows, "cols": cols},
                  Fraction(rows * cols, r * (rows + cols))),
             ]
@@ -93,7 +92,8 @@ def test_criterion_2_compression_properties():
                 for seed in range(20_000):
                     key = frozenset(int(i) for i in rand_k_indices(d, k, seed))
                     if key not in seen:
-                        seen[key] = decompress(rand_k_compress(x, k, seed)).values
+                        seen[key] = decompress(
+                            compress(x, CompressorSpec("rand_k", k=k), seed)).values
                     if len(seen) == len(want):
                         break
                 assert set(seen) == want
@@ -107,7 +107,7 @@ def test_criterion_2_compression_properties():
             d = int(rng.integers(2, 33))
             k = int(rng.integers(1, d + 1))
             x = DenseVector(rng.standard_normal(d))
-            err = decompress(top_k_compress(x, k)).values - x.values
+            err = decompress(compress(x, CompressorSpec("top_k", k=k))).values - x.values
             assert np.sum(err**2) <= (1 - k / d) * np.sum(x.values**2) + 1e-12
 
         # natural rounding unbiasedness identity on 10^4 magnitudes, 30 binades

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -123,7 +124,8 @@ class TestFit:
             estimator.read_samples_csv(samples)
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("row", ["nan,5", "inf,5", "-inf,5", "2,nan", "2,inf", "2,-inf"])
+    @pytest.mark.parametrize("row", ["nan,5", "inf,5", "-inf,5", "2,nan", "2,inf", "2,-inf",
+                                     "1e308,3", "1e200,3"])
     def test_non_finite_sample_names_its_line(self, tmp_path, row):
         samples = tmp_path / "odd.csv"
         samples.write_text(f"size_bytes,time_seconds\n1,5\n{row}\n3,9\n")
@@ -619,20 +621,53 @@ def test_negative_config_seed_exit_2(tmp_path, capsys):
 
 
 _REGIONS = ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10"]
+_SIMULATE = ["simulate", "--n", "2", "--d", "4", "--steps", "2"]
+# Every float option of every subcommand, with a finite value for each other
+# required one.  Each case passes its value as --flag=value, so that -inf
+# reaches the program's own check and not argparse's.  fit --live refuses a
+# bad --forgetting before it connects.
+_FLOAT_FLAGS = [
+    (["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1,2"],
+     ["--alpha", "--beta", "--alpha-m", "--beta-m"]),
+    (["fit", "--live", "127.0.0.1:1"], ["--forgetting"]),
+    (["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "100", "--n", "4"],
+     ["--alpha", "--beta"]),
+    (_REGIONS, ["--alpha", "--beta", "--rho", "--omegas"]),
+    (_SIMULATE + ["--alpha", "1e-3", "--beta", "1e-8"],
+     ["--gamma", "--alpha", "--beta", "--alpha-m", "--beta-m"]),
+]
+_SIMULATE_CONFIG = {"n": "2", "d": "4", "steps": "2", "alpha": "1e-3", "beta": "1e-8"}
+_NON_FINITE = ["nan", "inf", "-inf"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--alpha=nan", "--beta", "1e-9", "--sizes", "1,2"],
-    ["synth", "--alpha", "1e-3", "--beta", "inf", "--sizes", "1,2"],
-    ["simulate", "--alpha=nan", "--beta", "1e-8", "--n", "2", "--d", "4", "--steps", "2"],
-    ["regions", "--alpha=nan", "--beta", "1e-8", "--sizes", "10"],
-    _REGIONS + ["--omegas", "nan"],
-    _REGIONS + ["--omegas", "inf"],
-    _REGIONS + ["--rho", "nan"],
+@pytest.mark.parametrize("argv, config", [
+    (["synth", "--alpha=nan", "--beta", "1e-9", "--sizes", "1,2"], None),
+    (["synth", "--alpha", "1e-3", "--beta", "inf", "--sizes", "1,2"], None),
+    (["simulate", "--alpha=nan", "--beta", "1e-8", "--n", "2", "--d", "4", "--steps", "2"], None),
+    (["regions", "--alpha=nan", "--beta", "1e-8", "--sizes", "10"], None),
+    (_REGIONS + ["--omegas", "nan"], None),
+    (_REGIONS + ["--omegas", "inf"], None),
+    (_REGIONS + ["--rho", "nan"], None),
+    *((base + [f"{flag}={value}"], None)
+      for base, flags in _FLOAT_FLAGS for flag in flags for value in _NON_FINITE),
+    *((["simulate"], {**_SIMULATE_CONFIG, key: value})
+      for key in ("gamma", "alpha", "beta", "alpha_m", "beta_m") for value in _NON_FINITE),
 ], ids=["synth-alpha-nan", "synth-beta-inf", "simulate-alpha-nan", "regions-alpha-nan",
-        "regions-omegas-nan", "regions-omegas-inf", "regions-rho-nan"])
-def test_non_finite_input_exit_2(tmp_path, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+        "regions-omegas-nan", "regions-omegas-inf", "regions-rho-nan",
+        *(f"{base[0]}{flag}={value}"
+          for base, flags in _FLOAT_FLAGS for flag in flags for value in _NON_FINITE),
+        *(f"simulate-config-{key}={value}"
+          for key in ("gamma", "alpha", "beta", "alpha_m", "beta_m") for value in _NON_FINITE)])
+def test_non_finite_input_exit_2(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "sim.cfg"
+        path.write_text("".join(f"{key}={value}\n" for key, value in config.items()))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    for written in out.glob("*"):
+        words = set(re.findall(r"[a-z]+", written.read_text().lower()))
+        assert not words & {"nan", "inf", "infinity"}, written
 
 
 def test_no_csv_output_has_crlf_line_ends(tmp_path):

@@ -12,16 +12,11 @@ from gradcomm.compression import (
     compress,
     decompress,
     default_matrix_shape,
-    identity_compress,
     index_bits,
     message_bits,
-    natural_compress,
     omega_inf,
     power_of_two_bounds,
-    rand_k_compress,
     rand_k_indices,
-    rank_r_compress,
-    top_k_compress,
     top_k_indices,
 )
 from gradcomm.errors import DecodeError, ParameterError
@@ -48,7 +43,7 @@ def enumerate_rand_k_outputs(x, k, max_seeds=10_000):
     want = {frozenset(c) for c in itertools.combinations(range(d), k)}
     seen = {}
     for seed in range(max_seeds):
-        msg = rand_k_compress(x, k, seed)
+        msg = compress(x, CompressorSpec("rand_k", k=k), seed)
         key = frozenset(int(i) for i in rand_k_indices(d, k, seed))
         if key not in seen:
             seen[key] = decompress(msg).values
@@ -81,7 +76,7 @@ class TestDenseVector:
 class TestRandK:
     def test_full_selection_is_identity(self):
         x = DenseVector([1.0, 2.0, 3.0, 4.0])
-        msg = rand_k_compress(x, 4, seed=123)
+        msg = compress(x, CompressorSpec("rand_k", k=4), seed=123)
         assert msg.bits == 4 * 32
         np.testing.assert_array_equal(msg.payload["values"], x.values)
         np.testing.assert_array_equal(decompress(msg).values, x.values)
@@ -99,13 +94,13 @@ class TestRandK:
 
     def test_bits_and_seed_required(self):
         x = DenseVector(np.arange(1.0, 11.0))
-        assert rand_k_compress(x, 3, seed=7).bits == 3 * 32
+        assert compress(x, CompressorSpec("rand_k", k=3), seed=7).bits == 3 * 32
         with pytest.raises(ParameterError):
-            rand_k_compress(x, 0, seed=7)
+            compress(x, CompressorSpec("rand_k", k=0), seed=7)
         with pytest.raises(ParameterError):
-            rand_k_compress(x, 11, seed=7)
+            compress(x, CompressorSpec("rand_k", k=11), seed=7)
         with pytest.raises(ParameterError):
-            rand_k_compress(x, 3, seed=None)
+            compress(x, CompressorSpec("rand_k", k=3), seed=None)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 2)])
     def test_exact_unbiasedness_small(self, d, k):
@@ -121,24 +116,24 @@ class TestRandK:
 
 class TestTopK:
     def test_unique_largest_magnitude(self):
-        msg = top_k_compress(DenseVector([3.0, -5.0, 1.0]), 1)
+        msg = compress(DenseVector([3.0, -5.0, 1.0]), CompressorSpec("top_k", k=1))
         np.testing.assert_array_equal(decompress(msg).values, [0.0, -5.0, 0.0])
         np.testing.assert_array_equal(msg.payload["indices"], [1])
 
     def test_tie_breaks_to_lowest_index(self):
-        msg = top_k_compress(DenseVector([2.0, -2.0, 7.0]), 1)
+        msg = compress(DenseVector([2.0, -2.0, 7.0]), CompressorSpec("top_k", k=1))
         np.testing.assert_array_equal(msg.payload["indices"], [2])
-        tie = top_k_compress(DenseVector([2.0, -2.0, 2.0]), 1)
+        tie = compress(DenseVector([2.0, -2.0, 2.0]), CompressorSpec("top_k", k=1))
         np.testing.assert_array_equal(tie.payload["indices"], [0])
         np.testing.assert_array_equal(decompress(tie).values, [2.0, 0.0, 0.0])
 
     def test_bit_count_with_index_overhead(self):
         x = DenseVector(np.arange(1.0, 1025.0))
-        msg = top_k_compress(x, 1)
+        msg = compress(x, CompressorSpec("top_k", k=1))
         assert msg.bits == 1 * 32 + 1 * 10
         assert omega_inf(CompressorSpec("top_k", k=1), 1024) == Fraction(32768, 42)
         # d = 1: addressing a single coordinate costs zero bits
-        assert top_k_compress(DenseVector([5.0]), 1).bits == 32
+        assert compress(DenseVector([5.0]), CompressorSpec("top_k", k=1)).bits == 32
 
     def test_contraction_bound(self):
         rng = np.random.default_rng(4)
@@ -146,32 +141,33 @@ class TestTopK:
             d = int(rng.integers(2, 40))
             k = int(rng.integers(1, d + 1))
             x = DenseVector(rng.standard_normal(d))
-            err = decompress(top_k_compress(x, k)).values - x.values
+            err = decompress(compress(x, CompressorSpec("top_k", k=k))).values - x.values
             assert np.sum(err**2) <= (1 - k / d) * np.sum(x.values**2) + 1e-12
 
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
-            top_k_compress(DenseVector([1.0, 2.0]), 3)
+            compress(DenseVector([1.0, 2.0]), CompressorSpec("top_k", k=3))
 
 
 class TestNatural:
     def test_exact_powers_and_zero_deterministic(self):
         x = DenseVector([1.0, 0.0, 0.25, -8.0, 2.0**-20])
         for seed in range(5):
-            out = decompress(natural_compress(x, seed)).values
+            out = decompress(compress(x, CompressorSpec("natural"), seed)).values
             np.testing.assert_array_equal(out, x.values)
 
     def test_three_rounds_to_two_or_four(self):
         # p(3) = (4 - 3) / 2 = 0.5; expectation 0.5*2 + 0.5*4 = 3
         x = DenseVector(np.full(20_000, 3.0))
-        out = decompress(natural_compress(x, seed=11)).values
+        out = decompress(compress(x, CompressorSpec("natural"), seed=11)).values
         assert set(np.unique(out)) == {2.0, 4.0}
         frac_low = np.mean(out == 2.0)
         assert abs(frac_low - 0.5) < 3 * 0.5 / np.sqrt(out.size)
         assert abs(out.mean() - 3.0) < 3 * 1.0 / np.sqrt(out.size)
 
     def test_negative_values_keep_sign(self):
-        out = decompress(natural_compress(DenseVector([-3.0] * 1000), seed=2)).values
+        out = decompress(
+            compress(DenseVector([-3.0] * 1000), CompressorSpec("natural"), seed=2)).values
         assert set(np.unique(out)) == {-4.0, -2.0}
 
     def test_unbiasedness_identity_across_binades(self):
@@ -183,7 +179,7 @@ class TestNatural:
 
     def test_bits_are_nine_per_scalar(self):
         x = DenseVector(np.linspace(0.1, 5.0, 17))
-        msg = natural_compress(x, seed=0)
+        msg = compress(x, CompressorSpec("natural"), seed=0)
         assert msg.bits == 9 * 17
         assert omega_inf(CompressorSpec("natural"), 17) == Fraction(32, 9)
 
@@ -194,53 +190,54 @@ class TestRankR:
         u, v = rng.standard_normal(8), rng.standard_normal(5)
         mat = np.outer(u, v)
         x = DenseVector(mat.reshape(-1))
-        out = decompress(rank_r_compress(x, 1, rows=8, cols=5)).values
+        out = decompress(compress(x, CompressorSpec("rank_r", r=1), rows=8, cols=5)).values
         np.testing.assert_allclose(out, x.values, rtol=1e-9, atol=1e-9 * np.abs(mat).max())
 
     def test_zero_matrix_roundtrip(self):
         x = DenseVector(np.zeros(12))
         for r in (1, 2, 3):
-            out = decompress(rank_r_compress(x, r, rows=4, cols=3)).values
+            out = decompress(compress(x, CompressorSpec("rank_r", r=r), rows=4, cols=3)).values
             np.testing.assert_array_equal(out, np.zeros(12))
 
     def test_bits_and_omega(self):
         x = DenseVector(np.random.default_rng(0).standard_normal(10_000))
-        msg = rank_r_compress(x, 1, rows=100, cols=100)
+        msg = compress(x, CompressorSpec("rank_r", r=1), rows=100, cols=100)
         assert msg.bits == 1 * 200 * 32
         assert omega_inf(CompressorSpec("rank_r", r=1), 10_000, rows=100, cols=100) == 50
 
     def test_default_shape_padding(self):
         assert default_matrix_shape(10) == (4, 3)
         x = DenseVector(np.arange(1.0, 11.0))
-        msg = rank_r_compress(x, 1)
+        msg = compress(x, CompressorSpec("rank_r", r=1))
         assert msg.payload["rows"] == 4 and msg.payload["cols"] == 3
         assert decompress(msg).d == 10
 
     def test_rank_out_of_range(self):
         x = DenseVector(np.ones(12))
         with pytest.raises(ParameterError):
-            rank_r_compress(x, 4, rows=4, cols=3)
+            compress(x, CompressorSpec("rank_r", r=4), rows=4, cols=3)
         with pytest.raises(ParameterError):
-            rank_r_compress(x, 1, rows=3, cols=3)
+            compress(x, CompressorSpec("rank_r", r=1), rows=3, cols=3)
 
     def test_deterministic_for_fixed_seed(self):
         x = DenseVector(np.random.default_rng(1).standard_normal(30))
-        a = rank_r_compress(x, 2)
-        b = rank_r_compress(x, 2)
+        a = compress(x, CompressorSpec("rank_r", r=2))
+        b = compress(x, CompressorSpec("rank_r", r=2))
         assert same_message(a, b)
 
 
 class TestDecompress:
     def test_identity_bit_identical(self):
         x = DenseVector(np.random.default_rng(5).standard_normal(9))
-        np.testing.assert_array_equal(decompress(identity_compress(x)).values, x.values)
+        np.testing.assert_array_equal(
+            decompress(compress(x, CompressorSpec("identity"))).values, x.values)
 
     def test_rand_k_seed_selecting_first_coordinate(self):
         x = DenseVector([6.0, 8.0])
         seed = next(
             s for s in range(100) if rand_k_indices(2, 1, s)[0] == 0
         )
-        msg = rand_k_compress(x, 1, seed)
+        msg = compress(x, CompressorSpec("rand_k", k=1), seed)
         np.testing.assert_array_equal(decompress(msg).values, [12.0, 0.0])
 
     def test_malformed_payloads(self):
@@ -285,9 +282,10 @@ class TestSpecAndRatios:
             x = DenseVector(rng.standard_normal(d), bits_per_scalar=b)
             k = int(rng.integers(1, d + 1))
             cases = [
-                (CompressorSpec("rand_k", k=k), rand_k_compress(x, k, seed=3), {}),
-                (CompressorSpec("top_k", k=k), top_k_compress(x, k), {}),
-                (CompressorSpec("natural"), natural_compress(x, seed=3), {}),
+                (CompressorSpec("rand_k", k=k),
+                 compress(x, CompressorSpec("rand_k", k=k), seed=3), {}),
+                (CompressorSpec("top_k", k=k), compress(x, CompressorSpec("top_k", k=k)), {}),
+                (CompressorSpec("natural"), compress(x, CompressorSpec("natural"), seed=3), {}),
             ]
             rows = int(rng.integers(1, 15))
             cols = int(rng.integers(1, 15))
@@ -296,7 +294,7 @@ class TestSpecAndRatios:
             cases.append(
                 (
                     CompressorSpec("rank_r", r=r),
-                    rank_r_compress(xm, r, rows=rows, cols=cols),
+                    compress(xm, CompressorSpec("rank_r", r=r), rows=rows, cols=cols),
                     {"rows": rows, "cols": cols},
                 )
             )
@@ -317,10 +315,10 @@ class TestSpecAndRatios:
             b = 32
             x = DenseVector(rng.standard_normal(d), bits_per_scalar=b)
             k = int(rng.integers(1, d + 1))
-            assert rand_k_compress(x, k, seed=1).bits <= d * b
-            assert natural_compress(x, seed=1).bits <= d * b
+            assert compress(x, CompressorSpec("rand_k", k=k), seed=1).bits <= d * b
+            assert compress(x, CompressorSpec("natural"), seed=1).bits <= d * b
             if k * (b + index_bits(d)) <= d * b:
-                assert top_k_compress(x, k).bits <= d * b
+                assert compress(x, CompressorSpec("top_k", k=k)).bits <= d * b
 
 
 class TestDeterminism:
@@ -328,22 +326,19 @@ class TestDeterminism:
         rng = np.random.default_rng(31)
         x = DenseVector(rng.standard_normal(24))
         pairs = [
-            (rand_k_compress(x, 5, seed=42), rand_k_compress(x, 5, seed=42)),
-            (top_k_compress(x, 5), top_k_compress(x, 5)),
-            (natural_compress(x, seed=42), natural_compress(x, seed=42)),
-            (rank_r_compress(x, 2, rows=6, cols=4), rank_r_compress(x, 2, rows=6, cols=4)),
-            (identity_compress(x), identity_compress(x)),
+            (compress(x, CompressorSpec("rand_k", k=5), seed=42),
+             compress(x, CompressorSpec("rand_k", k=5), seed=42)),
+            (compress(x, CompressorSpec("top_k", k=5)), compress(x, CompressorSpec("top_k", k=5))),
+            (compress(x, CompressorSpec("natural"), seed=42),
+             compress(x, CompressorSpec("natural"), seed=42)),
+            (compress(x, CompressorSpec("rank_r", r=2), rows=6, cols=4),
+             compress(x, CompressorSpec("rank_r", r=2), rows=6, cols=4)),
+            (compress(x, CompressorSpec("identity")), compress(x, CompressorSpec("identity"))),
         ]
         for a, b in pairs:
             assert same_message(a, b)
-        assert not same_message(rand_k_compress(x, 5, seed=42), rand_k_compress(x, 5, seed=43))
-
-    def test_dispatcher_matches_direct_calls(self):
-        x = DenseVector(np.random.default_rng(2).standard_normal(12))
-        assert same_message(compress(x, CompressorSpec("rand_k", k=3), seed=9),
-                            rand_k_compress(x, 3, seed=9))
-        assert same_message(compress(x, CompressorSpec("top_k", k=3)), top_k_compress(x, 3))
-        assert same_message(compress(x, CompressorSpec("identity")), identity_compress(x))
+        assert not same_message(compress(x, CompressorSpec("rand_k", k=5), seed=42),
+                                compress(x, CompressorSpec("rand_k", k=5), seed=43))
 
 
 def bits_of(a: np.ndarray) -> bytes:
@@ -405,7 +400,8 @@ class TestAddDecompressed:
             add_decompressed(out, CompressorSpec("top_k", k=k), values)
             assert bits_of(out) == bits_of(dense), k
             np.testing.assert_array_equal(
-                top_k_compress(DenseVector(values), k).payload["indices"], expected)
+                compress(DenseVector(values), CompressorSpec("top_k", k=k)).payload["indices"],
+                expected)
 
     def test_invalid_power_and_missing_seed_rejected(self):
         out = np.zeros(4)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from gradcomm.csvio import write_csv
+from gradcomm.csvio import read_csv, write_csv
+from gradcomm.errors import ParameterError
 
 
 class TestWriteCsv:
@@ -38,3 +39,18 @@ def test_same_bytes_as_csv_writer(value):
     written = io.StringIO()
     write_csv(written, "a,b,c", rows)
     assert written.getvalue() == expected.getvalue()
+
+
+class TestReadCsv:
+    def test_columns_by_name_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("b,a,c,a\n1,2,x,3\n\n4,5,y,6\n\n")
+        assert list(read_csv(path, ("a", "b"))) == [[3.0, 1.0], [6.0, 4.0]]
+
+    def test_error_thrown_into_the_rows_names_their_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("a\n1\n\n2\n3\n")
+        rows = read_csv(path, ("a",))
+        assert next(rows) == [1.0] and next(rows) == [2.0]
+        with pytest.raises(ParameterError, match="in.csv, line 4: too large"):
+            rows.throw(ValueError("too large"))

@@ -49,6 +49,14 @@ class TestStart:
             state = estimator.advance(state, x, y)
         assert estimator.fit(state).k == 3
 
+    def test_overflowed_sums_are_degenerate(self):
+        # s_xx and s_x**2 overflow to inf, so the design determinant is NaN.
+        state = estimator.start(p_max=float("inf"))
+        for x, y in ((1e200, 1.0), (1e300, 2.0)):
+            state = estimator.advance(state, x, y)
+        with pytest.raises(DegenerateDesignError):
+            estimator.fit(state)
+
 
 class TestInit:
     def test_example_sums(self):
