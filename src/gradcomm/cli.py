@@ -282,10 +282,9 @@ def cmd_regions(args) -> int:
     out = _out_dir(args)
     params = _time_model(args.alpha, args.beta)
     sizes = parse_sizes(args.sizes)
-    regions_path = out / "regions.csv"
     bits = [size * BITS_PER_BYTE for size in sizes]
-    write_csv(regions_path, "size_bits,region",
-              ((s, commodel.classify_region(params, s, args.rho).value) for s in bits))
+    # Classify and tabulate first: a bad --rho or --omegas writes no file.
+    regions = [(s, commodel.classify_region(params, s, args.rho).value) for s in bits]
     if args.omegas:
         try:
             omegas = [float(w) for w in args.omegas.split(",")]
@@ -294,6 +293,8 @@ def cmd_regions(args) -> int:
     else:
         omegas = [float(w) for w in np.geomspace(1.0, 1e6, 61)]
     curve = commodel.transition_report(params, max(bits), sorted(omegas), args.rho)
+    regions_path = out / "regions.csv"
+    write_csv(regions_path, "size_bits,region", regions)
     speedup_path = out / "speedup.csv"
     curve.to_csv(speedup_path)
     config = {"alpha": args.alpha, "beta": args.beta, "sizes": args.sizes,

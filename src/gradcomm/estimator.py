@@ -65,6 +65,8 @@ def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
 def fit(state: EstimatorState) -> FitResult:
     """Current coefficients from the running sums alone."""
     w = state.weight
+    if not math.isfinite(w * state.s_xx):
+        raise DegenerateDesignError("degenerate design: the running sums overflowed")
     denom = w * state.s_xx - state.s_x * state.s_x
     # Cauchy-Schwarz keeps denom >= 0; a (near-)zero value means the ingested
     # sizes no longer vary, so the slope is unidentifiable.  NaN fails too.
@@ -103,8 +105,8 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
 
     Yields ``(state, fit)`` for every sample from the first one at which the
     sizes vary.  A later fit that forgetting has made degenerate comes as
-    ``(state, None)``.  A stream whose sizes never vary raises
-    :class:`DegenerateDesignError` once it ends.
+    ``(state, None)``.  Overflowed sums raise :class:`DegenerateDesignError`
+    at once, a stream whose sizes never vary once it ends.
     """
     state = start(p_max, forgetting)
     identified = False
@@ -113,6 +115,8 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
         try:
             result = fit(state)
         except DegenerateDesignError:
+            if not math.isfinite(state.weight * state.s_xx):
+                raise  # fit's overflow: no later sample brings the sums back
             if not identified:
                 continue
             result = None

@@ -1,14 +1,14 @@
 """Synchronous distributed gradient descent simulator with communication timing.
 
 Each round the server broadcasts the iterate, every worker computes its local
-gradient (optionally compressed for the uplink), and the server averages the
-received vectors.  Simulated wall-clock time charges one downlink transmission
-plus the maximum of the n parallel uplink transmissions per round; gradient
-compute time is charged as zero.  Bit accounting uses the compressors' exact
-message sizes.  Each compressed gradient, and a compressed downlink's iterate,
-is reconstructed in-process by ``compression.add_decompressed``, from the same
-operator code and seeds as a message round trip, so the trace is identical to
-one.
+gradient of a diagonal quadratic ``Problem`` (optionally compressed for the
+uplink), and the server averages the received vectors.  Simulated wall-clock
+time charges one downlink transmission plus the maximum of the n parallel
+uplink transmissions per round; gradient compute time is charged as zero.
+Bit accounting uses the compressors' exact message sizes.  Each compressed
+gradient, and a compressed downlink's iterate, is reconstructed in-process by
+``compression.add_decompressed``, from the same operator code and seeds as a
+message round trip, so the trace is identical to one.
 
 Message (round, worker) of a seeded compressor draws from
 ``default_rng(int(SeedSequence(seed, spawn_key=(stream, round, worker))
@@ -66,18 +66,23 @@ TRACE_CSV_HEADER = "round,objective,grad_norm,wall_clock_s,uplink_bits,downlink_
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Finite-sum quadratic: f(x) = (1/n) * sum_i f_i(x).
+    """Finite-sum diagonal quadratic: f(x) = (1/n) * sum_i 0.5 * sum_j h_j * (x_j - a_ij)**2.
 
-    Two flavors: the mean problem f_i(x) = 0.5*||x - a_i||^2 (targets set) and
-    general PSD quadratics f_i(x) = 0.5*x'A_i x - b_i'x (mats/vecs set).  Both
-    have a closed-form minimizer, used as the test oracle.
+    Worker i holds row a_i of ``targets`` (n, d); the positive ``curvature``
+    h (length d) is shared, so the minimizer is the mean target, L = max h and
+    mu = min h.  ``mean`` is the problem with h = 1.
     """
 
-    n: int
-    d: int
-    targets: np.ndarray | None = None
-    mats: np.ndarray | None = None
-    vecs: np.ndarray | None = None
+    targets: np.ndarray
+    curvature: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.targets.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.targets.shape[1]
 
     @classmethod
     def mean(cls, targets) -> "Problem":
@@ -86,52 +91,41 @@ class Problem:
             raise ParameterError("targets must be an (n, d) array with n, d >= 1")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("targets must be finite")
-        return cls(n=arr.shape[0], d=arr.shape[1], targets=arr)
+        return cls(targets=arr, curvature=np.ones(arr.shape[1]))
 
     @classmethod
     def random_quadratic(cls, n: int, d: int, seed=0) -> "Problem":
+        """Standard normal targets and h ~ U(0.5, 5), so mu >= 0.5 and L/mu <= 10."""
         rng = np.random.default_rng(seed)
-        mats = np.empty((n, d, d))
-        for i in range(n):
-            m = rng.standard_normal((d, d))
-            mats[i] = m @ m.T / d + 0.5 * np.eye(d)
-        vecs = rng.standard_normal((n, d))
-        return cls(n=n, d=d, mats=mats, vecs=vecs)
+        return cls(targets=rng.standard_normal((n, d)), curvature=rng.uniform(0.5, 5.0, d))
 
-    def worker_gradients(self, x: np.ndarray) -> np.ndarray:
-        """All n local gradients at x, stacked as an (n, d) array."""
-        if self.targets is not None:
-            return x[None, :] - self.targets
-        return np.einsum("nij,j->ni", self.mats, x) - self.vecs
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(x) and the n local gradients at x, from one pass over x - targets."""
+        diff = x - self.targets
+        grads = diff * self.curvature
+        diff *= grads  # h * (x - a)**2 in place: no third (n, d) array
+        return float(0.5 * np.mean(np.sum(diff, axis=1))), grads
 
     def objective(self, x: np.ndarray) -> float:
-        if self.targets is not None:
-            diff = x[None, :] - self.targets
-            return float(0.5 * np.mean(np.sum(diff * diff, axis=1)))
-        quad = 0.5 * np.einsum("i,nij,j->n", x, self.mats, x)
-        return float(np.mean(quad - self.vecs @ x))
+        return self.evaluate(x)[0]
+
+    def worker_gradients(self, x: np.ndarray) -> np.ndarray:
+        """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array."""
+        grads = x - self.targets
+        grads *= self.curvature
+        return grads
 
     def smoothness(self) -> float:
-        """L = largest eigenvalue of the averaged Hessian."""
-        if self.targets is not None:
-            return 1.0
-        return float(np.linalg.eigvalsh(self.mats.mean(axis=0)).max())
+        """L = largest eigenvalue of the averaged Hessian diag(h)."""
+        return float(self.curvature.max())
 
     def strong_convexity(self) -> float:
-        if self.targets is not None:
-            return 1.0
-        return float(np.linalg.eigvalsh(self.mats.mean(axis=0)).min())
+        return float(self.curvature.min())
 
 
 def closed_form_optimum(problem: Problem) -> tuple[np.ndarray, float]:
-    """Exact minimizer and optimal value."""
-    if problem.targets is not None:
-        x_star = problem.targets.mean(axis=0)
-    else:
-        try:
-            x_star = np.linalg.solve(problem.mats.mean(axis=0), problem.vecs.mean(axis=0))
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError("averaged quadratic system is singular") from exc
+    """Exact minimizer (the mean target) and optimal value."""
+    x_star = problem.targets.mean(axis=0)
     return x_star, problem.objective(x_star)
 
 
@@ -309,11 +303,10 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     wall = 0.0
     up_total = 0
     down_total = 0
-    # Gradients at the current iterate: they give the trace's grad_norm and,
-    # with an exact downlink, the next round's worker gradients.
-    grads = problem.worker_gradients(x)
-    rows = [TraceRow(0, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))),
-                     0.0, 0, 0)]
+    # One pass gives the iterate's objective and gradients; the gradients give
+    # grad_norm and, with an exact downlink, the next round's worker gradients.
+    obj, grads = problem.evaluate(x)
+    rows = [TraceRow(0, obj, float(np.linalg.norm(grads.mean(axis=0))), 0.0, 0, 0)]
     for k in range(config.steps):
         down_bits = d * b
         if compress_downlink:
@@ -323,6 +316,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
 
         agg = np.zeros(d)
         up_bits = [add_decompressed(agg, spec, grads[i], next(up_seeds)) for i in range(n)]
+        del grads  # freed before the next evaluate builds two (n, d) arrays
         # One draw per round: the downlink's time first, then each uplink's.
         t_down, *t_up = sample_time(time_model, [down_bits, *up_bits], time_rng).tolist()
 
@@ -330,13 +324,12 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         wall += t_down + max(t_up)
         up_total += sum(up_bits)
         down_total += down_bits
-        obj = problem.objective(x)
+        obj, grads = problem.evaluate(x)
         if not obj <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {k + 1}; "
                 "reduce the stepsize"
             )
-        grads = problem.worker_gradients(x)
         grad_norm = float(np.linalg.norm(grads.mean(axis=0)))
         rows.append(TraceRow(k + 1, obj, grad_norm, wall, up_total, down_total))
     return SimTrace(rows=rows, final_x=x)

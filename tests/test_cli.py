@@ -134,6 +134,15 @@ class TestFit:
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "fit_trace.csv").exists()
 
+    def test_overflowed_sums_are_named(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("size_bytes,time_seconds\n1,2\n1e153,3\n1e153,4\n1e153,5\n5,4\n")
+        rc = main(["fit", "--samples", str(samples), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "running sums overflowed" in err and "forgetting" not in err
+        assert not (tmp_path / "fit_trace.csv").exists()
+
     def test_blank_lines_and_extra_columns_are_ignored(self, tmp_path):
         samples = tmp_path / "samples.csv"
         samples.write_text("rep,time_seconds,size_bytes\n0,5,1\n\n1,7,2\n\n")
@@ -247,6 +256,15 @@ class TestRegions:
         rc = main(["regions", "--alpha", "0", "--beta", "0", "--sizes", "10",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", [["--rho=nan"], ["--rho", "0.5"], ["--omegas", "2,nan"],
+                                     ["--omegas", "0.5"]])
+    def test_bad_input_writes_no_file(self, tmp_path, bad):
+        out = tmp_path / "out"
+        rc = main(["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10,100",
+                   *bad, "--out", str(out)])
+        assert rc == 2
+        assert list(out.iterdir()) == []
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,20 @@ class TestRunningFits:
         for samples in ([], [(5.0, 1.0)], [(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)]):
             with pytest.raises(DegenerateDesignError, match="all message sizes are equal"):
                 list(estimator.running_fits(samples, p_max=10))
+
+    @pytest.mark.parametrize("head", [[(8.0, 2.0)], []], ids=["after-first-fit", "before"])
+    def test_overflowed_sums_raise_at_once(self, head):
+        # Each 8e153-bit size squares to a finite 6.4e307; three of them
+        # overflow s_xx, and no later sample can bring it back.
+        samples = head + [(8e153, 3.0), (8e153, 4.0), (8e153, 5.0), (40.0, 4.0)]
+        fits = estimator.running_fits(iter(samples), p_max=1e154)
+        with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
+            for state, _ in fits:
+                assert math.isfinite(state.s_xx)
+        overflowed = estimator.start(1e154)._replace(count=3, weight=3.0, s_x=2.4e154,
+                                                     s_xx=math.inf)
+        with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
+            estimator.fit(overflowed)
 
     def test_washed_out_fit_comes_as_none(self):
         samples = [(10.0, 1.0), (1000.0, 2.0)] + [(500.0, 1.5)] * 100

@@ -50,7 +50,45 @@ class TestProblem:
         x_star, f_star = closed_form_optimum(problem)
         grad = problem.worker_gradients(x_star).mean(axis=0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-10)
+        assert 10 * problem.strong_convexity() >= problem.smoothness()
         assert problem.smoothness() >= problem.strong_convexity() >= 0.5
+
+    def test_mean_has_unit_curvature(self):
+        problem = Problem.mean(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(problem.curvature, np.ones(3))
+        assert (problem.n, problem.d) == (2, 3)
+        assert problem.smoothness() == problem.strong_convexity() == 1.0
+
+    @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (3, 5, 1), (4, 6, 3), (7, 2, 11)])
+    def test_matches_dense_reference(self, n, d, seed):
+        problem = Problem.random_quadratic(n, d, seed=seed)
+        # The dense form f_i(x) = 0.5*x'A x - b_i'x + c_i with A = diag(h),
+        # b_i = A a_i and c_i = 0.5*a_i'A a_i, in its own formulas.
+        hess = np.diag(problem.curvature)
+        vecs = problem.targets @ hess
+        consts = 0.5 * np.einsum("ni,ij,nj->n", problem.targets, hess, problem.targets)
+        eigs = np.linalg.eigvalsh(hess)
+        x_ref = np.linalg.solve(hess, vecs.mean(axis=0))
+        for x in np.random.default_rng(seed).standard_normal((3, d)):
+            want_f = np.mean(0.5 * x @ hess @ x - vecs @ x + consts)
+            assert problem.objective(x) == pytest.approx(want_f, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(problem.worker_gradients(x), hess @ x - vecs,
+                                       rtol=1e-12, atol=1e-12)
+            f, grads = problem.evaluate(x)
+            assert f == problem.objective(x)
+            np.testing.assert_array_equal(grads, problem.worker_gradients(x))
+        assert problem.smoothness() == eigs.max()
+        assert problem.strong_convexity() == eigs.min()
+        x_star, f_star = closed_form_optimum(problem)
+        np.testing.assert_allclose(x_star, x_ref, rtol=1e-12, atol=1e-12)
+        want_star = np.mean(0.5 * x_ref @ hess @ x_ref - vecs @ x_ref + consts)
+        assert f_star == pytest.approx(want_star, rel=1e-12, abs=1e-12)
+
+    def test_random_quadratic_holds_n_plus_one_rows(self):
+        n, d = 16, 100_000
+        problem = Problem.random_quadratic(n, d, seed=0)
+        assert problem.targets.shape == (n, d) and problem.curvature.shape == (d,)
+        assert problem.targets.nbytes + problem.curvature.nbytes == (n + 1) * d * 8
 
 
 class TestRunGd:
@@ -119,7 +157,8 @@ class TestRunGd:
             run_compressed_gd(problem, config)
 
     def test_nan_objective_counts_as_divergence(self):
-        problem = Problem(n=1, d=2, mats=np.eye(2)[None], vecs=np.array([[math.nan, 0.0]]))
+        # Built directly: Problem.mean refuses a non-finite target.
+        problem = Problem(targets=np.array([[math.nan, 0.0]]), curvature=np.ones(2))
         config = SimConfig(steps=3, time_model=QUIET, gamma=0.5)
         with pytest.raises(DivergenceError, match="objective nan"):
             run_compressed_gd(problem, config)
