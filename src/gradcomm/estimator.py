@@ -116,7 +116,7 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
             result = fit(state)
         except DegenerateDesignError:
             if not math.isfinite(state.weight * state.s_xx):
-                raise  # fit's overflow: no later sample brings the sums back
+                raise  # fit's overflow: refused, not waited out like a washed-out design
             if not identified:
                 continue
             result = None

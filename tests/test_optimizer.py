@@ -62,8 +62,8 @@ class TestProblem:
     @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (3, 5, 1), (4, 6, 3), (7, 2, 11)])
     def test_matches_dense_reference(self, n, d, seed):
         problem = Problem.random_quadratic(n, d, seed=seed)
-        # The dense form f_i(x) = 0.5*x'A x - b_i'x + c_i with A = diag(h),
-        # b_i = A a_i and c_i = 0.5*a_i'A a_i, in its own formulas.
+        # Oracle: the same problem in dense form, f_i(x) = 0.5*x'A x - b_i'x + c_i
+        # with A = diag(h), b_i = A a_i and c_i = 0.5*a_i'A a_i.
         hess = np.diag(problem.curvature)
         vecs = problem.targets @ hess
         consts = 0.5 * np.einsum("ni,ij,nj->n", problem.targets, hess, problem.targets)
