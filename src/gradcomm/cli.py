@@ -122,8 +122,10 @@ def parse_sizes(text: str) -> list[int]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"bad size range {text!r}: {exc}") from exc
-        if lo < 1 or hi < lo or count < 1:
+        if not 1 <= lo <= hi or count < 1:
             raise ConfigError(f"invalid size range {text!r}")
+        if not hi < 2**63:  # the sizes are int64
+            raise ConfigError(f"size range {text!r} reaches 2**63 bytes")
         grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(np.int64))
         return [int(s) for s in grid]
     try:

@@ -23,9 +23,10 @@ seeds.  ``omega_inf`` reports the uncompressed-to-compressed bit ratio as an
 exact rational.
 
 ``add_decompressed`` is the in-process twin of ``compress`` followed by
-``decompress``: it adds the receiver's vector straight into an aggregate.
-Both paths build their values from the same index, rounding and factor
-helpers, so each operator's math exists once.
+``decompress`` for a whole round of messages: it adds each receiver's vector
+straight into an aggregate, one call per round.  Both paths build their
+values from the same index, rounding and factor helpers, so each operator's
+math exists once.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ NATURAL_BITS_PER_SCALAR = 9
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
 # The operators that draw from their seed; the others ignore it.
 RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
+# Most values that one stacked batch of rank_r matrices holds, and that one
+# chunk of the simulator's objective pass holds; a batch or chunk takes whole
+# rows, at least one.  It bounds the batch temporaries (2**16 values are
+# 512 KiB), so a large gradient does not raise peak memory.
+BATCH_VALUES = 1 << 16
 
 
 def index_bits(d: int) -> int:
@@ -129,20 +135,24 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def power_of_two_bounds(magnitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def power_of_two_bounds(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-entry (lower, upper, p_lower) for stochastic power-of-two rounding.
 
-    For a magnitude a in (2^e, 2^(e+1)) the bounds are the enclosing powers of
-    two and the lower one is taken with probability (upper - a) / lower, which
-    makes the rounding unbiased.  Exact powers of two and zeros round to
-    themselves (p_lower = 0 and both bounds coincide).
+    An entry v = m * 2^e (``np.frexp``: 0.5 <= |m| < 1) lies between lower =
+    sign(v) * 2^(e-1) and upper = 2 * lower, and taking lower with probability
+    p_lower = 2 - 2|m| makes the rounding unbiased.  That p_lower is exact and
+    equals (|upper| - |v|) / |lower|: Sterbenz's lemma covers the subtraction,
+    and scaling by a power of two is exact.  An exact power of two is its own
+    lower bound with p_lower = 1; a zero is both of its bounds, sign included.
+    From 2^1023 up, where 2 * lower is not a float, upper = lower.
     """
-    a = np.asarray(magnitudes, dtype=np.float64)
-    mantissa, exponent = np.frexp(a)
-    exact = (mantissa == 0.5) | (a == 0.0)
-    lower = np.where(exact, a, np.ldexp(0.5, exponent))
-    upper = np.where(exact, a, np.ldexp(1.0, exponent))
-    p_lower = np.where(exact, 0.0, (upper - a) / np.where(exact, 1.0, lower))
+    mantissa, exponent = np.frexp(values)
+    unit = np.trunc(mantissa + mantissa)  # sign(v) as +-1, or v itself when v is +-0
+    lower = np.ldexp(unit, exponent - 1)
+    upper = np.ldexp(unit, np.minimum(exponent, 1023))
+    p_lower = np.abs(mantissa, out=mantissa)
+    p_lower *= -2.0
+    p_lower += 2.0
     return lower, upper, p_lower
 
 
@@ -151,12 +161,12 @@ def natural_round(values: np.ndarray, seed) -> np.ndarray:
 
     Each entry independently becomes sign(x) * 2^floor(log2|x|) with the
     probability from :func:`power_of_two_bounds`, else sign(x) * 2^ceil(log2|x|).
-    Zero stays zero.
+    Zero stays zero, and entries from 2^1023 up round down.
     """
     rng = np.random.default_rng(seed)
-    lower, upper, p_lower = power_of_two_bounds(np.abs(values))
+    lower, upper, p_lower = power_of_two_bounds(values)
     u = rng.random(values.size)
-    return np.copysign(np.where(u < p_lower, lower, upper), values)
+    return np.where(u < p_lower, lower, upper)
 
 
 def default_matrix_shape(d: int) -> tuple[int, int]:
@@ -172,39 +182,55 @@ def _matrix_shape(d: int, rows: int | None, cols: int | None) -> tuple[int, int]
     return default_matrix_shape(d) if rows is None or cols is None else (rows, cols)
 
 
-def _orthonormalize_columns(m: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt; numerically dead columns are zeroed, not divided."""
-    q = np.array(m, dtype=np.float64, copy=True)
-    for j in range(q.shape[1]):
+def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on the columns of each matrix of the stack q, in place.
+
+    Numerically dead columns are zeroed, not divided.  Each matrix comes out
+    bit for bit as it would alone: every column dot product runs on the
+    strides of one matrix, and each norm is the sqrt of the dot of a
+    contiguous copy of its column, which is how ``np.linalg.norm`` takes it.
+    """
+    for j in range(q.shape[2]):
+        col = q[:, :, j]
         for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = np.linalg.norm(q[:, j])
-        if norm > 1e-300:
-            q[:, j] /= norm
-        else:
-            q[:, j] = 0.0
+            prev = q[:, :, i]
+            col -= (prev[:, None, :] @ col[:, :, None])[:, 0] * prev
+        flat = np.ascontiguousarray(col)
+        norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+        alive = norm > 1e-300
+        col[alive] /= norm[alive, None]
+        col[~alive] = 0.0
     return q
 
 
 def rank_r_factors(
-    values: np.ndarray, r: int, rows: int, cols: int, seed
+    values: np.ndarray, r: int, rows: int, cols: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors P (rows x r, orthonormal columns) and Q = X.T @ P of the reshaped vector.
+    """Stacked factors P (m, rows, r) and Q (m, cols, r) of the m rows of ``values``.
 
-    The vector fills a rows x cols matrix X row-major with zero padding; one
-    power iteration against a Gaussian test matrix seeded by ``seed`` (0 when
-    None) yields P.
+    Each row fills a rows x cols matrix X row-major with zero padding; one
+    power iteration against a Gaussian test matrix drawn from the row's seed,
+    the next of the iterator ``seeds`` (0 when None), yields P with
+    orthonormal columns, and Q = X.T @ P.  The matrix products run stacked
+    and give each matrix's product bit for bit.
     """
-    mat = np.zeros((rows, cols))
-    mat.flat[: values.size] = values
-    test = np.random.default_rng(0 if seed is None else seed).standard_normal((cols, r))
-    p = _orthonormalize_columns(mat @ test)
-    return p, mat.T @ p
+    m = values.shape[0]
+    mats = np.zeros((m, rows, cols))
+    mats.reshape(m, -1)[:, : values.shape[1]] = values
+    tests = np.empty((m, cols, r))
+    for test in tests:
+        seed = next(seeds)
+        np.random.default_rng(0 if seed is None else seed).standard_normal(out=test)
+    p = _orthonormalize_columns(mats @ tests)
+    return p, np.swapaxes(mats, 1, 2) @ p
 
 
 def rank_r_expand(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
-    """The receiver's vector: P @ Q.T flattened row-major and truncated to d entries."""
-    return (p @ q.T).reshape(-1)[:d]
+    """The receiver's vector: P @ Q.T flattened row-major and truncated to d entries.
+
+    Stacked factors give one vector per matrix, stacked the same way.
+    """
+    return (p @ np.swapaxes(q, -1, -2)).reshape(*p.shape[:-2], -1)[..., :d]
 
 
 def decompress(msg: CompressedMessage) -> DenseVector:
@@ -303,40 +329,54 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None,
         payload = {"values": natural_round(x.values, seed)}
     else:
         rows, cols = _matrix_shape(x.d, rows, cols)
-        p, q = rank_r_factors(x.values, spec.r, rows, cols, seed)
-        payload = {"p": p, "q": q, "rows": rows, "cols": cols}
+        p, q = rank_r_factors(x.values[None], spec.r, rows, cols, iter([seed]))
+        payload = {"p": p[0], "q": q[0], "rows": rows, "cols": cols}
     return CompressedMessage(spec.kind, payload, bits, x.d, x.bits_per_scalar,
                              seed if spec.kind == "rand_k" else None)
 
 
-def add_decompressed(out: np.ndarray, spec: CompressorSpec, values: np.ndarray,
-                     seed=None) -> int:
-    """Add the receiver's vector C(values) into ``out``; return the message's bits.
+def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, seeds) -> int:
+    """Add C(row) for each row of ``rows`` into ``out``; return one message's bits.
 
-    Same result, bit for bit, as ``out += decompress(compress(DenseVector(values),
-    spec, seed)).values``, from the same seed and helpers, but no message is
-    built: rand_k draws its index set once, and the sparse kinds touch only
-    their k coordinates (adding the other coordinates' zeros changes nothing
-    unless ``out`` holds a negative zero).  ``values`` must be finite.
-    ``seed`` is what ``np.random.default_rng`` takes: an int, or a Generator,
-    which the operator draws from as it stands.
+    ``rows`` is (m, d), one message per row, such as a round's worker
+    gradients.  ``seeds`` is an iterator with one seed per row; the kinds
+    that draw (rand_k, natural, rank_r) take them in row order, and identity
+    and top_k never touch it.  A seed is what ``np.random.default_rng``
+    takes: an int, or a Generator, which the operator draws from as it
+    stands.  ``rows`` must be finite.
+
+    Same result, bit for bit, as adding ``decompress(compress(DenseVector(row),
+    spec, seed)).values`` into ``out`` row after row, from the same seeds and
+    helpers, but no message is built: rand_k draws its index set once, and
+    the sparse kinds touch only their k coordinates (adding the other
+    coordinates' zeros changes nothing unless ``out`` holds a negative zero).
+    rank_r factors its messages in stacked batches of whole rows, up to
+    ``BATCH_VALUES`` padded matrix entries per batch and at least one row.
     """
-    d = values.size
+    d = rows.shape[1]
     bits = message_bits(spec, d)
     if spec.kind == "identity":
-        out += values
+        for row in rows:
+            out += row
     elif spec.kind == "rand_k":
-        idx = rand_k_indices(d, spec.k, seed)
-        out[idx] += values[idx] * (d / spec.k)
+        scale = d / spec.k
+        for row in rows:
+            idx = rand_k_indices(d, spec.k, next(seeds))
+            out[idx] += row[idx] * scale
     elif spec.kind == "top_k":
-        idx = top_k_indices(values, spec.k)
-        out[idx] += values[idx]
+        for row in rows:
+            idx = top_k_indices(row, spec.k)
+            out[idx] += row[idx]
     elif spec.kind == "natural":
-        out += natural_round(values, seed)
+        for row in rows:
+            out += natural_round(row, next(seeds))
     else:
-        rows, cols = default_matrix_shape(d)
-        p, q = rank_r_factors(values, spec.r, rows, cols, seed)
-        out += rank_r_expand(p, q, d)
+        shape = default_matrix_shape(d)
+        step = max(1, BATCH_VALUES // (shape[0] * shape[1]))
+        for start in range(0, rows.shape[0], step):
+            p, q = rank_r_factors(rows[start:start + step], spec.r, *shape, seeds)
+            for row in rank_r_expand(p, q, d):
+                out += row
     return bits
 
 

@@ -62,11 +62,18 @@ def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
                           p_max=p_max, forgetting=forgetting)
 
 
+def _overflowed(state: EstimatorState) -> bool:
+    """Whether a product ``fit`` forms from the running sums is not finite."""
+    w = state.weight
+    return not (math.isfinite(w * state.s_xx) and math.isfinite(w * state.s_xy)
+                and math.isfinite(state.s_x * state.s_y))
+
+
 def fit(state: EstimatorState) -> FitResult:
     """Current coefficients from the running sums alone."""
-    w = state.weight
-    if not math.isfinite(w * state.s_xx):
+    if _overflowed(state):
         raise DegenerateDesignError("degenerate design: the running sums overflowed")
+    w = state.weight
     denom = w * state.s_xx - state.s_x * state.s_x
     # Cauchy-Schwarz keeps denom >= 0; a (near-)zero value means the ingested
     # sizes no longer vary, so the slope is unidentifiable.  NaN fails too.
@@ -115,7 +122,7 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
         try:
             result = fit(state)
         except DegenerateDesignError:
-            if not math.isfinite(state.weight * state.s_xx):
+            if _overflowed(state):
                 raise  # fit's overflow: refused, not waited out like a washed-out design
             if not identified:
                 continue

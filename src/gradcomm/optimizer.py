@@ -5,10 +5,14 @@ gradient of a diagonal quadratic ``Problem`` (optionally compressed for the
 uplink), and the server averages the received vectors.  Simulated wall-clock
 time charges one downlink transmission plus the maximum of the n parallel
 uplink transmissions per round; gradient compute time is charged as zero.
-Bit accounting uses the compressors' exact message sizes.  Each compressed
-gradient, and a compressed downlink's iterate, is reconstructed in-process by
-``compression.add_decompressed``, from the same operator code and seeds as a
-message round trip, so the trace is identical to one.
+Bit accounting uses the compressors' exact message sizes.  The round's
+compressed gradients are reconstructed in-process by one
+``compression.add_decompressed`` call, and a compressed downlink's iterate by
+another, from the same operator code and seeds as message round trips, so
+the trace is identical to one.  A run allocates one (n, d) gradient buffer,
+which ``Problem.evaluate`` fills every round; the objective pass works
+through a scratch array of at most ``compression.BATCH_VALUES`` values, so
+no second (n, d) array lives across rounds.
 
 Message (round, worker) of a seeded compressor draws from
 ``default_rng(int(SeedSequence(seed, spawn_key=(stream, round, worker))
@@ -29,6 +33,7 @@ import numpy as np
 
 from .commodel import TimeModelParams, sample_time
 from .compression import (
+    BATCH_VALUES,
     DEFAULT_BITS_PER_SCALAR,
     RANDOMIZED_KINDS,
     CompressorSpec,
@@ -99,19 +104,37 @@ class Problem:
         rng = np.random.default_rng(seed)
         return cls(targets=rng.standard_normal((n, d)), curvature=rng.uniform(0.5, 5.0, d))
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(x) and the n local gradients at x, from one pass over x - targets."""
-        diff = x - self.targets
-        grads = diff * self.curvature
-        diff *= grads  # h * (x - a)**2 in place: no third (n, d) array
-        return float(0.5 * np.mean(np.sum(diff, axis=1))), grads
+    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """f(x) and the n local gradients at x, from one pass over x - targets.
+
+        The gradients fill ``out`` (n, d) when it is given, else a new array.
+        The pass takes whole rows, up to ``BATCH_VALUES`` values at a time
+        (at least one row), through one scratch array for x - a_i, so the
+        objective needs no second (n, d) array.  Each row's sum does not
+        depend on that chunking.
+        """
+        grads = np.empty_like(self.targets) if out is None else out
+        step = max(1, BATCH_VALUES // self.d)
+        diff = np.empty((min(step, self.n), self.d))
+        sums = np.empty(self.n)
+        for start in range(0, self.n, step):
+            stop = min(start + step, self.n)
+            part = diff[: stop - start]
+            np.subtract(x, self.targets[start:stop], out=part)
+            np.multiply(part, self.curvature, out=grads[start:stop])
+            part *= grads[start:stop]  # h * (x - a)**2
+            part.sum(axis=1, out=sums[start:stop])
+        return float(0.5 * np.mean(sums)), grads
 
     def objective(self, x: np.ndarray) -> float:
         return self.evaluate(x)[0]
 
-    def worker_gradients(self, x: np.ndarray) -> np.ndarray:
-        """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array."""
-        grads = x - self.targets
+    def worker_gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array.
+
+        They fill ``out`` when it is given, else a new array.
+        """
+        grads = np.subtract(x, self.targets, out=out)
         grads *= self.curvature
         return grads
 
@@ -303,28 +326,29 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     wall = 0.0
     up_total = 0
     down_total = 0
-    # One pass gives the iterate's objective and gradients; the gradients give
-    # grad_norm and, with an exact downlink, the next round's worker gradients.
-    obj, grads = problem.evaluate(x)
+    # The one (n, d) array that lives across rounds.  One pass fills it with
+    # the iterate's gradients and gives its objective; the gradients give
+    # grad_norm and, with an exact downlink, the next round's uplink.
+    grads = np.empty((n, d))
+    obj, _ = problem.evaluate(x, out=grads)
     rows = [TraceRow(0, obj, float(np.linalg.norm(grads.mean(axis=0))), 0.0, 0, 0)]
     for k in range(config.steps):
         down_bits = d * b
         if compress_downlink:
             x_bcast = np.zeros(d)
-            down_bits = add_decompressed(x_bcast, spec, x, next(down_seeds))
-            grads = problem.worker_gradients(x_bcast)
+            down_bits = add_decompressed(x_bcast, spec, x[None], down_seeds)
+            problem.worker_gradients(x_bcast, out=grads)
 
         agg = np.zeros(d)
-        up_bits = [add_decompressed(agg, spec, grads[i], next(up_seeds)) for i in range(n)]
-        del grads  # freed before the next evaluate builds two (n, d) arrays
+        up_bits = add_decompressed(agg, spec, grads, up_seeds)
         # One draw per round: the downlink's time first, then each uplink's.
-        t_down, *t_up = sample_time(time_model, [down_bits, *up_bits], time_rng).tolist()
+        t_down, *t_up = sample_time(time_model, [down_bits] + [up_bits] * n, time_rng).tolist()
 
         x = x - gamma * (agg / n)
         wall += t_down + max(t_up)
-        up_total += sum(up_bits)
+        up_total += n * up_bits
         down_total += down_bits
-        obj, grads = problem.evaluate(x)
+        obj, _ = problem.evaluate(x, out=grads)
         if not obj <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {k + 1}; "

@@ -8,8 +8,8 @@ import pytest
 
 from gradcomm import estimator, netprobe
 from gradcomm.adaptive import SelectionObjective, predicted_cost
-from gradcomm.cli import main
-from gradcomm.errors import ParameterError
+from gradcomm.cli import main, parse_sizes
+from gradcomm.errors import ConfigError, ParameterError
 from gradcomm.netprobe import PingPongServer, probe
 
 
@@ -141,6 +141,14 @@ class TestFit:
         assert rc == 3
         err = capsys.readouterr().err
         assert "running sums overflowed" in err and "forgetting" not in err
+        assert not (tmp_path / "fit_trace.csv").exists()
+
+    def test_overflowed_time_sums_are_named(self, tmp_path, capsys):
+        # Each bits * time passes the reader; their sum s_xy does not fit.
+        samples = tmp_path / "samples.csv"
+        samples.write_text("size_bytes,time_seconds\n1,1e307\n2,1e307\n")
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 3
+        assert "running sums overflowed" in capsys.readouterr().err
         assert not (tmp_path / "fit_trace.csv").exists()
 
     def test_blank_lines_and_extra_columns_are_ignored(self, tmp_path):
@@ -400,6 +408,38 @@ def test_multi_block_trace_matches_golden_hash(tmp_path, kind, downlink):
     assert digest == MULTI_BLOCK_TRACE_SHA256[kind, downlink]
 
 
+# sha256 of trace.csv from BATCHED_ARGS, recorded before the simulator added
+# a whole round's messages in one call.  70 workers at d = 1000 are 70 000
+# values a round, more than one batch of them.  Never regenerate them from
+# the current code.
+BATCHED_ARGS = ["simulate", "--n", "70", "--d", "1000", "--steps", "3", "--alpha", "1e-3",
+                "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "5"]
+BATCHED_KIND_ARGS = {"identity": [], "rand_k": ["--k", "50"], "top_k": ["--k", "50"],
+                     "natural": [], "rank_r": ["--r", "2"]}
+BATCHED_TRACE_SHA256 = {
+    ("identity", False): "a454df64ced573ba2c483d04093481c0889e76a337b4b62586aec0d93de55ebf",
+    ("identity", True): "a454df64ced573ba2c483d04093481c0889e76a337b4b62586aec0d93de55ebf",
+    ("rand_k", False): "88b8bb70d259fc93308c0ecca6ea7fef92ffbcac1d640ffc34fd381e16a35b9e",
+    ("rand_k", True): "803e3bb6737088fb293e3211b0016dd565371189a177e07d1d447060cf5b4318",
+    ("top_k", False): "2d56f7ebd4846fdddf059786117f4e36729b0e26b948cedc3fb3af8d7b4eab7a",
+    ("top_k", True): "df8a2ca631fdebd8ae9f3e8c9e72c923ac4fc454a5cfd143119bdb0380938319",
+    ("natural", False): "0eb0ba397eaff7e10d39cacb1e812f1f4bce965ecceb6070f8238f3483a798d4",
+    ("natural", True): "46ded8184ca2121488fced50343ea0e70aa0fb9b3d71f09f315b8c44d8d218f9",
+    ("rank_r", False): "ccb6cadea40139cd24a0a6970e14c2833351066edb4fc9c716680c21d2fcdf04",
+    ("rank_r", True): "cd928a93373e23297000b397872bd928916242591cc87858b4fc78a3e140993b",
+}
+
+
+@pytest.mark.parametrize("kind,downlink", sorted(BATCHED_TRACE_SHA256))
+def test_batched_trace_matches_golden_hash(tmp_path, kind, downlink):
+    args = BATCHED_ARGS + ["--compressor", kind] + BATCHED_KIND_ARGS[kind]
+    if downlink:
+        args.append("--downlink-compressed")
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == BATCHED_TRACE_SHA256[kind, downlink]
+
+
 # sha256 of the offline outputs of GOLDEN_OFFLINE_RUNS, recorded while
 # write_csv still went through csv.writer and the sample and fit-trace readers
 # through csv.DictReader.  They pin that every byte stayed the same; never
@@ -614,6 +654,25 @@ class TestManifests:
 def test_non_numeric_range_exit_2(tmp_path, capsys, argv, bad):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1:1e300:3"],
+    ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1:1e20:3"],
+    ["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1:inf:3"],
+], ids=["synth", "regions", "synth-inf"])
+def test_size_range_reaching_2_63_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    text = argv[argv.index("--sizes") + 1]
+    assert f"size range {text!r} reaches 2**63 bytes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_size_range_stops_below_2_63():
+    below = 2.0**63 - 1024  # the largest float below 2**63
+    assert parse_sizes(f"1:{below!r}:2") == [1, int(below)]
+    with pytest.raises(ConfigError, match="reaches 2"):
+        parse_sizes(f"1:{2.0**63!r}:2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,34 @@ class TestNatural:
         np.testing.assert_allclose(p * lower + (1 - p) * upper, mags, rtol=1e-12)
         assert np.all(lower <= mags) and np.all(mags <= upper)
 
+    @pytest.mark.filterwarnings("error")
+    def test_edge_values_round_without_overflow(self):
+        tiny, big, top = 5e-324, np.finfo(np.float64).max, 2.0**1023
+        # value, every output it may round to.  2**1024 is not a float, so
+        # entries from 2**1023 up round down to it.
+        table = [
+            (0.0, [0.0]), (-0.0, [-0.0]),
+            (tiny, [tiny]), (-tiny, [-tiny]),
+            (3 * tiny, [2 * tiny, 4 * tiny]),
+            (-0.75 * 2.0**-1022, [-0.5 * 2.0**-1022, -(2.0**-1022)]),
+            (2.0**-1022, [2.0**-1022]), (1.0, [1.0]), (-0.25, [-0.25]),
+            (top, [top]), (-top, [-top]),
+            (1.5 * top, [top]), (big, [top]), (-big, [-top]),
+        ]
+        values = np.array([value for value, _ in table])
+        lower, upper, _ = power_of_two_bounds(values)
+        below_top = np.abs(values) < top
+        assert np.all(np.abs(lower) <= np.abs(values))
+        assert np.all(np.abs(values[below_top]) <= np.abs(upper[below_top]))
+        np.testing.assert_array_equal(upper[~below_top], lower[~below_top])
+        for seed in range(20):
+            out = decompress(compress(DenseVector(values), CompressorSpec("natural"), seed)).values
+            for got, (value, allowed) in zip(out, table):
+                assert bits_of(got) in {bits_of(a) for a in allowed}, value
+            summed = np.zeros(values.size)
+            add_decompressed(summed, CompressorSpec("natural"), values[None], iter([seed]))
+            np.testing.assert_array_equal(summed, out)
+
     def test_bits_are_nine_per_scalar(self):
         x = DenseVector(np.linspace(0.1, 5.0, 17))
         msg = compress(x, CompressorSpec("natural"), seed=0)
@@ -370,11 +398,11 @@ class TestAddDecompressed:
             msg = compress(DenseVector(values), spec, seed)
             dense = decompress(msg).values
             out = np.zeros(d)
-            assert add_decompressed(out, spec, values, seed) == msg.bits
+            assert add_decompressed(out, spec, values[None], iter([seed])) == msg.bits
             assert bits_of(out) == bits_of(dense), spec
             # The simulator's use: accumulate into a running sum.
             out = base.copy()
-            add_decompressed(out, spec, values, seed)
+            add_decompressed(out, spec, values[None], iter([seed]))
             assert bits_of(out) == bits_of(base + dense), spec
 
     def test_top_k_ignores_seed(self):
@@ -383,7 +411,7 @@ class TestAddDecompressed:
         dense = decompress(compress(DenseVector(values), spec)).values
         for seed in (None, 0, 99):
             out = np.zeros(50)
-            add_decompressed(out, spec, values, seed)
+            add_decompressed(out, spec, values[None], iter([seed]))
             assert bits_of(out) == bits_of(dense)
 
     @pytest.mark.parametrize("d", [1, 2, 17, 1000])
@@ -397,7 +425,7 @@ class TestAddDecompressed:
             dense = np.zeros(d)
             dense[expected] = values[expected]
             out = np.zeros(d)
-            add_decompressed(out, CompressorSpec("top_k", k=k), values)
+            add_decompressed(out, CompressorSpec("top_k", k=k), values[None], iter([None]))
             assert bits_of(out) == bits_of(dense), k
             np.testing.assert_array_equal(
                 compress(DenseVector(values), CompressorSpec("top_k", k=k)).payload["indices"],
@@ -405,10 +433,47 @@ class TestAddDecompressed:
 
     def test_invalid_power_and_missing_seed_rejected(self):
         out = np.zeros(4)
+        rows = np.ones((2, 4))
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("top_k", k=5), np.ones(4))
+            add_decompressed(out, CompressorSpec("top_k", k=5), rows, iter([None, None]))
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("rank_r", r=3), np.ones(4))
+            add_decompressed(out, CompressorSpec("rank_r", r=3), rows, iter([0, 1]))
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("rand_k", k=2), np.ones(4), seed=None)
+            add_decompressed(out, CompressorSpec("rand_k", k=2), rows, iter([None, None]))
         assert not out.any()
+
+    @pytest.mark.parametrize("d, m", [
+        *itertools.product([1, 2, 6, 17, 1000], [1, 3, 130]),
+        (70_000, 2),  # one row is more than a batch of values
+    ])
+    def test_round_equals_row_by_row_round_trips(self, d, m):
+        # Rows cycle through Gaussian, all-zero (rank_r's dead columns) and
+        # integer (tied top_k boundary) vectors.  d = 1000 with m = 130 pads
+        # 1024-entry matrices, so rank_r works through three batches.
+        rng = np.random.default_rng([d, m])
+        rows = rng.standard_normal((m, d))
+        rows[1::3] = 0.0
+        rows[2::3] = rng.integers(-3, 4, size=rows[2::3].shape)
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=m)]
+        base = rng.standard_normal(d)
+        for spec in fused_specs(d):
+            want = base.copy()
+            for row, seed in zip(rows, seeds):
+                msg = compress(DenseVector(row), spec, seed)
+                want += decompress(msg).values
+            out = base.copy()
+            assert add_decompressed(out, spec, rows, iter(seeds)) == msg.bits
+            assert bits_of(out) == bits_of(want), spec
+
+    @pytest.mark.parametrize("kind", ["rand_k", "natural", "rank_r"])
+    def test_draws_one_seed_per_row_in_order(self, kind):
+        spec = CompressorSpec(kind, k=3 if kind == "rand_k" else None,
+                              r=1 if kind == "rank_r" else None)
+        rows = np.random.default_rng(5).standard_normal((4, 9))
+        seeds = iter([10, 11, 12, 13, 14])
+        forward, backward = np.zeros(9), np.zeros(9)
+        add_decompressed(forward, spec, rows, seeds)
+        assert next(seeds) == 14
+        # Rows reversed with their seeds reversed add the same messages.
+        add_decompressed(backward, spec, rows[::-1], iter([13, 12, 11, 10]))
+        np.testing.assert_allclose(forward, backward, rtol=1e-12, atol=1e-12)

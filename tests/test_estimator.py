@@ -317,3 +317,17 @@ class TestCsv:
         path.write_text("size_bytes,time_seconds\n1,5\n2,fast\n")
         with pytest.raises(ParameterError, match="bad.csv, line 3"):
             estimator.read_samples_csv(path)
+
+
+@pytest.mark.parametrize("samples", [
+    [(8.0, 1e307), (16.0, 1e307)],  # s_xy overflows, s_xx does not
+    [(8.0, 1.0), (1e154, 3.0), (1e154, 4.0)],  # s_xx overflows
+], ids=["s_xy", "s_xx"])
+def test_overflowed_sums_raise_in_fit_and_running_fits(samples):
+    state = estimator.start(1e300)
+    for x, y in samples:
+        state = estimator.advance(state, x, y)
+    with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
+        estimator.fit(state)
+    with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
+        list(estimator.running_fits(samples, 1e300))

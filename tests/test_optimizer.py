@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcomm.commodel import TimeModelParams, expected_time
-from gradcomm.compression import CompressorSpec, omega_inf
+from gradcomm.compression import BATCH_VALUES, CompressorSpec, omega_inf
 from gradcomm.errors import DivergenceError, ParameterError
 from gradcomm.optimizer import (
     _DOWNLINK_STREAM,
@@ -83,6 +83,24 @@ class TestProblem:
         np.testing.assert_allclose(x_star, x_ref, rtol=1e-12, atol=1e-12)
         want_star = np.mean(0.5 * x_ref @ hess @ x_ref - vecs @ x_ref + consts)
         assert f_star == pytest.approx(want_star, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n, d, chunks", [(70, 1000, 2), (3, 70_000, 3), (130, 6, 1)])
+    def test_evaluate_into_buffer_is_bitwise(self, n, d, chunks):
+        assert -(-n // max(1, BATCH_VALUES // d)) == chunks  # chunks of the pass
+        problem = Problem.random_quadratic(n, d, seed=n)
+        x = np.random.default_rng(d).standard_normal(d)
+        buf = np.full((n, d), np.nan)
+        f_buf, grads_buf = problem.evaluate(x, out=buf)
+        f, grads = problem.evaluate(x)
+        assert grads_buf is buf and grads is not buf
+        # The unchunked pass: x - targets as one (n, d) array.
+        diff = x - problem.targets
+        want_grads = diff * problem.curvature
+        diff *= want_grads
+        want_f = float(0.5 * np.mean(np.sum(diff, axis=1)))
+        assert f_buf == f == want_f
+        assert buf.tobytes() == grads.tobytes() == want_grads.tobytes()
+        assert problem.worker_gradients(x, out=np.empty((n, d))).tobytes() == buf.tobytes()
 
     def test_random_quadratic_holds_n_plus_one_rows(self):
         n, d = 16, 100_000
