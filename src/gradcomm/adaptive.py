@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import estimator
-from .compression import CompressorSpec, message_bits
+from .compression import DEFAULT_BITS_PER_SCALAR, CompressorSpec, message_bits
 from .errors import ParameterError
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
@@ -44,7 +44,7 @@ class SelectionObjective:
     n: int
     alpha: float
     beta: float
-    b: int = 32
+    b: int = DEFAULT_BITS_PER_SCALAR
 
     def __post_init__(self):
         if self.family not in SELECTION_FAMILIES:

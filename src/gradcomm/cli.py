@@ -7,8 +7,8 @@ out.  Every run writes a manifest next to its outputs recording the resolved
 configuration, seed (null for subcommands that draw no random numbers),
 output names, and tool version.
 
-Exit codes: 0 success, 2 usage/config error, 3 degenerate data, 4 network
-error.
+Exit codes: 0 success, 2 usage/config error or an unusable path (the error
+names it), 3 degenerate data, 4 network error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
-from .compression import CompressorSpec
+from .compression import DEFAULT_BITS_PER_SCALAR, KINDS, CompressorSpec
 from .csvio import read_csv, write_csv
 from .errors import (
     ConfigError,
@@ -51,8 +51,18 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-# Flat config keys accepted by `simulate`, with their parsers.  Unknown keys
-# are rejected outright so an experiment cannot run silently misconfigured.
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+# Flat config keys accepted by `simulate`, with their parsers; each simulate
+# flag stores under its key.  Unknown keys are rejected outright so an
+# experiment cannot run silently misconfigured.
 _CONFIG_KEYS = {
     "n": int,
     "d": int,
@@ -66,7 +76,7 @@ _CONFIG_KEYS = {
     "alpha_m": float,
     "beta_m": float,
     "seed": non_negative_int,
-    "downlink_compressed": None,  # bool, parsed specially
+    "downlink_compressed": _parse_bool,
 }
 
 _PROBLEM_STREAM = 3  # SeedSequence spawn key for synthetic problem data
@@ -81,19 +91,8 @@ JCURVE_CHUNK = 1 << 16
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def read_config(path: Path) -> dict:
     """Parse a flat key=value config file; unknown keys are errors."""
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     config = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,9 +103,8 @@ def read_config(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        parser = _CONFIG_KEYS[key]
         try:
-            config[key] = _parse_bool(value) if parser is None else parser(value)
+            config[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return config
@@ -165,21 +163,18 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     out = _out_dir(args)
     params = _time_model(args.alpha, args.beta, args.alpha_m, args.beta_m)
-    sizes = parse_sizes(args.sizes)
+    sizes = [size for size in parse_sizes(args.sizes) for _ in range(args.reps)]
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for size in sizes:
-        times = commodel.sample_time(params, [size * BITS_PER_BYTE] * args.reps, rng)
-        rows.extend((size, t) for t in times.tolist())
+    times = commodel.sample_time(params, np.array(sizes, dtype=np.float64) * BITS_PER_BYTE, rng)
     path = out / "samples.csv"
-    write_csv(path, "size_bytes,time_seconds", rows)
+    write_csv(path, "size_bytes,time_seconds", zip(sizes, times.tolist()))
     config = {
         "alpha": args.alpha, "beta": args.beta,
         "alpha_m": args.alpha_m, "beta_m": args.beta_m,
         "sizes": args.sizes, "reps": args.reps,
     }
     _write_manifest(out, "synth", config, args.seed, [path.name])
-    print(f"wrote {len(rows)} samples to {path}")
+    print(f"wrote {len(sizes)} samples to {path}")
     return EXIT_OK
 
 
@@ -195,8 +190,6 @@ def cmd_fit(args) -> int:
     else:
         if args.samples is None:
             raise ConfigError("fit needs --samples PATH or --live HOST:PORT")
-        if not Path(args.samples).exists():
-            raise ConfigError(f"samples file not found: {args.samples}")
         samples = estimator.read_samples_csv(args.samples)
         p_max = max((x for x, _ in samples), default=1.0)
         config = {"samples": args.samples, "forgetting": args.forgetting}
@@ -247,14 +240,11 @@ def candidate_powers(d: int):
 def cmd_select(args) -> int:
     out = _out_dir(args)
     if args.fit is not None:
-        trace = Path(args.fit)
-        if not trace.exists():
-            raise ConfigError(f"fit trace not found: {trace}")
         last = None
-        for last in read_csv(trace, ("alpha_hat", "beta_hat")):  # every row is checked
+        for last in read_csv(args.fit, ("alpha_hat", "beta_hat")):  # every row is checked
             pass
         if last is None:
-            raise ConfigError(f"fit trace {trace} has no rows")
+            raise ConfigError(f"fit trace {args.fit} has no rows")
         alpha, beta_per_byte = last
     elif args.alpha is not None and args.beta is not None:
         alpha, beta_per_byte = args.alpha, args.beta
@@ -308,26 +298,16 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    config = read_config(Path(args.config)) if args.config else {}
-    overrides = {
-        "n": args.n, "d": args.d, "steps": args.steps, "gamma": args.gamma,
-        "compressor.kind": args.compressor, "compressor.k": args.k,
-        "compressor.r": args.r, "alpha": args.alpha, "beta": args.beta,
-        "alpha_m": args.alpha_m, "beta_m": args.beta_m,
-        "downlink_compressed": args.downlink_compressed or None,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+    # The optional keys' defaults, then the config file, then the flags given.
+    config = {"alpha_m": 0.0, "beta_m": 0.0, "compressor.kind": "identity",
+              "downlink_compressed": False, "seed": 0,
+              **(read_config(Path(args.config)) if args.config else {}),
+              **{key: value for key, value in vars(args).items()
+                 if key in _CONFIG_KEYS and value is not None}}
     missing = [key for key in ("n", "d", "steps", "alpha", "beta") if key not in config]
     if missing:
         raise ConfigError(f"simulate needs values for: {', '.join(missing)}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    config["seed"] = seed
-    config.setdefault("alpha_m", 0.0)
-    config.setdefault("beta_m", 0.0)
-    config.setdefault("compressor.kind", "identity")
-    config.setdefault("downlink_compressed", False)
+    seed = config["seed"]
 
     params = _time_model(config["alpha"], config["beta"], config["alpha_m"], config["beta_m"])
     spec = CompressorSpec(
@@ -442,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=adaptive.SELECTION_FAMILIES, default="rand_k")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, default=32)
+    p.add_argument("--b", type=int, default=DEFAULT_BITS_PER_SCALAR)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("regions", parents=[writes],
@@ -460,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--compressor", default=None,
-                   choices=("identity", "rand_k", "top_k", "natural", "rank_r"))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--compressor", default=None, choices=KINDS, dest="compressor.kind")
+    p.add_argument("--k", type=int, default=None, dest="compressor.k", metavar="K")
+    p.add_argument("--r", type=int, default=None, dest="compressor.r", metavar="R")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None, help="seconds per byte")
     p.add_argument("--alpha-m", type=float, default=None, dest="alpha_m")
     p.add_argument("--beta-m", type=float, default=None, dest="beta_m")
-    p.add_argument("--downlink-compressed", action="store_true", dest="downlink_compressed")
+    p.add_argument("--downlink-compressed", action="store_const", const=True, default=None,
+                   dest="downlink_compressed")
     p.add_argument("--seed", type=non_negative_int, default=None,
                    help="randomness seed (default: the config's seed, else 0)")
     p.add_argument("--config", default=None, help="flat key=value config file")
@@ -525,6 +505,12 @@ def main(argv=None) -> int:
     except NetworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
+    except OSError as exc:  # a path that cannot be read or written as asked
+        if exc.filename is None:
+            raise
+        problem = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {exc.filename}: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -135,38 +135,28 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def power_of_two_bounds(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-entry (lower, upper, p_lower) for stochastic power-of-two rounding.
-
-    An entry v = m * 2^e (``np.frexp``: 0.5 <= |m| < 1) lies between lower =
-    sign(v) * 2^(e-1) and upper = 2 * lower, and taking lower with probability
-    p_lower = 2 - 2|m| makes the rounding unbiased.  That p_lower is exact and
-    equals (|upper| - |v|) / |lower|: Sterbenz's lemma covers the subtraction,
-    and scaling by a power of two is exact.  An exact power of two is its own
-    lower bound with p_lower = 1; a zero is both of its bounds, sign included.
-    From 2^1023 up, where 2 * lower is not a float, upper = lower.
-    """
-    mantissa, exponent = np.frexp(values)
-    unit = np.trunc(mantissa + mantissa)  # sign(v) as +-1, or v itself when v is +-0
-    lower = np.ldexp(unit, exponent - 1)
-    upper = np.ldexp(unit, np.minimum(exponent, 1023))
-    p_lower = np.abs(mantissa, out=mantissa)
-    p_lower *= -2.0
-    p_lower += 2.0
-    return lower, upper, p_lower
-
-
 def natural_round(values: np.ndarray, seed) -> np.ndarray:
     """Round each entry to an adjacent power of two, unbiased in expectation.
 
-    Each entry independently becomes sign(x) * 2^floor(log2|x|) with the
-    probability from :func:`power_of_two_bounds`, else sign(x) * 2^ceil(log2|x|).
-    Zero stays zero, and entries from 2^1023 up round down.
+    An entry v = m * 2^e (``np.frexp``: 0.5 <= |m| < 1) lies between lower =
+    sign(v) * 2^(e-1) and upper = 2 * lower.  It becomes lower when its one
+    uniform draw u, taken in entry order, is below p_lower = 2 - 2|m|, else
+    upper; so the kept exponent is e - (u < p_lower), one ``np.ldexp`` away.
+    That p_lower makes the rounding unbiased, and it is exact: it equals
+    (|upper| - |v|) / |lower|, Sterbenz's lemma covers the subtraction, and
+    scaling by a power of two is exact.  An exact power of two has p_lower = 1
+    and stays itself; a zero stays zero, sign included.  From 2^1023 up, where
+    2 * lower is not a float, the exponent is capped and the entry rounds down.
     """
     rng = np.random.default_rng(seed)
-    lower, upper, p_lower = power_of_two_bounds(values)
-    u = rng.random(values.size)
-    return np.where(u < p_lower, lower, upper)
+    mantissa, exponent = np.frexp(values)
+    p_lower = np.abs(mantissa)
+    p_lower *= -2.0
+    p_lower += 2.0
+    exponent -= rng.random(values.size) < p_lower
+    np.minimum(exponent, 1023, out=exponent)
+    mantissa += mantissa
+    return np.ldexp(np.trunc(mantissa, out=mantissa), exponent)  # sign(v) as +-1, or +-0
 
 
 def default_matrix_shape(d: int) -> tuple[int, int]:

@@ -175,12 +175,15 @@ def read_samples_csv(path) -> list[tuple[float, float]]:
 
     Sizes are converted from bytes to bits (x8).  Extra columns such as the
     probe's ``rep`` are ignored.  A missing, non-numeric or non-finite field,
-    or a size whose bits squared or bits times time is not finite (the fit's
-    sums could not hold it), raises :class:`ParameterError` naming its line.
+    a size that is not positive, or a size whose bits squared or bits times
+    time is not finite (the fit's sums could not hold it), raises
+    :class:`ParameterError` naming its line.
     """
     rows = csvio.read_csv(path, ("size_bytes", "time_seconds"))
     samples = []
     for size, time in rows:
+        if not size > 0:
+            rows.throw(ValueError(f"size_bytes must be positive, got {size!r}"))
         bits = size * 8.0
         if not (math.isfinite(bits * bits) and math.isfinite(bits * time)):
             rows.throw(ValueError(f"non-finite bits**2 or bits*time for size_bytes {size!r}"))

@@ -25,7 +25,6 @@ from gradcomm.compression import (
     decompress,
     index_bits,
     omega_inf,
-    power_of_two_bounds,
     rand_k_indices,
 )
 from gradcomm.netprobe import ACK, PingPongServer, probe
@@ -78,7 +77,7 @@ def test_criterion_1_compression_ratio_exactness():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_2_compression_properties():
+def test_criterion_2_compression_properties(natural_bounds):
     with criterion(2, "compression operator properties"):
         start = time.perf_counter()
         # rand_k: exact unbiasedness and the d/k second moment, by full subset
@@ -112,7 +111,7 @@ def test_criterion_2_compression_properties():
 
         # natural rounding unbiasedness identity on 10^4 magnitudes, 30 binades
         mags = np.exp2(rng.uniform(-15, 15, size=10_000))
-        lower, upper, p = power_of_two_bounds(mags)
+        lower, upper, p = natural_bounds(mags)
         np.testing.assert_allclose(p * lower + (1 - p) * upper, mags, rtol=1e-12)
         assert time.perf_counter() - start < 10.0
 

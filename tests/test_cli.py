@@ -125,11 +125,12 @@ class TestFit:
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("row", ["nan,5", "inf,5", "-inf,5", "2,nan", "2,inf", "2,-inf",
-                                     "1e308,3", "1e200,3"])
+                                     "1e308,3", "1e200,3", "0,1", "-2,5"])
     def test_non_finite_sample_names_its_line(self, tmp_path, row):
         samples = tmp_path / "odd.csv"
         samples.write_text(f"size_bytes,time_seconds\n1,5\n{row}\n3,9\n")
-        with pytest.raises(ParameterError, match="odd.csv, line 3: non-finite"):
+        reason = "size_bytes must be positive" if row in ("0,1", "-2,5") else "non-finite"
+        with pytest.raises(ParameterError, match=f"odd.csv, line 3: {reason}"):
             estimator.read_samples_csv(samples)
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "fit_trace.csv").exists()
@@ -438,6 +439,63 @@ def test_batched_trace_matches_golden_hash(tmp_path, kind, downlink):
     assert main(args + ["--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == BATCHED_TRACE_SHA256[kind, downlink]
+
+
+# sha256 of simulate.manifest.json and trace.csv for each SETTINGS_RUNS case,
+# recorded while simulate still listed its settings in three places (flags,
+# config keys and an override map).  They pin how the config file and the
+# flags combine, key by key; never regenerate them from the current code.
+SETTINGS_FILE = ("n = 3\nd = 12\nsteps = 4\ngamma = 0.25\nalpha = 0.001\nbeta = 1e-8\n"
+                 "alpha_m = 0.1\nbeta_m = 0.1\ncompressor.kind = rand_k\ncompressor.k = 4\n"
+                 "seed = 7\n")
+SETTINGS_RUNS = {
+    "file": (SETTINGS_FILE, []),
+    "flags": (None, ["--n", "3", "--d", "12", "--steps", "4", "--alpha", "1e-3",
+                     "--beta", "1e-8", "--alpha-m", "0.1", "--compressor", "rank_r",
+                     "--r", "2", "--seed", "3"]),
+    "flags_override_file": (SETTINGS_FILE, ["--compressor", "top_k", "--k", "5", "--seed", "9"]),
+    "downlink_file": (SETTINGS_FILE + "downlink_compressed = true\n", []),
+    "downlink_flag": (SETTINGS_FILE, ["--downlink-compressed"]),
+    "downlink_both": (SETTINGS_FILE + "downlink_compressed = true\n", ["--downlink-compressed"]),
+}
+SETTINGS_SHA256 = {
+    ("file", "simulate.manifest.json"):
+        "7921afe34fa62093195368d597082174d83194197b43373ccf65822e8cb3db7c",
+    ("file", "trace.csv"):
+        "81806fdea497424be43412c9a0782584450d9c71cdde2327019179d49439a432",
+    ("flags", "simulate.manifest.json"):
+        "de2911511bc470a39c207126a8b00672237a54cb03bb88844f7fe0ef2e8b0837",
+    ("flags", "trace.csv"):
+        "2776abca6f68114852905f57075693c55b9b8cfabe2e9b950a3a40ac42e04b61",
+    ("flags_override_file", "simulate.manifest.json"):
+        "7a3a2f32072c33a69cc9107cf1ae5a2249dfd553831f57ca8c1e0155fd12a932",
+    ("flags_override_file", "trace.csv"):
+        "f462cad97020f412b7245c9a8daf91538286751be3a617044f03f294e7edd304",
+    ("downlink_file", "simulate.manifest.json"):
+        "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
+    ("downlink_file", "trace.csv"):
+        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+    ("downlink_flag", "simulate.manifest.json"):
+        "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
+    ("downlink_flag", "trace.csv"):
+        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+    ("downlink_both", "simulate.manifest.json"):
+        "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
+    ("downlink_both", "trace.csv"):
+        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+}
+
+
+@pytest.mark.parametrize("run,filename", sorted(SETTINGS_SHA256))
+def test_simulate_settings_match_golden_hash(tmp_path, run, filename):
+    config, flags = SETTINGS_RUNS[run]
+    argv = ["simulate", *flags, "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "out" / filename).read_bytes()).hexdigest()
+    assert digest == SETTINGS_SHA256[run, filename]
 
 
 # sha256 of the offline outputs of GOLDEN_OFFLINE_RUNS, recorded while
@@ -768,3 +826,41 @@ def test_no_csv_output_has_crlf_line_ends(tmp_path):
     assert len(written) == 7
     for path in written:
         assert b"\r" not in path.read_bytes(), path
+
+
+# Each writing subcommand with valid inputs; "{samples}" is a valid sample CSV.
+_WRITERS = {
+    "synth": ["synth", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "1,2"],
+    "fit": ["fit", "--samples", "{samples}"],
+    "select": ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "50", "--n", "4"],
+    "regions": _REGIONS,
+    "simulate": _SIMULATE + ["--alpha", "1e-3", "--beta", "1e-8"],
+    "probe": ["probe", "--port", "1", "--sizes", "64"],
+}
+
+
+# An unusable path exits 2 naming it; a traceback would be an exception out of main.
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_out_naming_a_file_exit_2(tmp_path, capsys, name):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("size_bytes,time_seconds\n1,5\n2,7\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [arg.format(samples=samples) for arg in _WRITERS[name]]
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert f"error: {taken}: " in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--samples", "{folder}"],
+    ["select", "--fit", "{folder}", "--d", "50", "--n", "4"],
+    ["simulate", "--config", "{folder}"],
+], ids=["fit-samples", "select-fit", "simulate-config"])
+def test_input_naming_a_directory_exit_2(tmp_path, capsys, argv):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [arg.format(folder=folder) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: {folder}: " in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())

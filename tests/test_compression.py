@@ -14,8 +14,8 @@ from gradcomm.compression import (
     default_matrix_shape,
     index_bits,
     message_bits,
+    natural_round,
     omega_inf,
-    power_of_two_bounds,
     rand_k_indices,
     top_k_indices,
 )
@@ -149,6 +149,20 @@ class TestTopK:
             compress(DenseVector([1.0, 2.0]), CompressorSpec("top_k", k=3))
 
 
+_TINY, _BIG, _TOP = 5e-324, np.finfo(np.float64).max, 2.0**1023
+# value, every output natural rounding may give it.  2**1024 is not a float,
+# so entries from 2**1023 up round down to it.
+NATURAL_EDGES = [
+    (0.0, [0.0]), (-0.0, [-0.0]),
+    (_TINY, [_TINY]), (-_TINY, [-_TINY]),
+    (3 * _TINY, [2 * _TINY, 4 * _TINY]),
+    (-0.75 * 2.0**-1022, [-0.5 * 2.0**-1022, -(2.0**-1022)]),
+    (2.0**-1022, [2.0**-1022]), (1.0, [1.0]), (-0.25, [-0.25]),
+    (_TOP, [_TOP]), (-_TOP, [-_TOP]),
+    (1.5 * _TOP, [_TOP]), (_BIG, [_TOP]), (-_BIG, [-_TOP]),
+]
+
+
 class TestNatural:
     def test_exact_powers_and_zero_deterministic(self):
         x = DenseVector([1.0, 0.0, 0.25, -8.0, 2.0**-20])
@@ -170,40 +184,41 @@ class TestNatural:
             compress(DenseVector([-3.0] * 1000), CompressorSpec("natural"), seed=2)).values
         assert set(np.unique(out)) == {-4.0, -2.0}
 
-    def test_unbiasedness_identity_across_binades(self):
+    def test_unbiasedness_identity_across_binades(self, natural_bounds):
         rng = np.random.default_rng(8)
         mags = np.exp2(rng.uniform(-15, 15, size=5000))
-        lower, upper, p = power_of_two_bounds(mags)
+        lower, upper, p = natural_bounds(mags)
         np.testing.assert_allclose(p * lower + (1 - p) * upper, mags, rtol=1e-12)
         assert np.all(lower <= mags) and np.all(mags <= upper)
 
     @pytest.mark.filterwarnings("error")
-    def test_edge_values_round_without_overflow(self):
-        tiny, big, top = 5e-324, np.finfo(np.float64).max, 2.0**1023
-        # value, every output it may round to.  2**1024 is not a float, so
-        # entries from 2**1023 up round down to it.
-        table = [
-            (0.0, [0.0]), (-0.0, [-0.0]),
-            (tiny, [tiny]), (-tiny, [-tiny]),
-            (3 * tiny, [2 * tiny, 4 * tiny]),
-            (-0.75 * 2.0**-1022, [-0.5 * 2.0**-1022, -(2.0**-1022)]),
-            (2.0**-1022, [2.0**-1022]), (1.0, [1.0]), (-0.25, [-0.25]),
-            (top, [top]), (-top, [-top]),
-            (1.5 * top, [top]), (big, [top]), (-big, [-top]),
-        ]
-        values = np.array([value for value, _ in table])
-        lower, upper, _ = power_of_two_bounds(values)
-        below_top = np.abs(values) < top
+    def test_edge_values_round_without_overflow(self, natural_bounds):
+        values = np.array([value for value, _ in NATURAL_EDGES])
+        lower, upper, _ = natural_bounds(values)
+        below_top = np.abs(values) < _TOP
         assert np.all(np.abs(lower) <= np.abs(values))
         assert np.all(np.abs(values[below_top]) <= np.abs(upper[below_top]))
         np.testing.assert_array_equal(upper[~below_top], lower[~below_top])
         for seed in range(20):
             out = decompress(compress(DenseVector(values), CompressorSpec("natural"), seed)).values
-            for got, (value, allowed) in zip(out, table):
+            for got, (value, allowed) in zip(out, NATURAL_EDGES):
                 assert bits_of(got) in {bits_of(a) for a in allowed}, value
             summed = np.zeros(values.size)
             add_decompressed(summed, CompressorSpec("natural"), values[None], iter([seed]))
             np.testing.assert_array_equal(summed, out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rounding_keeps_the_bound_its_draw_picks(self, natural_bounds):
+        # The edge values, then random ones of either sign across the exponent range.
+        rng = np.random.default_rng(13)
+        size = 50_000
+        spread = rng.choice([-1.0, 1.0], size) * np.ldexp(rng.uniform(0.5, 1.0, size),
+                                                          rng.integers(-1073, 1025, size))
+        values = np.concatenate([[value for value, _ in NATURAL_EDGES], spread])
+        lower, upper, p = natural_bounds(values)
+        for seed in range(20):
+            u = np.random.default_rng(seed).random(values.size)
+            assert bits_of(natural_round(values, seed)) == bits_of(np.where(u < p, lower, upper))
 
     def test_bits_are_nine_per_scalar(self):
         x = DenseVector(np.linspace(0.1, 5.0, 17))
