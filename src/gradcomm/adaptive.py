@@ -17,13 +17,16 @@ at k_c = sqrt(c*d*alpha/beta') when alpha and beta' are both positive, and is
 monotone or concave otherwise.  ``select_power`` therefore compares J at the
 ends of [1, d] and at the two integers around k_c: the exact integer argmin in
 O(1).  ``adaptive_controller`` re-selects k as fresh (size, time) samples
-refine the coefficient estimates.
+refine the coefficient estimates.  It prices each fit against the one
+objective it was given, so a step is O(1) arithmetic with no objective
+rebuilt, and each decision equals ``select_power`` on that objective with the
+refreshed alpha and beta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,28 +68,38 @@ class SelectionObjective:
         return message_bits(CompressorSpec(self.family, k=1), self.d, self.b)
 
 
-def _cost(obj: SelectionObjective, k):
-    """J(k) for an integer k or an integer array k; the one J expression."""
-    return (1.0 + (obj.d / k) / obj.penalty_scale) * (obj.alpha + obj.beta * (k * obj.unit_bits))
+def _cost(obj: SelectionObjective, alpha: float, beta: float, k):
+    """J(k) at (alpha, beta) for an integer k or an integer array k; the one J expression."""
+    return (1.0 + (obj.d / k) / obj.penalty_scale) * (alpha + beta * (k * obj.unit_bits))
 
 
 def predicted_cost(obj: SelectionObjective, k):
     """Predicted relative run time when keeping k coordinates (k may be an array)."""
     if np.any((k < 1) | (k > obj.d)):
         raise ParameterError(f"power level k={k} outside [1, {obj.d}]")
-    return _cost(obj, k)
+    return _cost(obj, obj.alpha, obj.beta, k)
+
+
+def _argmin(obj: SelectionObjective, alpha: float, beta: float) -> tuple[int, float]:
+    """The exact integer argmin of J at (alpha, beta) over [1, d] and its cost.
+
+    Candidates are priced from the largest k down and ``min`` keeps the first
+    of equal costs, so ties go to the larger k.
+    """
+    candidates = {1, obj.d}
+    beta_unit = beta * obj.unit_bits
+    if alpha > 0 and beta_unit > 0:
+        # Clipped before rounding: a denormal beta can make k_c infinite.
+        k_c = min(max(math.sqrt(obj.d * alpha / (obj.penalty_scale * beta_unit)), 1.0), obj.d)
+        candidates.update((math.floor(k_c), math.ceil(k_c)))
+    costs = {k: _cost(obj, alpha, beta, k) for k in sorted(candidates, reverse=True)}
+    k_star = min(costs, key=costs.__getitem__)
+    return k_star, costs[k_star]
 
 
 def select_power(obj: SelectionObjective) -> tuple[int, float]:
     """The exact integer argmin of J over [1, d] and its cost; ties go to larger k."""
-    candidates = {1, obj.d}
-    beta_unit = obj.beta * obj.unit_bits
-    if obj.alpha > 0 and beta_unit > 0:
-        # Clipped before rounding: a denormal beta can make k_c infinite.
-        k_c = min(max(math.sqrt(obj.d * obj.alpha / (obj.penalty_scale * beta_unit)), 1.0), obj.d)
-        candidates.update((math.floor(k_c), math.ceil(k_c)))
-    k_star = min(sorted(candidates, reverse=True), key=lambda k: _cost(obj, k))
-    return k_star, _cost(obj, k_star)
+    return _argmin(obj, obj.alpha, obj.beta)
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,9 @@ def adaptive_controller(
     The first fit (the first sample at which sizes vary) gives the first
     decision; from there every ``cadence``-th sample re-selects the power.  A
     decision record is yielded for the first fit and then whenever k* changes.
-    If forgetting has washed out all size variation the fit is degenerate; the
+    Each fit's (alpha_hat, beta_hat) is priced against ``objective`` (its own
+    alpha and beta are not read), which ``estimator.fit`` keeps finite.  If
+    forgetting has washed out all size variation the fit is degenerate; the
     controller keeps the last selection and moves on.
     """
     if cadence < 1:
@@ -120,9 +135,7 @@ def adaptive_controller(
             first = state.count
         elif current is None or (state.count - first) % cadence != 0:
             continue
-        k_star, cost = select_power(
-            replace(objective, alpha=current.alpha_hat, beta=current.beta_hat)
-        )
+        k_star, cost = _argmin(objective, current.alpha_hat, current.beta_hat)
         if k_star != last_k:
             yield Decision(state.count, current, k_star, cost)
             last_k = k_star

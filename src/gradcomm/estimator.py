@@ -62,26 +62,31 @@ def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
                           p_max=p_max, forgetting=forgetting)
 
 
-def _overflowed(state: EstimatorState) -> bool:
-    """Whether a product ``fit`` forms from the running sums is not finite."""
-    w = state.weight
-    return not (math.isfinite(w * state.s_xx) and math.isfinite(w * state.s_xy)
-                and math.isfinite(state.s_x * state.s_y))
+class _SumsOverflowed(DegenerateDesignError):
+    """The fit's arithmetic left the floats: refused, never waited out."""
 
 
 def fit(state: EstimatorState) -> FitResult:
-    """Current coefficients from the running sums alone."""
-    if _overflowed(state):
-        raise DegenerateDesignError("degenerate design: the running sums overflowed")
+    """Current coefficients from the running sums alone; always finite.
+
+    Sizes that do not vary raise :class:`DegenerateDesignError`.  So does
+    overflow, with its own message: a product of the sums, or alpha or beta,
+    that is not finite (each product may be finite while their difference
+    or ``beta * s_x`` is not).
+    """
     w = state.weight
     denom = w * state.s_xx - state.s_x * state.s_x
     # Cauchy-Schwarz keeps denom >= 0; a (near-)zero value means the ingested
-    # sizes no longer vary, so the slope is unidentifiable.  NaN fails too.
-    if not denom > 1e-12 * w * state.s_xx:
+    # sizes no longer vary, so the slope is unidentifiable.  NaN and inf fail too.
+    if denom > 1e-12 * w * state.s_xx:
+        beta = (w * state.s_xy - state.s_x * state.s_y) / denom
+        alpha = (state.s_y - beta * state.s_x) / w
+        if math.isfinite(alpha) and math.isfinite(beta):
+            return FitResult(alpha, beta, state.count)
+    elif (math.isfinite(w * state.s_xx) and math.isfinite(w * state.s_xy)
+          and math.isfinite(state.s_x * state.s_y)):
         raise DegenerateDesignError("degenerate design: message sizes do not vary")
-    beta = (w * state.s_xy - state.s_x * state.s_y) / denom
-    alpha = (state.s_y - beta * state.s_x) / w
-    return FitResult(alpha, beta, state.count)
+    raise _SumsOverflowed("degenerate design: the running sums overflowed")
 
 
 def advance(state: EstimatorState, x_k, y_k) -> EstimatorState:
@@ -112,8 +117,9 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
 
     Yields ``(state, fit)`` for every sample from the first one at which the
     sizes vary.  A later fit that forgetting has made degenerate comes as
-    ``(state, None)``.  Overflowed sums raise :class:`DegenerateDesignError`
-    at once, a stream whose sizes never vary once it ends.
+    ``(state, None)``.  Overflow (of the sums or of the alpha and beta they
+    give) raises :class:`DegenerateDesignError` at once, a stream whose sizes
+    never vary once it ends.
     """
     state = start(p_max, forgetting)
     identified = False
@@ -121,9 +127,9 @@ def running_fits(samples, p_max: float, forgetting: float = 1.0):
         state = advance(state, x, y)
         try:
             result = fit(state)
+        except _SumsOverflowed:
+            raise  # refused, not waited out like a washed-out design
         except DegenerateDesignError:
-            if _overflowed(state):
-                raise  # fit's overflow: refused, not waited out like a washed-out design
             if not identified:
                 continue
             result = None

@@ -12,7 +12,9 @@ The server serves one connection at a time.  It drains each payload through a
 bounded buffer and counts it, never keeping it, so a frame near p_max costs
 it no p_max allocation.  A connection idle for ``DEFAULT_TIMEOUT_S`` (5 s) is
 closed, and a connection that fails is logged in one line while serving goes
-on, so one peer can neither stall nor stop the server.
+on, so one peer cannot stop the server.  The timeout is per read, not per
+frame, so a peer that trickles bytes (one header byte just inside each
+timeout) can hold the sequential server for longer than the timeout.
 """
 
 from __future__ import annotations

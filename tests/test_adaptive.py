@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gradcomm import adaptive, estimator
 from gradcomm.adaptive import (
     SelectionObjective,
     adaptive_controller,
@@ -13,6 +15,22 @@ from gradcomm.commodel import TimeModelParams, expected_time
 from gradcomm.compression import CompressorSpec
 from gradcomm.errors import DegenerateDesignError, ParameterError
 from gradcomm.optimizer import Problem, SimConfig, run_compressed_gd
+
+
+def oracle_decisions(samples, objective, p_max, cadence, forgetting):
+    """The controller's decisions rebuilt from ``select_power`` on each refreshed objective."""
+    decisions, first, last_k = [], None, None
+    for state, fit in estimator.running_fits(samples, p_max, forgetting):
+        if first is None:
+            first = state.count
+        elif fit is None or (state.count - first) % cadence != 0:
+            continue
+        k_star, cost = select_power(
+            dataclasses.replace(objective, alpha=fit.alpha_hat, beta=fit.beta_hat))
+        if k_star != last_k:
+            decisions.append((state.count, k_star, cost.hex()))
+            last_k = k_star
+    return decisions
 
 
 def brute_force_argmin(obj):
@@ -242,3 +260,60 @@ class TestController:
         )
         assert all(d.sample_index == 2 or (d.sample_index - 2) % 10 == 0 for d in all_decisions)
 
+    def test_overflowed_fit_raises_degenerate(self):
+        # Every product of the sums is finite, but beta = inf: refused at the fit.
+        samples = [(1.0, -1.1666666666666667e308), (2.0, 0.8333333333333334e308)]
+        with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
+            list(adaptive_controller(samples, self.template(), p_max=2.0))
+
+    @pytest.mark.parametrize("cadence", [1, 3])
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    @pytest.mark.parametrize("d", [1, 2, 1000, 10**6, 10**9])
+    @pytest.mark.parametrize("family", ["rand_k", "top_k"])
+    def test_decisions_equal_select_power_on_each_fit(self, family, d, forgetting, cadence):
+        rng = np.random.default_rng(d + 7 * cadence + int(10 * forgetting))
+        objective = SelectionObjective(family, d=d, n=9, alpha=0.0, beta=0.0, b=16)
+        # Every channel's alpha steps up tenfold halfway.  The last three have
+        # noise that swamps alpha, times that fall with size, or no signal at
+        # all, so some fits have alpha <= 0 and some beta <= 0.
+        channels = [(1e-5, 1e-9, 0.05), (1e-4, 1e-10, 0.2), (1e-6, 1e-10, 10.0),
+                    (1e-3, -1e-10, 0.01), (0.0, 0.0, 1.0)]
+        signs = set()
+        for alpha, beta, noise in channels:
+            sizes = rng.uniform(1e3, 1e6, size=120)
+            times = alpha * np.where(np.arange(120) < 60, 1.0, 10.0) + beta * sizes
+            times += rng.normal(0.0, noise * max(alpha, 1e-6), size=120)
+            samples = list(zip(sizes.tolist(), times.tolist()))
+            decisions = adaptive_controller(samples, objective, 1e6, cadence, forgetting)
+            got = [(dec.sample_index, dec.k_star, dec.predicted_cost.hex()) for dec in decisions]
+            assert got == oracle_decisions(samples, objective, 1e6, cadence, forgetting)
+            signs.update((fit.alpha_hat > 0, fit.beta_hat > 0)
+                         for _, fit in estimator.running_fits(samples, 1e6, forgetting))
+        assert {(True, True), (False, True), (True, False)} <= signs
+
+    def test_step_builds_no_objective(self, monkeypatch):
+        counts = {"message_bits": 0, "objectives": 0}
+        message_bits, post_init = adaptive.message_bits, SelectionObjective.__post_init__
+
+        def counted_message_bits(*args, **kwargs):
+            counts["message_bits"] += 1
+            return message_bits(*args, **kwargs)
+
+        def counted_post_init(obj):
+            counts["objectives"] += 1
+            post_init(obj)
+
+        objective = self.template(d=10**6)
+        monkeypatch.setattr(adaptive, "message_bits", counted_message_bits)
+        monkeypatch.setattr(SelectionObjective, "__post_init__", counted_post_init)
+        rng = np.random.default_rng(3)
+        sizes = rng.uniform(1e3, 1e6, size=500)
+        samples = [(s, (1e-5 if i < 250 else 1e-4) + 1e-9 * s + rng.normal(0.0, 1e-6))
+                   for i, s in enumerate(sizes)]
+        decisions = list(adaptive_controller(samples, objective, p_max=1e6, forgetting=0.9))
+        assert len(decisions) > 1
+        assert counts["message_bits"] <= 1 and counts["objectives"] == 0
+        # The counters see what a rebuilt objective costs.
+        bits_before = counts["message_bits"]
+        select_power(dataclasses.replace(objective, alpha=1e-4, beta=1e-9))
+        assert counts == {"message_bits": bits_before + 1, "objectives": 1}

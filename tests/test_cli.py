@@ -145,12 +145,16 @@ class TestFit:
         assert not (tmp_path / "fit_trace.csv").exists()
 
     def test_overflowed_time_sums_are_named(self, tmp_path, capsys):
-        # Each bits * time passes the reader; their sum s_xy does not fit.
         samples = tmp_path / "samples.csv"
-        samples.write_text("size_bytes,time_seconds\n1,1e307\n2,1e307\n")
-        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 3
-        assert "running sums overflowed" in capsys.readouterr().err
-        assert not (tmp_path / "fit_trace.csv").exists()
+        for rows in (
+            "1,1e307\n2,1e307\n",  # each bits * time passes the reader; their sum s_xy does not
+            # Every sum and product fits; w * s_xy - s_x * s_y, and so beta, does not.
+            "0.125,-1.1666666666666667e308\n0.25,0.8333333333333334e308\n",
+        ):
+            samples.write_text("size_bytes,time_seconds\n" + rows)
+            assert main(["fit", "--samples", str(samples), "--out", str(tmp_path)]) == 3
+            assert "running sums overflowed" in capsys.readouterr().err
+            assert not (tmp_path / "fit_trace.csv").exists()
 
     def test_blank_lines_and_extra_columns_are_ignored(self, tmp_path):
         samples = tmp_path / "samples.csv"

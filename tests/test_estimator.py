@@ -322,7 +322,9 @@ class TestCsv:
 @pytest.mark.parametrize("samples", [
     [(8.0, 1e307), (16.0, 1e307)],  # s_xy overflows, s_xx does not
     [(8.0, 1.0), (1e154, 3.0), (1e154, 4.0)],  # s_xx overflows
-], ids=["s_xy", "s_xx"])
+    # Every product is finite; w * s_xy - s_x * s_y is not, so beta = inf.
+    [(1.0, -1.1666666666666667e308), (2.0, 0.8333333333333334e308)],
+], ids=["s_xy", "s_xx", "coefficients"])
 def test_overflowed_sums_raise_in_fit_and_running_fits(samples):
     state = estimator.start(1e300)
     for x, y in samples:
