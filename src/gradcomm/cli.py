@@ -215,6 +215,8 @@ def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
     p_max_bytes = args.pmax
     if p_max_bytes < 2:
         raise ConfigError("--pmax must be at least 2 bytes for two distinct sizes")
+    if args.rounds < 0:
+        raise ConfigError(f"--rounds must be >= 0, got {args.rounds}")
     p_max = p_max_bytes * BITS_PER_BYTE
     estimator.start(p_max, args.forgetting)  # refuse a bad --forgetting before any exchange
     rng = np.random.default_rng(args.seed)
@@ -346,6 +348,8 @@ def cmd_simulate(args) -> int:
 def cmd_probe(args) -> int:
     if not 0 < args.timeout < math.inf:
         raise ConfigError(f"--timeout must be a finite number of seconds > 0, got {args.timeout}")
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     out = _out_dir(args)
     sizes = parse_sizes(args.sizes)
     result = netprobe.probe(

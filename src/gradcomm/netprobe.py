@@ -6,7 +6,11 @@ frame closes the connection cleanly.  The client times each exchange from the
 first frame byte written to the acknowledgment byte received, so the recorded
 delay is a round-trip time and a fitted alpha absorbs both directions'
 startup cost.  Nagle coalescing is disabled on both ends and payloads are
-pseudorandom bytes so link-level compression cannot shrink them.
+pseudorandom bytes so link-level compression cannot shrink them.  One probe
+draws its payload bytes once, at its largest size, from ``payload_seed``, and
+sends every frame as a prefix of that one draw: the frames stay pseudorandom
+and incompressible, the draw costs one pass over the largest frame instead of
+one per size, and the client's peak memory is still the largest frame.
 
 The server serves one connection at a time.  It drains each payload through a
 bounded buffer and counts it, never keeping it, so a frame near p_max costs
@@ -39,6 +43,7 @@ ACK = b"\x06"
 _LEN = struct.Struct(">Q")
 DEFAULT_P_MAX_BYTES = 1 << 30
 DEFAULT_TIMEOUT_S = 5.0
+_MAX_PORT = 65535
 
 SAMPLES_CSV_HEADER = "size_bytes,time_seconds,rep"
 
@@ -101,7 +106,8 @@ class PingPongServer(socketserver.TCPServer):
 
     Concurrency would contaminate the client's timing, so connections are
     handled strictly one after another.  ``messages``/``bytes_in``/``bytes_out``
-    count acknowledged frames for exact byte-accounting checks.
+    count acknowledged frames for exact byte-accounting checks.  Port 0 binds
+    a free port; a port outside 0..65535 raises :class:`ParameterError`.
     """
 
     allow_reuse_address = True
@@ -111,6 +117,8 @@ class PingPongServer(socketserver.TCPServer):
                  p_max_bytes: int = DEFAULT_P_MAX_BYTES):
         if p_max_bytes < 1:
             raise ParameterError("p_max_bytes must be >= 1")
+        if not 0 <= port <= _MAX_PORT:
+            raise ParameterError(f"port must lie in 0..{_MAX_PORT}, got {port}")
         super().__init__((host, port), _FrameHandler, bind_and_activate=False)
         self.port = port
         self.p_max_bytes = p_max_bytes
@@ -179,7 +187,10 @@ def probe(
     """Timed ping-pong exchanges for each size; returns estimator-ready samples.
 
     For every size, ``warmup`` unrecorded exchanges precede ``reps`` timed
-    ones.  Connection failures raise :class:`NetworkError`; a mid-stream
+    ones.  Every frame is a prefix of one draw from ``payload_seed`` at the
+    largest size.  A size below 1, a negative count or a port outside
+    1..65535 raises :class:`ParameterError` before any socket is opened.
+    Connection failures raise :class:`NetworkError`; a mid-stream
     disconnect returns the partial samples with ``error`` set.
     """
     sizes = [int(s) for s in sizes_bytes]
@@ -187,6 +198,8 @@ def probe(
         raise ParameterError("probe sizes must be >= 1 byte")
     if reps < 0 or warmup < 0:
         raise ParameterError("reps and warmup must be nonnegative")
+    if not 1 <= port <= _MAX_PORT:
+        raise ParameterError(f"port must lie in 1..{_MAX_PORT}, got {port}")
     if reps == 0:
         return ProbeResult()
 
@@ -196,17 +209,18 @@ def probe(
         raise NetworkError(f"cannot connect to {host}:{port}: {exc}") from exc
 
     result = ProbeResult()
-    rng = np.random.default_rng(payload_seed)
     with sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(timeout)
+        # Every frame is a prefix view of this one draw.  64-bit words draw
+        # about twice as fast as 32-bit ones, and rng.bytes would hold two
+        # copies while it builds them.
+        words = np.random.default_rng(payload_seed).integers(
+            0, 1 << 64, size=(max(sizes, default=0) + 7) // 8, dtype=np.uint64)
+        payloads = memoryview(words).cast("B")
         try:
             for size in sizes:
-                # rng.bytes(size) as a view of the one array it is drawn into
-                # (the same bytes on a little-endian host): rng.bytes holds
-                # two copies while it builds them.
-                words = rng.integers(0, 1 << 32, size=(size + 3) // 4, dtype=np.uint32)
-                header, payload = _LEN.pack(size), memoryview(words).cast("B")[:size]
+                header, payload = _LEN.pack(size), payloads[:size]
                 for _ in range(warmup):
                     _exchange(sock, header, payload)
                 for rep in range(reps):

@@ -583,6 +583,37 @@ class TestProbeAndServe:
         assert "--timeout" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_bad_reps_exit_2_before_connecting(self, tmp_path, monkeypatch, capsys, reps):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe called")
+
+        monkeypatch.setattr(netprobe, "probe", no_probe)
+        rc = main(["probe", "--port", "1", "--sizes", "64", f"--reps={reps}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--port", "70000", "--sizes", "64"],
+        ["fit", "--live", "127.0.0.1:70000", "--rounds", "2", "--pmax", "4096"],
+        ["serve", "--port", "70000"],
+    ], ids=["probe", "fit-live", "serve"])
+    def test_port_out_of_range_exit_2_without_a_socket(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        # 70000 wraps to 4464 if it ever reaches a socket call.
+        import socket
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("socket opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        monkeypatch.setattr(socket, "socket", no_socket)
+        out = [] if argv[0] == "serve" else ["--out", str(tmp_path)]
+        assert main(argv + out) == 2
+        assert "port must lie in" in capsys.readouterr().err
+
     def test_fit_live(self, tmp_path):
         srv = PingPongServer()
         port = srv.start()
@@ -629,6 +660,32 @@ class TestProbeAndServe:
             srv.stop()
         assert rc == 2
         assert srv.messages == 0
+
+    def test_fit_live_negative_rounds_exits_before_probing(self, tmp_path, capsys):
+        srv = PingPongServer()
+        port = srv.start()
+        try:
+            rc = main(["fit", "--live", f"127.0.0.1:{port}", "--rounds", "-5",
+                       "--pmax", "4096", "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 2
+        assert "--rounds" in capsys.readouterr().err
+        assert srv.messages == 0
+        assert not (tmp_path / "fit_trace.csv").exists()
+
+    def test_fit_live_zero_rounds_probes_the_two_anchor_sizes(self, tmp_path):
+        srv = PingPongServer()
+        port = srv.start()
+        try:
+            rc = main(["fit", "--live", f"127.0.0.1:{port}", "--rounds", "0",
+                       "--pmax", "4096", "--warmup", "0", "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 0
+        assert srv.messages == 2
+        assert srv.bytes_in == 2 * 8 + 4096 + 256
+        assert [int(row["k"]) for row in read_csv(tmp_path / "fit_trace.csv")] == [2]
 
     def test_serve_subcommand_answers_probes(self, tmp_path, cli_env):
         import re

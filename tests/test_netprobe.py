@@ -115,6 +115,15 @@ class TestServer:
         assert str(peer_port) in record.getMessage()
 
 
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range_rejected_before_binding(self, port):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match="port"):
+                PingPongServer(port=port)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_bind_to_busy_port_leaves_no_open_socket(self):
         with socket.create_server(("127.0.0.1", 0)) as blocker:
             busy = PingPongServer(port=blocker.getsockname()[1])
@@ -129,16 +138,68 @@ class TestServer:
 class TestProbe:
     def test_frame_is_sent_without_a_copy(self, server):
         size = server.p_max_bytes - 1
-        tracemalloc.start()
-        try:
-            result = probe("127.0.0.1", server.port, [size], reps=1, warmup=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.error is None
-        # The payload plus the server's 1 MiB drain buffer: rng.bytes(size)
-        # alone holds the payload twice while it builds it.
-        assert peak < 2 * size
+        for sizes in ([size], [size, size // 3, 1, size]):
+            tracemalloc.start()
+            try:
+                result = probe("127.0.0.1", server.port, sizes, reps=1, warmup=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.error is None
+            # The payload plus the server's 1 MiB drain buffer: rng.bytes(size)
+            # alone holds the payload twice while it builds it.
+            assert peak < 2 * size
+
+    def test_frames_are_prefixes_of_one_seeded_draw(self, monkeypatch):
+        class RecordingSocket:
+            def __init__(self):
+                self.payloads = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def setsockopt(self, *args):
+                pass
+
+            def settimeout(self, timeout):
+                pass
+
+            def sendmsg(self, buffers):
+                header, payload = buffers
+                self.payloads.append(payload)
+                return len(header) + len(payload)
+
+            def sendall(self, data):
+                pass
+
+            def recv(self, n):
+                return ACK
+
+        sock = RecordingSocket()
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: sock)
+        size = 4099
+        sizes = [size, size // 3, 1, size]
+        result = probe("127.0.0.1", 1, sizes, reps=2, warmup=1, payload_seed=5)
+        assert result.error is None and len(result.samples) == 2 * len(sizes)
+        assert [len(p) for p in sock.payloads] == [s for s in sizes for _ in range(3)]
+        first = sock.payloads[0]
+        assert all(p.obj is first.obj for p in sock.payloads)
+        words = np.random.default_rng(5).integers(
+            0, 1 << 64, size=(size + 7) // 8, dtype=np.uint64)
+        draw = memoryview(words).cast("B")
+        assert all(p == draw[:len(p)] for p in sock.payloads)
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 70000])
+    def test_port_out_of_range_rejected_before_connecting(self, monkeypatch, port):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("socket opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        with pytest.raises(ParameterError, match="port"):
+            probe("127.0.0.1", port, [16], reps=1)
 
     @pytest.mark.parametrize("accepted", [0, 3, 8, 13, 8 + 64])
     def test_partial_sendmsg_is_finished_from_views(self, accepted):
