@@ -14,11 +14,13 @@ names it), 3 degenerate data, 4 network error.
 from __future__ import annotations
 
 import argparse
-import itertools
+import collections
 import json
 import math
+import os
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
 from .compression import DEFAULT_BITS_PER_SCALAR, KINDS, CompressorSpec
-from .csvio import read_csv, write_csv
+from .csvio import format_rows, read_csv, write_csv
 from .errors import (
     ConfigError,
     DegenerateDesignError,
@@ -81,11 +83,11 @@ _CONFIG_KEYS = {
 
 _PROBLEM_STREAM = 3  # SeedSequence spawn key for synthetic problem data
 
-# jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it,
-# computed and written JCURVE_CHUNK rows at a time.
+# jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it;
+# the powers are computed and formatted in blocks of JCURVE_CHUNK.
 SCAN_LIMIT = 10**7
 GRID_SIZE = 64
-JCURVE_CHUNK = 1 << 16
+JCURVE_CHUNK = 1 << 14
 
 # A negative decimal number, exponent allowed: -5, -.5, -1e-3, -2.5E+4.
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
@@ -161,11 +163,11 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed, outputs: lis
 def cmd_synth(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    out = _out_dir(args)
     params = _time_model(args.alpha, args.beta, args.alpha_m, args.beta_m)
     sizes = [size for size in parse_sizes(args.sizes) for _ in range(args.reps)]
     rng = np.random.default_rng(args.seed)
     times = commodel.sample_time(params, np.array(sizes, dtype=np.float64) * BITS_PER_BYTE, rng)
+    out = _out_dir(args)
     path = out / "samples.csv"
     write_csv(path, "size_bytes,time_seconds", zip(sizes, times.tolist()))
     config = {
@@ -179,8 +181,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    path = out / "fit_trace.csv"
     if args.live:
         samples, p_max = _probe_live(args)
         config = {
@@ -200,6 +200,8 @@ def cmd_fit(args) -> int:
             raise DegenerateDesignError(
                 "degenerate design: forgetting has washed out the size variation")
         rows.append((result.k, result.alpha_hat, result.beta_hat * BITS_PER_BYTE))
+    out = _out_dir(args)
+    path = out / "fit_trace.csv"
     write_csv(path, "k,alpha_hat,beta_hat", rows)
     _write_manifest(out, "fit", config, args.seed, [path.name])
     k, alpha, beta = rows[-1]
@@ -230,17 +232,57 @@ def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
     return [(s.size_bytes * BITS_PER_BYTE, s.rtt_seconds) for s in result.samples], p_max
 
 
-def candidate_powers(d: int):
-    """The powers jcurve.csv lists, as arrays of at most JCURVE_CHUNK ascending values."""
+def _jcurve_rows(obj: adaptive.SelectionObjective, ks: np.ndarray) -> str:
+    """The jcurve.csv rows of the powers ``ks``, as ``write_csv`` formats them."""
+    return format_rows(zip(ks.tolist(), adaptive.predicted_cost(obj, ks).tolist()), 2)
+
+
+def _jcurve_block(obj: adaptive.SelectionObjective, lo: int, hi: int) -> str:
+    """The jcurve.csv rows of the powers lo..hi-1: one worker task."""
+    return _jcurve_rows(obj, np.arange(lo, hi, dtype=np.int64))
+
+
+def _write_jcurve(handle, obj: adaptive.SelectionObjective) -> None:
+    """Write the jcurve.csv rows of ``obj`` to ``handle``, in ascending k.
+
+    Above SCAN_LIMIT the rows are a grid of at most GRID_SIZE powers.  Up to
+    it they are every power 1..d in blocks of JCURVE_CHUNK, computed and
+    formatted by forked worker processes, one per CPU this process may run
+    on.  At most one block per worker is queued beyond the one being written,
+    so memory does not grow with d.  The blocks are formatted here instead
+    when there is one block or one CPU, or when this process runs a second
+    thread, since a forked child could inherit a lock that thread holds.
+    Every path writes the same bytes.
+    """
+    d = obj.d
     if d > SCAN_LIMIT:
-        yield np.unique(np.clip(np.round(np.geomspace(1, d, GRID_SIZE)), 1, d).astype(np.int64))
+        grid = np.unique(np.clip(np.round(np.geomspace(1, d, GRID_SIZE)), 1, d).astype(np.int64))
+        handle.write(_jcurve_rows(obj, grid))
         return
-    for lo in range(1, d + 1, JCURVE_CHUNK):
-        yield np.arange(lo, min(lo + JCURVE_CHUNK, d + 1), dtype=np.int64)
+    blocks = [(lo, min(lo + JCURVE_CHUNK, d + 1)) for lo in range(1, d + 1, JCURVE_CHUNK)]
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(blocks) == 1 or workers == 1 or threading.active_count() > 1:
+        handle.writelines(_jcurve_block(obj, lo, hi) for lo, hi in blocks)
+        return
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        pending = collections.deque()
+        for lo, hi in blocks:
+            pending.append(pool.submit(_jcurve_block, obj, lo, hi))
+            if len(pending) > workers:
+                handle.write(pending.popleft().result())
+        for future in pending:
+            handle.write(future.result())
 
 
 def cmd_select(args) -> int:
-    out = _out_dir(args)
+    """Write jcurve.csv, J(k) at every listed power, and print the exact k* and its cost.
+
+    The rows come from ``_write_jcurve``, in worker processes when there are
+    several blocks and CPUs; their bytes do not depend on that.
+    """
     if args.fit is not None:
         last = None
         for last in read_csv(args.fit, ("alpha_hat", "beta_hat")):  # every row is checked
@@ -257,11 +299,11 @@ def cmd_select(args) -> int:
         alpha=alpha, beta=beta_per_byte / BITS_PER_BYTE, b=args.b,
     )
     k_star, cost = adaptive.select_power(obj)
+    out = _out_dir(args)
     path = out / "jcurve.csv"
-    write_csv(path, "k,predicted_cost", itertools.chain.from_iterable(
-        zip(ks.tolist(), adaptive.predicted_cost(obj, ks).tolist())
-        for ks in candidate_powers(obj.d)
-    ))
+    with open(path, "w", newline="") as handle:
+        write_csv(handle, "k,predicted_cost", ())
+        _write_jcurve(handle, obj)
     config = {
         "family": args.family, "d": args.d, "n": args.n, "b": args.b,
         "alpha": alpha, "beta": beta_per_byte,
@@ -273,11 +315,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    out = _out_dir(args)
     params = _time_model(args.alpha, args.beta)
     sizes = parse_sizes(args.sizes)
     bits = [size * BITS_PER_BYTE for size in sizes]
-    # Classify and tabulate first: a bad --rho or --omegas writes no file.
+    # Classify and tabulate first: a bad --rho or --omegas makes no directory or file.
     regions = [(s, commodel.classify_region(params, s, args.rho).value) for s in bits]
     if args.omegas:
         try:
@@ -287,6 +328,7 @@ def cmd_regions(args) -> int:
     else:
         omegas = [float(w) for w in np.geomspace(1.0, 1e6, 61)]
     curve = commodel.transition_report(params, max(bits), sorted(omegas), args.rho)
+    out = _out_dir(args)
     regions_path = out / "regions.csv"
     write_csv(regions_path, "size_bits,region", regions)
     speedup_path = out / "speedup.csv"
@@ -299,7 +341,6 @@ def cmd_regions(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     # The optional keys' defaults, then the config file, then the flags given.
     config = {"alpha_m": 0.0, "beta_m": 0.0, "compressor.kind": "identity",
               "downlink_compressed": False, "seed": 0,
@@ -334,6 +375,7 @@ def cmd_simulate(args) -> int:
         downlink_compressed=config["downlink_compressed"],
     )
     trace = optimizer.run_compressed_gd(problem, sim_config)
+    out = _out_dir(args)
     path = out / "trace.csv"
     trace.to_csv(path)
     final = trace.rows[-1]
@@ -350,8 +392,9 @@ def cmd_probe(args) -> int:
         raise ConfigError(f"--timeout must be a finite number of seconds > 0, got {args.timeout}")
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    out = _out_dir(args)
     sizes = parse_sizes(args.sizes)
+    netprobe.check_probe(args.port, sizes, args.reps, args.warmup)
+    out = _out_dir(args)  # before connecting, so an unusable --out costs no measurement
     result = netprobe.probe(
         args.host, args.port, sizes, reps=args.reps, warmup=args.warmup,
         timeout=args.timeout,

@@ -1,10 +1,12 @@
-"""The one CSV writer and the one CSV reader behind every file the package uses.
+"""The one CSV row format and reader behind every file the package uses.
 
-``write_csv``'s fields must be ints, Python floats or strings without a comma,
-quote or newline, as many per row as the header has.  Each is written by
-``"{}"``, which gives the bytes ``csv.writer`` gives them (a float as its
-shortest ``repr``, so ``float`` reads back the value written) and quotes
-nothing.  ``read_csv`` reads numeric columns back by header name.
+Fields must be ints, Python floats or strings without a comma, quote or
+newline, as many per row as the header has.  Each is written by ``"{}"``,
+which gives the bytes ``csv.writer`` gives them (a float as its shortest
+``repr``, so ``float`` reads back the value written) and quotes nothing.
+``write_csv`` streams rows to a file; ``format_rows`` returns the same bytes as
+one string, so a block of rows can be formatted in another process and
+written later.  ``read_csv`` reads numeric columns back by header name.
 """
 
 from __future__ import annotations
@@ -16,15 +18,24 @@ import math
 from .errors import ParameterError
 
 
+def _row_format(fields: int) -> str:
+    """The format string of one row of ``fields`` fields: ``"{},{}\\n"`` for two."""
+    return ",".join(["{}"] * fields) + "\n"
+
+
+def format_rows(rows, fields: int) -> str:
+    """``rows`` of ``fields`` fields each, as the text ``write_csv`` writes for them."""
+    return "".join(itertools.starmap(_row_format(fields).format, rows))
+
+
 def write_csv(target, header: str, rows) -> None:
     """Write a comma-separated ``header`` line and then ``rows``, with ``\\n`` line ends.
 
     ``target`` is a path or a writable text handle; rows are streamed, not joined.
     """
     if hasattr(target, "write"):
-        line = ",".join(["{}"] * (header.count(",") + 1)) + "\n"
         target.write(header + "\n")
-        target.writelines(itertools.starmap(line.format, rows))
+        target.writelines(itertools.starmap(_row_format(header.count(",") + 1).format, rows))
     else:
         with open(target, "w", newline="") as handle:
             write_csv(handle, header, rows)

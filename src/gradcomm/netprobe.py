@@ -175,6 +175,19 @@ def _exchange(sock: socket.socket, header: bytes, payload) -> None:
         raise ConnectionError(f"protocol desync: expected ack 0x06, got {ack!r}")
 
 
+def check_probe(port: int, sizes, reps: int, warmup: int) -> None:
+    """Raise :class:`ParameterError` for what ``probe`` refuses before opening a socket.
+
+    That is a size below 1, a negative count or a port outside 1..65535.
+    """
+    if any(s < 1 for s in sizes):
+        raise ParameterError("probe sizes must be >= 1 byte")
+    if reps < 0 or warmup < 0:
+        raise ParameterError("reps and warmup must be nonnegative")
+    if not 1 <= port <= _MAX_PORT:
+        raise ParameterError(f"port must lie in 1..{_MAX_PORT}, got {port}")
+
+
 def probe(
     host: str,
     port: int,
@@ -188,18 +201,13 @@ def probe(
 
     For every size, ``warmup`` unrecorded exchanges precede ``reps`` timed
     ones.  Every frame is a prefix of one draw from ``payload_seed`` at the
-    largest size.  A size below 1, a negative count or a port outside
-    1..65535 raises :class:`ParameterError` before any socket is opened.
-    Connection failures raise :class:`NetworkError`; a mid-stream
-    disconnect returns the partial samples with ``error`` set.
+    largest size.  Arguments ``check_probe`` refuses raise
+    :class:`ParameterError` before any socket is opened.  Connection
+    failures raise :class:`NetworkError`; a mid-stream disconnect returns
+    the partial samples with ``error`` set.
     """
     sizes = [int(s) for s in sizes_bytes]
-    if any(s < 1 for s in sizes):
-        raise ParameterError("probe sizes must be >= 1 byte")
-    if reps < 0 or warmup < 0:
-        raise ParameterError("reps and warmup must be nonnegative")
-    if not 1 <= port <= _MAX_PORT:
-        raise ParameterError(f"port must lie in 1..{_MAX_PORT}, got {port}")
+    check_probe(port, sizes, reps, warmup)
     if reps == 0:
         return ProbeResult()
 

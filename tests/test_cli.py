@@ -1,12 +1,17 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gradcomm import estimator, netprobe
+from gradcomm import adaptive, cli, estimator, netprobe
 from gradcomm.adaptive import SelectionObjective, predicted_cost
 from gradcomm.cli import main, parse_sizes
 from gradcomm.errors import ConfigError, ParameterError
@@ -277,7 +282,7 @@ class TestRegions:
         rc = main(["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10,100",
                    *bad, "--out", str(out)])
         assert rc == 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -544,6 +549,102 @@ def golden_offline_dir(tmp_path_factory):
 def test_offline_output_matches_golden_hash(golden_offline_dir, run, filename):
     digest = hashlib.sha256((golden_offline_dir / run / filename).read_bytes()).hexdigest()
     assert digest == GOLDEN_OFFLINE_SHA256[run, filename]
+
+
+# sha256 of jcurve.csv from `select --alpha 2e-3 --beta 1e-8 --d JCURVE_D --n 16`
+# per family, recorded while jcurve.csv was still formatted in one process.  At
+# this d the rows span four full blocks of 2**14 powers and a partial one, so
+# they pin that the worker pool writes the same bytes; never regenerate them
+# from the current code.
+JCURVE_D = 4 * (1 << 14) + 7
+GOLDEN_JCURVE_SHA256 = {
+    "rand_k": "08013b9175bc15082642e189154ca2dc42de48dd50f0e415bdacc60e5aabc4f1",
+    "top_k": "56864543f104bc2ae4816dc9757f267fbdd54daf487049a0cc5a41a3f7f99980",
+}
+
+
+def _select_jcurve(out, family="rand_k"):
+    """Run the golden jcurve select into ``out``: its exit code."""
+    return main(["select", "--alpha", "2e-3", "--beta", "1e-8", "--family", family,
+                 "--d", str(JCURVE_D), "--n", "16", "--out", str(out)])
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestJcurveWorkers:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The ids of the processes that call ``os.fork``, one per call."""
+        calls, fork = [], os.fork
+
+        def counting_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set how many CPUs this process may run on."""
+        def set_count(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return set_count
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_JCURVE_SHA256))
+    def test_worker_blocks_match_golden_hash(self, tmp_path, forks, cpus, family):
+        assert JCURVE_D // cli.JCURVE_CHUNK >= 4 and JCURVE_D % cli.JCURVE_CHUNK
+        cpus(2)
+        assert _select_jcurve(tmp_path, family) == 0
+        assert _digest(tmp_path / "jcurve.csv") == GOLDEN_JCURVE_SHA256[family]
+        assert len(forks) == 2
+        assert not multiprocessing.active_children()
+
+    def test_one_cpu_formats_in_process(self, tmp_path, forks, cpus):
+        cpus(1)
+        assert _select_jcurve(tmp_path) == 0
+        assert _digest(tmp_path / "jcurve.csv") == GOLDEN_JCURVE_SHA256["rand_k"]
+        assert not forks
+
+    def test_second_thread_formats_in_process(self, tmp_path, forks, cpus):
+        cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _select_jcurve(tmp_path) == 0
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert _digest(tmp_path / "jcurve.csv") == GOLDEN_JCURVE_SHA256["rand_k"]
+        assert not forks
+
+    def test_worker_exception_surfaces_from_select(self, tmp_path, monkeypatch, forks, cpus):
+        cpus(2)
+        parent, cost = os.getpid(), adaptive.predicted_cost
+
+        def failing_in_workers(obj, k):
+            if os.getpid() != parent and k[0] > 2 * cli.JCURVE_CHUNK:
+                raise RuntimeError("worker failed")
+            return cost(obj, k)
+
+        monkeypatch.setattr(adaptive, "predicted_cost", failing_in_workers)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            _select_jcurve(tmp_path)
+        assert forks == [parent, parent]
+        assert not multiprocessing.active_children()
+
+
+def test_cli_import_loads_no_process_pool(cli_env):
+    code = ("import sys, gradcomm, gradcomm.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-c", code], env=cli_env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 class TestProbeAndServe:
@@ -924,4 +1025,19 @@ def test_input_naming_a_directory_exit_2(tmp_path, capsys, argv):
     argv = [arg.format(folder=folder) for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert f"error: {folder}: " in capsys.readouterr().err
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+# Each writing subcommand with one input it refuses.
+@pytest.mark.parametrize("argv", [
+    ["synth", "--alpha", "-1", "--beta", "1e-9", "--sizes", "1,2"],
+    ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "0", "--n", "4"],
+    ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10", "--rho", "0.5"],
+    ["probe", "--port", "70000", "--sizes", "64"],
+    ["fit", "--live", "127.0.0.1:1", "--rounds", "-5"],
+    ["simulate", "--n", "0"],
+], ids=lambda argv: argv[0])
+def test_refused_input_makes_no_out_dir(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "new")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gradcomm.csvio import read_csv, write_csv
+from gradcomm.csvio import format_rows, read_csv, write_csv
 from gradcomm.errors import ParameterError
 
 
@@ -39,6 +39,7 @@ def test_same_bytes_as_csv_writer(value):
     written = io.StringIO()
     write_csv(written, "a,b,c", rows)
     assert written.getvalue() == expected.getvalue()
+    assert "a,b,c\n" + format_rows(rows, 3) == expected.getvalue()
 
 
 class TestReadCsv:
