@@ -51,6 +51,10 @@ RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
 # rows, at least one.  It bounds the batch temporaries (2**16 values are
 # 512 KiB), so a large gradient does not raise peak memory.
 BATCH_VALUES = 1 << 16
+# Most values that one batch of natural's rounding holds, whole rows and at
+# least one.  Its half-dozen temporaries of 2**13 values (64 KiB each) stay
+# in cache, which a whole round's (m, d) block of them does not.
+NATURAL_BATCH_VALUES = 1 << 13
 
 
 def index_bits(d: int) -> int:
@@ -148,12 +152,16 @@ def natural_round(values: np.ndarray, seed) -> np.ndarray:
     and stays itself; a zero stays zero, sign included.  From 2^1023 up, where
     2 * lower is not a float, the exponent is capped and the entry rounds down.
     """
-    rng = np.random.default_rng(seed)
+    return _round_to_powers_of_two(values, np.random.default_rng(seed).random(values.size))
+
+
+def _round_to_powers_of_two(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``natural_round`` of ``values`` given each entry's uniform draw (same shape)."""
     mantissa, exponent = np.frexp(values)
     p_lower = np.abs(mantissa)
     p_lower *= -2.0
     p_lower += 2.0
-    exponent -= rng.random(values.size) < p_lower
+    exponent -= draws < p_lower
     np.minimum(exponent, 1023, out=exponent)
     mantissa += mantissa
     return np.ldexp(np.trunc(mantissa, out=mantissa), exponent)  # sign(v) as +-1, or +-0
@@ -333,7 +341,9 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
     that draw (rand_k, natural, rank_r) take them in row order, and identity
     and top_k never touch it.  A seed is what ``np.random.default_rng``
     takes: an int, or a Generator, which the operator draws from as it
-    stands.  ``rows`` must be finite.
+    stands.  One Generator given as every row's seed is drawn in row order,
+    each row taking its draws after the previous row's, as the simulator
+    does with one Generator per round.  ``rows`` must be finite.
 
     Same result, bit for bit, as adding ``decompress(compress(DenseVector(row),
     spec, seed)).values`` into ``out`` row after row, from the same seeds and
@@ -341,7 +351,9 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
     the sparse kinds touch only their k coordinates (adding the other
     coordinates' zeros changes nothing unless ``out`` holds a negative zero).
     rank_r factors its messages in stacked batches of whole rows, up to
-    ``BATCH_VALUES`` padded matrix entries per batch and at least one row.
+    ``BATCH_VALUES`` padded matrix entries per batch and at least one row;
+    natural rounds its messages in batches of whole rows, up to
+    ``NATURAL_BATCH_VALUES`` (2**13) values per batch and at least one row.
     """
     d = rows.shape[1]
     bits = message_bits(spec, d)
@@ -358,8 +370,20 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
             idx = top_k_indices(row, spec.k)
             out[idx] += row[idx]
     elif spec.kind == "natural":
-        for row in rows:
-            out += natural_round(row, next(seeds))
+        # np.add.reduce below adds the rows in order only while its inner
+        # loop runs along d; down a single column it sums pairwise, so d = 1
+        # takes one row per batch.
+        step = max(1, NATURAL_BATCH_VALUES // d) if d > 1 else 1
+        draws = np.empty((min(step, rows.shape[0]), d))
+        for start in range(0, rows.shape[0], step):
+            batch = rows[start:start + step]
+            part = draws[: batch.shape[0]]
+            for row_draws in part:
+                np.random.default_rng(next(seeds)).random(out=row_draws)
+            dense = _round_to_powers_of_two(batch, part)
+            # The same sums, in the same order, as out += row for each row.
+            dense[0] += out
+            np.add.reduce(dense, axis=0, out=out)
     else:
         shape = default_matrix_shape(d)
         step = max(1, BATCH_VALUES // (shape[0] * shape[1]))

@@ -362,7 +362,10 @@ class TestSimulate:
 # sha256 of trace.csv from GOLDEN_ARGS, recorded before the simulator added
 # uplink gradients in-process instead of through compress/decompress
 # messages.  They pin that the two paths give the same trace; never
-# regenerate them from the current code.
+# regenerate them from the current code.  The rand_k, natural and rank_r
+# entries were re-recorded when the seeded kinds' randomness moved
+# from one generator per message to one per (seed, stream, round), drawn in
+# worker order; identity and top_k are the original records.
 GOLDEN_ARGS = ["simulate", "--n", "4", "--d", "17", "--steps", "5", "--alpha", "1e-3",
                "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "7"]
 GOLDEN_KIND_ARGS = {"identity": [], "rand_k": ["--k", "5"], "top_k": ["--k", "5"],
@@ -370,14 +373,14 @@ GOLDEN_KIND_ARGS = {"identity": [], "rand_k": ["--k", "5"], "top_k": ["--k", "5"
 GOLDEN_TRACE_SHA256 = {
     ("identity", False): "4386741ebd2a52d0d7492a2b17e7e6e8aa5fed1f89097be6237b612a7b6c0ea0",
     ("identity", True): "4386741ebd2a52d0d7492a2b17e7e6e8aa5fed1f89097be6237b612a7b6c0ea0",
-    ("rand_k", False): "e736d2735270a39148519909d038cd2a332a3bb3625538f7e09dd67cc9c48df8",
-    ("rand_k", True): "e254ef3b546584107def4f276aa165f4c4ccdae6298c07bacaf317595ca4c28e",
+    ("rand_k", False): "be509452706b3b206765befed2855a2e0afebceb21e1eae538783de9786bae89",
+    ("rand_k", True): "b20aca86dc3281f537817e033fb10bdedb35df2e880fec520ced76bcb2f795b0",
     ("top_k", False): "1a37ac45d7e65b928e559e102f627a19de7e3edb6d70f23684abfa7e45a02877",
     ("top_k", True): "b1391dabe591ea0cf6dddef936606f9ec1f1bd49d883a5c011b49c7398178c23",
-    ("natural", False): "19b8be4a20158d819de9ffedae3771bf85a9f89974f2e21b7876ca2044bc744d",
-    ("natural", True): "7b26045186a7341b4043e4bb245b8ab8a6c5520a55ee5c3857d73ae102a004ea",
-    ("rank_r", False): "eb0df2a4da106134d0b564abfa50457c06394acf8bf21a4786c3c082e599309b",
-    ("rank_r", True): "88901270327e9b64a1f35aa006791bee65c2e5cf20de4ca706ba145f35f5e237",
+    ("natural", False): "3157c9187cf84bcdf93163b5e3f66cb44f9e712caec750291630403b2523c25a",
+    ("natural", True): "4376f2eee925fc409b8fe083b6ce02bc4e8429574923ef3bd496e4a09300baa2",
+    ("rank_r", False): "e26e07d304425b62c4d9e5a87eab353207d11bc96976556c867795aa2588abfc",
+    ("rank_r", True): "4c1b16be2877abeb959d1a22a4f23ab3cfec43274563ecb5c50e93cbb9134515",
 }
 
 
@@ -391,20 +394,21 @@ def test_simulate_trace_matches_golden_hash(tmp_path, kind, downlink):
     assert digest == GOLDEN_TRACE_SHA256[kind, downlink]
 
 
-# sha256 of trace.csv from MULTI_BLOCK_ARGS, recorded while every message's
-# generator was still built from its own SeedSequence.  50 workers over 100
-# rounds send 5000 uplink messages, more than one block of message states.
-# Never regenerate them from the current code.
+# sha256 of trace.csv from MULTI_BLOCK_ARGS: 50 workers over 100 rounds send
+# 5000 uplink messages.  First recorded while every message's generator was
+# built from its own SeedSequence; every entry was re-recorded when
+# the randomness moved to one generator per (seed, stream, round), drawn in
+# worker order.  Never regenerate them from the current code.
 MULTI_BLOCK_ARGS = ["simulate", "--n", "50", "--d", "6", "--steps", "100", "--alpha", "1e-3",
                     "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "11"]
 MULTI_BLOCK_KIND_ARGS = {"rand_k": ["--k", "2"], "natural": [], "rank_r": ["--r", "1"]}
 MULTI_BLOCK_TRACE_SHA256 = {
-    ("rand_k", False): "4965d71e726e6b64c786dfd6e4fd6a0861c7b7551ee022eed350d6b8383021f5",
-    ("rand_k", True): "044dcc280b8661c0d5ca93c3653afe935df83cfc06331464bebf69820397ad7e",
-    ("natural", False): "47a9fd5ac32620aab98a52379ac5558e477c2ef926fe6bd4649cd78441f5be14",
-    ("natural", True): "9162cd95912d704aa713a473cddfa44345d6bc316afac438d8f72e5849f14c39",
-    ("rank_r", False): "515a4b5ec5a65c058ad9753824212263fb0cb72165f2cb11cacb797b539e3960",
-    ("rank_r", True): "b1899007a7a0182baeda0323d91b799627e49bfaab6b8a20c00b67aa6a6f41e2",
+    ("rand_k", False): "2a382ab4935f0affddf4e880ec8fb9bd1745fa0aee0266446aa64d0b66aa1365",
+    ("rand_k", True): "0460ed9828ab91e0eba19fd98972e8b17a50782f51cc83ed2c4198f9073038e8",
+    ("natural", False): "aa98d05ab859cce0836c82dd89980e8a06b270ff8ce4ed1a6f8c223c32d19114",
+    ("natural", True): "feaede1f44b8ceea6a497e230cebd19409d5f3a070f8f68242514d1aa771d716",
+    ("rank_r", False): "d86469d62e343d68f423f1d8c31dcc6a016019aeb0400624553c7940375f57d4",
+    ("rank_r", True): "45868310120aead2bf4b2382634ce16b23896a61af4b308c6dc7c144ead2f081",
 }
 
 
@@ -421,7 +425,10 @@ def test_multi_block_trace_matches_golden_hash(tmp_path, kind, downlink):
 # sha256 of trace.csv from BATCHED_ARGS, recorded before the simulator added
 # a whole round's messages in one call.  70 workers at d = 1000 are 70 000
 # values a round, more than one batch of them.  Never regenerate them from
-# the current code.
+# the current code.  The rand_k, natural and rank_r entries were re-recorded
+# when the seeded kinds' randomness moved to one generator per
+# (seed, stream, round), drawn in worker order; identity and top_k are the
+# original records.
 BATCHED_ARGS = ["simulate", "--n", "70", "--d", "1000", "--steps", "3", "--alpha", "1e-3",
                 "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "5"]
 BATCHED_KIND_ARGS = {"identity": [], "rand_k": ["--k", "50"], "top_k": ["--k", "50"],
@@ -429,14 +436,14 @@ BATCHED_KIND_ARGS = {"identity": [], "rand_k": ["--k", "50"], "top_k": ["--k", "
 BATCHED_TRACE_SHA256 = {
     ("identity", False): "a454df64ced573ba2c483d04093481c0889e76a337b4b62586aec0d93de55ebf",
     ("identity", True): "a454df64ced573ba2c483d04093481c0889e76a337b4b62586aec0d93de55ebf",
-    ("rand_k", False): "88b8bb70d259fc93308c0ecca6ea7fef92ffbcac1d640ffc34fd381e16a35b9e",
-    ("rand_k", True): "803e3bb6737088fb293e3211b0016dd565371189a177e07d1d447060cf5b4318",
+    ("rand_k", False): "99e79708f5b99fc5b55e625d55223799da4838ae9accef1d0e467ff9d2ba2b5b",
+    ("rand_k", True): "cff7abb997c16a5b5e39b0dcf1bf1ad1d720f6b8b09eadb63573e89a30449bca",
     ("top_k", False): "2d56f7ebd4846fdddf059786117f4e36729b0e26b948cedc3fb3af8d7b4eab7a",
     ("top_k", True): "df8a2ca631fdebd8ae9f3e8c9e72c923ac4fc454a5cfd143119bdb0380938319",
-    ("natural", False): "0eb0ba397eaff7e10d39cacb1e812f1f4bce965ecceb6070f8238f3483a798d4",
-    ("natural", True): "46ded8184ca2121488fced50343ea0e70aa0fb9b3d71f09f315b8c44d8d218f9",
-    ("rank_r", False): "ccb6cadea40139cd24a0a6970e14c2833351066edb4fc9c716680c21d2fcdf04",
-    ("rank_r", True): "cd928a93373e23297000b397872bd928916242591cc87858b4fc78a3e140993b",
+    ("natural", False): "4ecf6a1112f9e21f788335d034a1ce1641ab5a1381883535b7849344c952cc63",
+    ("natural", True): "7045f25decec22f9106e93af7a2c5678005874f9e3b64eb6b3b1c98300c068eb",
+    ("rank_r", False): "83e006a26f42ed3093675980b7358ce6026e86b9cf746ad085b021723354c73e",
+    ("rank_r", True): "8804e6d2a14e09a584adfb68e037d36bcd4df1551ed5b9aa22be5fabffd79494",
 }
 
 
@@ -454,6 +461,11 @@ def test_batched_trace_matches_golden_hash(tmp_path, kind, downlink):
 # recorded while simulate still listed its settings in three places (flags,
 # config keys and an override map).  They pin how the config file and the
 # flags combine, key by key; never regenerate them from the current code.
+# The trace.csv entries of the rand_k and rank_r runs (file, flags and the
+# three downlink runs) were re-recorded when the seeded kinds'
+# randomness moved to one generator per (seed, stream, round), drawn in
+# worker order; the manifests and the top_k run's trace are the original
+# records.
 SETTINGS_FILE = ("n = 3\nd = 12\nsteps = 4\ngamma = 0.25\nalpha = 0.001\nbeta = 1e-8\n"
                  "alpha_m = 0.1\nbeta_m = 0.1\ncompressor.kind = rand_k\ncompressor.k = 4\n"
                  "seed = 7\n")
@@ -471,11 +483,11 @@ SETTINGS_SHA256 = {
     ("file", "simulate.manifest.json"):
         "7921afe34fa62093195368d597082174d83194197b43373ccf65822e8cb3db7c",
     ("file", "trace.csv"):
-        "81806fdea497424be43412c9a0782584450d9c71cdde2327019179d49439a432",
+        "60c4f09ebde1fac3493a2cd04e354ca340ee553cbfc92ef75678b95a48eda97d",
     ("flags", "simulate.manifest.json"):
         "de2911511bc470a39c207126a8b00672237a54cb03bb88844f7fe0ef2e8b0837",
     ("flags", "trace.csv"):
-        "2776abca6f68114852905f57075693c55b9b8cfabe2e9b950a3a40ac42e04b61",
+        "4f85f812b759b4d4e32d5f0e9bb27fec894dae353ed7ac552b3cdae3cea4c3cb",
     ("flags_override_file", "simulate.manifest.json"):
         "7a3a2f32072c33a69cc9107cf1ae5a2249dfd553831f57ca8c1e0155fd12a932",
     ("flags_override_file", "trace.csv"):
@@ -483,15 +495,15 @@ SETTINGS_SHA256 = {
     ("downlink_file", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_file", "trace.csv"):
-        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+        "55cb7689528640b0ced8d52dca5100f02580ff6e615f9f7a7e2782aeaeadeb13",
     ("downlink_flag", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_flag", "trace.csv"):
-        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+        "55cb7689528640b0ced8d52dca5100f02580ff6e615f9f7a7e2782aeaeadeb13",
     ("downlink_both", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_both", "trace.csv"):
-        "c684490da995632322983970c9240fa6333de3b837e8de4cac3430761090ebe7",
+        "55cb7689528640b0ced8d52dca5100f02580ff6e615f9f7a7e2782aeaeadeb13",
 }
 
 

@@ -1,21 +1,32 @@
 import io
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gradcomm.commodel import TimeModelParams, expected_time
-from gradcomm.compression import BATCH_VALUES, CompressorSpec, omega_inf
+from gradcomm.commodel import TimeModelParams, expected_time, sample_time
+from gradcomm.compression import (
+    BATCH_VALUES,
+    NATURAL_BATCH_VALUES,
+    CompressorSpec,
+    default_matrix_shape,
+    message_bits,
+    natural_round,
+    omega_inf,
+    rand_k_indices,
+    rank_r_expand,
+    rank_r_factors,
+)
 from gradcomm.errors import DivergenceError, ParameterError
 from gradcomm.optimizer import (
     _DOWNLINK_STREAM,
-    _SEED_BLOCK,
+    _TIME_STREAM,
     _UPLINK_STREAM,
     Problem,
     SimConfig,
-    _message_generators,
+    TraceRow,
     closed_form_optimum,
+    default_stepsize,
     run_compressed_gd,
 )
 
@@ -287,45 +298,76 @@ class TestSimConfig:
         wide = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=np.uint64(9), compressor=spec)
         assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, wide).rows
 
-    @pytest.mark.parametrize("steps", [0, 2**32 + 1])
+    @pytest.mark.parametrize("steps", [0])
     def test_steps_out_of_range(self, steps):
         with pytest.raises(ParameterError, match="steps must be"):
             SimConfig(steps=steps, time_model=QUIET)
 
-
-def _reference_generator(seed, stream, round_idx, worker):
-    """The per-message rule, one SeedSequence and one default_rng at a time."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx, worker))
-    return np.random.default_rng(int(ss.generate_state(1)[0]))
-
-
-def _first_draws(rng):
-    # The odd uint32 count leaves a buffered half-word, which the next
-    # message's state must clear.
-    return (rng.random(5), rng.choice(1000, 10, replace=False), rng.standard_normal((3, 2)),
-            rng.integers(10, size=3, dtype=np.uint32))
+    def test_steps_above_2_32_are_accepted(self):
+        # Round indices enter only SeedSequence spawn keys, which take any
+        # non-negative int.
+        assert SimConfig(steps=2**32 + 1, time_model=QUIET).steps == 2**32 + 1
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
-@pytest.mark.parametrize("stream", [_UPLINK_STREAM, _DOWNLINK_STREAM])
-@pytest.mark.parametrize("rounds, n_workers", [
-    (range(3), 4),
-    (range(2**16, 2**16 + 2), 3),
-    (range(1), 2**16 + 2),  # one round larger than a block
-    (range(2 * _SEED_BLOCK // 64 + 1), 64),  # two full blocks and a one-round third
-], ids=["from-zero", "rounds-2**16", "workers-2**16", "three-blocks"])
-def test_message_generators_match_seed_sequence(seed, stream, rounds, n_workers):
-    rng = np.random.Generator(np.random.PCG64())
-    messages = itertools.product(rounds, range(n_workers))
-    total = len(rounds) * n_workers
-    generators = _message_generators(rng, seed, stream, rounds, n_workers)
-    for i, ((round_idx, worker), got) in enumerate(zip(messages, generators, strict=True)):
-        assert got is rng
-        # Every message of the small cases; the first, last and block-edge
-        # messages of the large ones.
-        if total > 64 and not (i < 3 or i == total - 1 or i % _SEED_BLOCK in (0, _SEED_BLOCK - 1)):
-            continue
-        want = _reference_generator(seed, stream, round_idx, worker)
-        assert got.bit_generator.state == want.bit_generator.state, (round_idx, worker)
-        for got_draw, want_draw in zip(_first_draws(got), _first_draws(want)):
-            np.testing.assert_array_equal(got_draw, want_draw)
+def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray]:
+    """``run_compressed_gd`` rebuilt from one operator call per message.
+
+    Each stream takes one generator per round, keyed by (seed, stream,
+    round), and every message of the round draws from it in worker order.
+    """
+    spec, d, n = config.compressor, problem.d, problem.n
+    gamma = default_stepsize(problem, spec)
+    time_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TIME_STREAM,)))
+    bits = message_bits(spec, d)
+
+    def round_rng(stream, round_idx):
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(stream, round_idx)))
+
+    def decoded(vector, rng):
+        if spec.kind == "rand_k":
+            out = np.zeros(d)
+            idx = rand_k_indices(d, spec.k, rng)
+            out[idx] = vector[idx] * (d / spec.k)
+            return out
+        if spec.kind == "natural":
+            return natural_round(vector, rng)
+        p, q = rank_r_factors(vector[None], spec.r, *default_matrix_shape(d), iter([rng]))
+        return rank_r_expand(p, q, d)[0]
+
+    x = np.zeros(d)
+    grads = problem.worker_gradients(x)
+    rows = [TraceRow(0, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))), 0.0, 0, 0)]
+    wall, up_total, down_total = 0.0, 0, 0
+    for k in range(config.steps):
+        down_bits = d * 32
+        if config.downlink_compressed:
+            down_bits = bits
+            grads = problem.worker_gradients(np.zeros(d) + decoded(x, round_rng(_DOWNLINK_STREAM, k)))
+        up_rng = round_rng(_UPLINK_STREAM, k)
+        agg = np.zeros(d)
+        for grad in grads:
+            agg += decoded(grad, up_rng)
+        t_down, *t_up = sample_time(config.time_model, [down_bits] + [bits] * n, time_rng).tolist()
+        x = x - gamma * (agg / n)
+        wall += t_down + max(t_up)
+        up_total += n * bits
+        down_total += down_bits
+        grads = problem.worker_gradients(x)
+        rows.append(TraceRow(k + 1, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))),
+                             wall, up_total, down_total))
+    return rows, x
+
+
+@pytest.mark.parametrize("downlink", [False, True])
+@pytest.mark.parametrize("spec", [CompressorSpec("rand_k", k=50), CompressorSpec("natural"),
+                                  CompressorSpec("rank_r", r=2)], ids=lambda spec: spec.kind)
+def test_seeded_run_matches_explicit_per_message_draws(spec, downlink):
+    n, d = 12, 1000
+    assert n * d > NATURAL_BATCH_VALUES  # natural's rounds cross a batch boundary
+    problem = Problem.random_quadratic(n, d, seed=4)
+    config = SimConfig(steps=3, time_model=TimeModelParams(1e-3, 1e-8, 0.1, 0.1),
+                       compressor=spec, seed=2**64 + 3, downlink_compressed=downlink)
+    trace = run_compressed_gd(problem, config)
+    rows, final_x = _explicit_run(problem, config)
+    assert [repr(row) for row in trace.rows] == [repr(row) for row in rows]  # repr is exact
+    assert trace.final_x.tobytes() == final_x.tobytes()
