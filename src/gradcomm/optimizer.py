@@ -49,6 +49,13 @@ _TIME_STREAM = 0
 _UPLINK_STREAM = 1
 _DOWNLINK_STREAM = 2
 
+
+def _round_seeds(seed: int, stream: int, round_idx: int, count: int):
+    """Round ``round_idx``'s generator of ``stream`` as each of ``count`` rows' seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx)))
+    return itertools.repeat(rng, count)
+
+
 TRACE_CSV_HEADER = "round,objective,grad_norm,wall_clock_s,uplink_bits,downlink_bits"
 
 
@@ -207,12 +214,9 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
 
     def round_seeds(stream: int, round_idx: int, count: int):
-        """Round ``round_idx``'s generator of ``stream`` as each of ``count`` rows' seed."""
         if spec.kind not in RANDOMIZED_KINDS:
             return None  # identity and top_k never draw
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(stream, round_idx)))
-        return itertools.repeat(rng, count)
+        return _round_seeds(config.seed, stream, round_idx, count)
 
     wall = 0.0
     up_total = 0

@@ -25,6 +25,7 @@ from gradcomm.optimizer import (
     Problem,
     SimConfig,
     TraceRow,
+    _round_seeds,
     closed_form_optimum,
     default_stepsize,
     run_compressed_gd,
@@ -307,6 +308,35 @@ class TestSimConfig:
         # Round indices enter only SeedSequence spawn keys, which take any
         # non-negative int.
         assert SimConfig(steps=2**32 + 1, time_model=QUIET).steps == 2**32 + 1
+
+
+def _first_draws(rng):
+    # The odd uint32 count leaves a buffered half-word, which the next
+    # message's draws must continue from.
+    return (rng.random(5), rng.choice(1000, 10, replace=False), rng.standard_normal((3, 2)),
+            rng.integers(10, size=3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+@pytest.mark.parametrize("stream", [_UPLINK_STREAM, _DOWNLINK_STREAM])
+@pytest.mark.parametrize("rounds, n_workers", [
+    (range(3), 4),
+    (range(2**16, 2**16 + 2), 3),
+    (range(1), 2**16 + 2),
+    (range(129), 64),
+], ids=["from-zero", "rounds-2**16", "workers-2**16", "three-blocks"])
+def test_message_generators_match_seed_sequence(seed, stream, rounds, n_workers):
+    for round_idx in rounds:
+        seeds = list(_round_seeds(seed, stream, round_idx, n_workers))
+        assert len(seeds) == n_workers
+        got = seeds[0]
+        assert all(rng is got for rng in seeds)  # one generator per round
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, round_idx)))
+        assert got.bit_generator.state == want.bit_generator.state, round_idx
+        # Messages draw from it in worker order; each round's first four are checked.
+        for worker in range(min(n_workers, 4)):
+            for got_draw, want_draw in zip(_first_draws(got), _first_draws(want), strict=True):
+                np.testing.assert_array_equal(got_draw, want_draw, err_msg=str((round_idx, worker)))
 
 
 def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray]:
