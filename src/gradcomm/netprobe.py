@@ -12,11 +12,14 @@ sends every frame as a prefix of that one draw: the frames stay pseudorandom
 and incompressible, the draw costs one pass over the largest frame instead of
 one per size, and the client's peak memory is still the largest frame.
 
-The server serves one connection at a time.  It drains each payload through a
-bounded buffer and counts it, never keeping it, so a frame near p_max costs
-it no p_max allocation.  A connection idle for ``DEFAULT_TIMEOUT_S`` (5 s) is
-closed, and a connection that fails is logged in one line while serving goes
-on, so one peer cannot stop the server.  The timeout is per read, not per
+The server serves one connection at a time.  It counts each payload exactly
+and never keeps it: on Linux the kernel discards the bytes (``MSG_TRUNC``)
+without copying them to user space, so the server's own copy is not part of
+the round trip it times; elsewhere they are copied through a bounded 1 MiB
+buffer.  Either way a frame near p_max costs it no p_max allocation.  A
+connection idle for ``DEFAULT_TIMEOUT_S`` (5 s) is closed, and a connection
+that fails is logged in one line while serving goes on, so one peer cannot
+stop the server.  The timeout is per read, not per
 frame, so a peer that trickles bytes (one header byte just inside each
 timeout) can hold the sequential server for longer than the timeout.
 """
@@ -63,22 +66,32 @@ class ProbeResult:
     error: str | None = None
 
 
-_DRAIN_BYTES = 1 << 20  # payloads are counted, never kept: read through a buffer this big
+# Payloads are counted, never kept, in reads of at most this many bytes.  On
+# Linux, TCP drops a MSG_TRUNC read's bytes without copying them to user space
+# and returns how many it dropped; elsewhere the read copies into the buffer.
+_DRAIN_BYTES = 1 << 20
+_DISCARD = socket.MSG_TRUNC if sys.platform.startswith("linux") else 0
 
 
-class _FrameHandler(socketserver.StreamRequestHandler):
+class _FrameHandler(socketserver.BaseRequestHandler):
     """Acknowledges each frame of one connection; ``timeout`` closes an idle peer."""
 
-    disable_nagle_algorithm = True
     timeout = DEFAULT_TIMEOUT_S
 
     def handle(self) -> None:
-        server = self.server
+        server, sock = self.server, self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.timeout)
+        header = memoryview(bytearray(_LEN.size))
         drain = memoryview(bytearray(min(server.p_max_bytes, _DRAIN_BYTES)))
         while True:
-            header = self.rfile.read(_LEN.size)
-            if len(header) < _LEN.size:
-                return
+            # Raw reads only: a buffered reader would read ahead into the payload.
+            got = 0
+            while got < _LEN.size:
+                n = sock.recv_into(header[got:])
+                if not n:
+                    return
+                got += n
             (length,) = _LEN.unpack(header)
             if length == 0:
                 return  # clean shutdown frame
@@ -90,12 +103,12 @@ class _FrameHandler(socketserver.StreamRequestHandler):
                 return
             remaining = length
             while remaining:
-                got = self.rfile.readinto(drain[:min(remaining, len(drain))])
+                got = sock.recv_into(drain, min(remaining, len(drain)), _DISCARD)
                 if not got:
                     logger.warning("peer vanished mid-payload; resetting connection")
                     return
                 remaining -= got
-            self.wfile.write(ACK)
+            sock.sendall(ACK)
             server.messages += 1
             server.bytes_in += _LEN.size + length
             server.bytes_out += len(ACK)
@@ -105,9 +118,11 @@ class PingPongServer(socketserver.TCPServer):
     """Sequential echo-acknowledge server; one connection at a time.
 
     Concurrency would contaminate the client's timing, so connections are
-    handled strictly one after another.  ``messages``/``bytes_in``/``bytes_out``
-    count acknowledged frames for exact byte-accounting checks.  Port 0 binds
-    a free port; a port outside 0..65535 raises :class:`ParameterError`.
+    handled strictly one after another.  Payloads are discarded in the kernel
+    on Linux and copied through a 1 MiB buffer elsewhere; either way
+    ``messages``/``bytes_in``/``bytes_out`` count acknowledged frames exactly,
+    for byte-accounting checks.  Port 0 binds a free port; a port outside
+    0..65535 raises :class:`ParameterError`.
     """
 
     allow_reuse_address = True

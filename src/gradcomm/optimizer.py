@@ -152,8 +152,9 @@ class SimConfig:
     downlink_compressed: bool = False
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be at least 1, got {self.steps}")
+        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
+                or self.steps < 1):
+            raise ParameterError(f"steps must be an integer of at least 1, got {self.steps!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -2,6 +2,7 @@ import gc
 import logging
 import socket
 import struct
+import sys
 import time
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradcomm import estimator
+from gradcomm import estimator, netprobe
 from gradcomm.errors import NetworkError, ParameterError
 from gradcomm.netprobe import (
     ACK,
@@ -133,6 +134,78 @@ class TestServer:
                     busy.bind()
                 gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class RecordingConnection:
+    """A handler's socket that serves ``stream`` in reads of at most 64 KiB.
+
+    Each ``recv_into`` is recorded as (buffer id, bytes asked, flags, bytes
+    returned); a MSG_TRUNC read writes nothing into the buffer, as Linux TCP
+    does.
+    """
+
+    def __init__(self, stream: bytes):
+        self.stream = memoryview(stream)
+        self.reads, self.sent = [], bytearray()
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv_into(self, buffer, nbytes=0, flags=0):
+        data = self.stream[:min(nbytes or len(buffer), 1 << 16)]
+        self.stream = self.stream[len(data):]
+        if not flags & socket.MSG_TRUNC:
+            buffer[:len(data)] = data
+        self.reads.append((id(buffer.obj), nbytes or len(buffer), flags, len(data)))
+        return len(data)
+
+    def sendall(self, data):
+        self.sent += data
+
+
+class TestDrain:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="MSG_TRUNC discard is Linux-only")
+    def test_payload_is_discarded_in_the_kernel_on_linux(self):
+        sizes = [1, 1000, (2 << 20) + 5]
+        conn = RecordingConnection(
+            b"".join(struct.pack(">Q", s) + bytes(s) for s in sizes) + struct.pack(">Q", 0))
+        server = PingPongServer(p_max_bytes=3 << 20)
+        server.server_close()  # never bound: the handler only needs its counters
+        server.RequestHandlerClass(conn, ("127.0.0.1", 0), server)
+        assert bytes(conn.sent) == ACK * len(sizes)
+        assert (server.messages, server.bytes_in, server.bytes_out) == (
+            len(sizes), sum(s + 8 for s in sizes), len(sizes))
+        header_buffer = conn.reads[0][0]
+        payload_reads = [r for r in conn.reads if r[0] != header_buffer]
+        # Every payload byte is dropped by a MSG_TRUNC read of at most 1 MiB.
+        assert all(flags == socket.MSG_TRUNC for _, _, flags, _ in payload_reads)
+        assert sum(got for _, _, _, got in payload_reads) == sum(sizes)
+        assert max(asked for _, asked, _, _ in payload_reads) == 1 << 20
+
+    def test_header_in_one_byte_writes_then_two_drain_chunks(self, server):
+        size = (1 << 20) + 12345  # spans two 1 MiB drain reads
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in struct.pack(">Q", size):
+                sock.sendall(bytes([byte]))
+                time.sleep(0.01)
+            sock.sendall(bytes(size))
+            assert sock.recv(1) == ACK
+            sock.sendall(struct.pack(">Q", 0))
+        server.stop()
+        assert (server.messages, server.bytes_in, server.bytes_out) == (1, size + 8, 1)
+
+    @pytest.mark.parametrize("exchange", [
+        TestServer.test_fuzz_1000_frames_no_desync,
+        TestServer.test_byte_accounting_exact,
+    ], ids=["fuzz", "byte-accounting"])
+    def test_copying_drain_stays_exact(self, server, monkeypatch, exchange):
+        # The path taken off Linux: payloads are copied into the drain buffer.
+        monkeypatch.setattr(netprobe, "_DISCARD", 0)
+        exchange(TestServer(), server)
 
 
 class TestProbe:

@@ -299,10 +299,13 @@ class TestSimConfig:
         wide = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=np.uint64(9), compressor=spec)
         assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, wide).rows
 
-    @pytest.mark.parametrize("steps", [0])
+    @pytest.mark.parametrize("steps", [0, 2.5, True, "3"])
     def test_steps_out_of_range(self, steps):
         with pytest.raises(ParameterError, match="steps must be"):
             SimConfig(steps=steps, time_model=QUIET)
+
+    def test_numpy_integer_steps_are_an_int(self):
+        assert SimConfig(steps=np.int64(3), time_model=QUIET).steps == 3
 
     def test_steps_above_2_32_are_accepted(self):
         # Round indices enter only SeedSequence spawn keys, which take any
