@@ -10,9 +10,9 @@ compressed gradients are reconstructed in-process by one
 ``compression.add_decompressed`` call, and a compressed downlink's iterate by
 another, from the same operator code and seeds as message round trips, so
 the trace is identical to one.  A run allocates one (n, d) gradient buffer,
-which ``Problem.evaluate`` fills every round; the objective pass works
-through a scratch array of at most ``compression.BATCH_VALUES`` values, so
-no second (n, d) array lives across rounds.
+which ``Problem.worker_gradients`` fills once a round for the uplink; the
+trace's objective and gradient norm come from O(d) closed forms in the mean
+target and the optimal value, which each ``Problem`` computes once.
 
 The seeded kinds' randomness is keyed by (seed, stream, round): each stream
 (uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,8 @@ class Problem:
 
     Worker i holds row a_i of ``targets`` (n, d); the positive ``curvature``
     h (length d) is shared, so the minimizer is the mean target, L = max h and
-    mu = min h.  ``mean`` is the problem with h = 1.
+    mu = min h.  ``mean`` is the problem with h = 1.  The mean target and f*
+    are cached on first use, so neither array may change once it is built.
     """
 
     targets: np.ndarray
@@ -94,30 +96,35 @@ class Problem:
         rng = np.random.default_rng(seed)
         return cls(targets=rng.standard_normal((n, d)), curvature=rng.uniform(0.5, 5.0, d))
 
-    def evaluate(self, x: np.ndarray, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """f(x) and the n local gradients at x, from one pass over x - targets.
-
-        The gradients fill ``out`` (n, d) when it is given, else a new array.
-        The pass takes whole rows, up to ``BATCH_VALUES`` values at a time
-        (at least one row), through one scratch array for x - a_i, so the
-        objective needs no second (n, d) array.  Each row's sum does not
-        depend on that chunking.
-        """
-        grads = np.empty_like(self.targets) if out is None else out
+    @cached_property
+    def _optimum(self) -> tuple[np.ndarray, float]:
+        """The mean target a-bar and f* = f(a-bar), by whole rows (at least one) of at most
+        ``BATCH_VALUES`` values through two scratch arrays: no (n, d) temporary is made."""
+        mean = self.targets.mean(axis=0)
         step = max(1, BATCH_VALUES // self.d)
-        diff = np.empty((min(step, self.n), self.d))
+        diff, scaled = np.empty((2, min(step, self.n), self.d))
         sums = np.empty(self.n)
         for start in range(0, self.n, step):
             stop = min(start + step, self.n)
-            part = diff[: stop - start]
-            np.subtract(x, self.targets[start:stop], out=part)
-            np.multiply(part, self.curvature, out=grads[start:stop])
-            part *= grads[start:stop]  # h * (x - a)**2
+            part, grads = diff[: stop - start], scaled[: stop - start]
+            np.subtract(mean, self.targets[start:stop], out=part)
+            np.multiply(part, self.curvature, out=grads)
+            part *= grads  # h * (a-bar - a)**2
             part.sum(axis=1, out=sums[start:stop])
-        return float(0.5 * np.mean(sums)), grads
+        return mean, float(0.5 * np.mean(sums))
+
+    def objective_and_grad_norm(self, x: np.ndarray) -> tuple[float, float]:
+        """f(x) = f* + 0.5 * sum_j h_j * (x_j - a-bar_j)**2 and the norm of the mean
+        gradient h * (x - a-bar), in O(d).  The norm sums with ``np.add.reduce``:
+        a BLAS dot product would split the sum by the host's thread count."""
+        mean, f_star = self._optimum
+        diff = x - mean
+        grad = diff * self.curvature
+        return (f_star + 0.5 * float(np.add.reduce(grad * diff)),
+                math.sqrt(np.add.reduce(grad * grad)))
 
     def objective(self, x: np.ndarray) -> float:
-        return self.evaluate(x)[0]
+        return self.objective_and_grad_norm(x)[0]
 
     def worker_gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array.
@@ -137,9 +144,9 @@ class Problem:
 
 
 def closed_form_optimum(problem: Problem) -> tuple[np.ndarray, float]:
-    """Exact minimizer (the mean target) and optimal value."""
-    x_star = problem.targets.mean(axis=0)
-    return x_star, problem.objective(x_star)
+    """Exact minimizer (the mean target) and optimal value, as the problem caches them."""
+    x_star, f_star = problem._optimum
+    return x_star.copy(), f_star
 
 
 @dataclass(frozen=True)
@@ -152,11 +159,11 @@ class SimConfig:
     downlink_compressed: bool = False
 
     def __post_init__(self):
-        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
-                or self.steps < 1):
-            raise ParameterError(f"steps must be an integer of at least 1, got {self.steps!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, low, rule in (("steps", 1, "an integer of at least 1"),
+                                ("seed", 0, "a non-negative integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     if not 0 < gamma < math.inf:
         raise ParameterError(f"stepsize must be positive and finite, got {gamma}")
     time_model = config.time_model
-    time_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(_TIME_STREAM,))
-    )
+    time_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TIME_STREAM,)))
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
@@ -219,22 +224,18 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
             return None  # identity and top_k never draw
         return _round_seeds(config.seed, stream, round_idx, count)
 
-    wall = 0.0
-    up_total = 0
-    down_total = 0
-    # The one (n, d) array that lives across rounds.  One pass fills it with
-    # the iterate's gradients and gives its objective; the gradients give
-    # grad_norm and, with an exact downlink, the next round's uplink.
+    wall, up_total, down_total = 0.0, 0, 0
+    # The one (n, d) array that lives across rounds: the gradients the uplink
+    # reads, at the iterate the workers received.  The trace needs only O(d).
     grads = np.empty((n, d))
-    obj, _ = problem.evaluate(x, out=grads)
-    rows = [TraceRow(0, obj, float(np.linalg.norm(grads.mean(axis=0))), 0.0, 0, 0)]
+    rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
     for k in range(config.steps):
-        down_bits = d * b
+        down_bits, x_sent = d * b, x
         if compress_downlink:
-            x_bcast = np.zeros(d)
-            down_bits = add_decompressed(x_bcast, spec, x[None],
+            x_sent = np.zeros(d)
+            down_bits = add_decompressed(x_sent, spec, x[None],
                                          round_seeds(_DOWNLINK_STREAM, k, 1))
-            problem.worker_gradients(x_bcast, out=grads)
+        problem.worker_gradients(x_sent, out=grads)
 
         agg = np.zeros(d)
         up_bits = add_decompressed(agg, spec, grads, round_seeds(_UPLINK_STREAM, k, n))
@@ -245,12 +246,11 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         wall += t_down + max(t_up)
         up_total += n * up_bits
         down_total += down_bits
-        obj, _ = problem.evaluate(x, out=grads)
+        obj, grad_norm = problem.objective_and_grad_norm(x)
         if not obj <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {k + 1}; "
                 "reduce the stepsize"
             )
-        grad_norm = float(np.linalg.norm(grads.mean(axis=0)))
         rows.append(TraceRow(k + 1, obj, grad_norm, wall, up_total, down_total))
     return SimTrace(rows=rows, final_x=x)

@@ -83,12 +83,12 @@ class TestProblem:
         x_ref = np.linalg.solve(hess, vecs.mean(axis=0))
         for x in np.random.default_rng(seed).standard_normal((3, d)):
             want_f = np.mean(0.5 * x @ hess @ x - vecs @ x + consts)
-            assert problem.objective(x) == pytest.approx(want_f, rel=1e-12, abs=1e-12)
+            want_norm = np.linalg.norm(hess @ x - vecs.mean(axis=0))
+            f, grad_norm = problem.objective_and_grad_norm(x)
+            assert f == problem.objective(x) == pytest.approx(want_f, rel=1e-12, abs=1e-12)
+            assert grad_norm == pytest.approx(want_norm, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(problem.worker_gradients(x), hess @ x - vecs,
                                        rtol=1e-12, atol=1e-12)
-            f, grads = problem.evaluate(x)
-            assert f == problem.objective(x)
-            np.testing.assert_array_equal(grads, problem.worker_gradients(x))
         assert problem.smoothness() == eigs.max()
         assert problem.strong_convexity() == eigs.min()
         x_star, f_star = closed_form_optimum(problem)
@@ -96,23 +96,37 @@ class TestProblem:
         want_star = np.mean(0.5 * x_ref @ hess @ x_ref - vecs @ x_ref + consts)
         assert f_star == pytest.approx(want_star, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("n, d, chunks", [(70, 1000, 2), (3, 70_000, 3), (130, 6, 1)])
-    def test_evaluate_into_buffer_is_bitwise(self, n, d, chunks):
-        assert -(-n // max(1, BATCH_VALUES // d)) == chunks  # chunks of the pass
+    @pytest.mark.parametrize("n, d", [(70, 1000), (3, 70_000), (130, 6)])
+    def test_worker_gradients_into_buffer_is_bitwise(self, n, d):
         problem = Problem.random_quadratic(n, d, seed=n)
         x = np.random.default_rng(d).standard_normal(d)
         buf = np.full((n, d), np.nan)
-        f_buf, grads_buf = problem.evaluate(x, out=buf)
-        f, grads = problem.evaluate(x)
-        assert grads_buf is buf and grads is not buf
-        # The unchunked pass: x - targets as one (n, d) array.
-        diff = x - problem.targets
-        want_grads = diff * problem.curvature
-        diff *= want_grads
-        want_f = float(0.5 * np.mean(np.sum(diff, axis=1)))
-        assert f_buf == f == want_f
-        assert buf.tobytes() == grads.tobytes() == want_grads.tobytes()
-        assert problem.worker_gradients(x, out=np.empty((n, d))).tobytes() == buf.tobytes()
+        assert problem.worker_gradients(x, out=buf) is buf
+        want = (x - problem.targets) * problem.curvature  # unchunked, one (n, d) array
+        assert buf.tobytes() == want.tobytes() == problem.worker_gradients(x).tobytes()
+
+    # f* as the chunked pass over the residuals at the mean target gave it
+    # before the trace's objective became a closed form around it.
+    @pytest.mark.parametrize("n, d, seed, chunks, f_star_hex", [
+        (3, 5, 1, 1, "0x1.38a72b76894d1p+0"),
+        (130, 6, 1, 1, "0x1.10aa3853f7547p+3"),
+        (70, 1000, 2, 2, "0x1.5724ee90c2622p+10"),
+        (3, 70_000, 3, 3, "0x1.f8139ce4485f9p+15"),
+    ])
+    def test_optimal_value_is_pinned(self, n, d, seed, chunks, f_star_hex):
+        assert -(-n // max(1, BATCH_VALUES // d)) == chunks  # chunks of the pass
+        _, f_star = closed_form_optimum(Problem.random_quadratic(n, d, seed=seed))
+        assert f_star.hex() == f_star_hex
+
+    @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (4, 6, 3), (70, 1000, 2)])
+    def test_objective_is_f_star_plus_a_square(self, n, d, seed):
+        problem = Problem.random_quadratic(n, d, seed=seed)
+        x_star, f_star = closed_form_optimum(problem)
+        assert problem.objective_and_grad_norm(x_star) == (f_star, 0.0)
+        rng = np.random.default_rng(seed)
+        for scale in (1e-12, 1e-6, 1.0, 1e3):
+            x = x_star + scale * rng.standard_normal(d)
+            assert problem.objective(x) - f_star >= 0
 
     def test_random_quadratic_holds_n_plus_one_rows(self):
         n, d = 16, 100_000
@@ -287,7 +301,7 @@ class TestTraceCsv:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_seed_must_be_a_non_negative_int(self, seed):
         with pytest.raises(ParameterError, match="seed must be"):
             SimConfig(steps=1, time_model=QUIET, seed=seed)
@@ -298,6 +312,9 @@ class TestSimConfig:
         plain = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=9, compressor=spec)
         wide = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=np.uint64(9), compressor=spec)
         assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, wide).rows
+
+    def test_numpy_int64_seed_is_accepted(self):
+        assert SimConfig(steps=1, time_model=QUIET, seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("steps", [0, 2.5, True, "3"])
     def test_steps_out_of_range(self, steps):
@@ -369,7 +386,7 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
 
     x = np.zeros(d)
     grads = problem.worker_gradients(x)
-    rows = [TraceRow(0, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))), 0.0, 0, 0)]
+    rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
     wall, up_total, down_total = 0.0, 0, 0
     for k in range(config.steps):
         down_bits = d * 32
@@ -386,8 +403,7 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
         up_total += n * bits
         down_total += down_bits
         grads = problem.worker_gradients(x)
-        rows.append(TraceRow(k + 1, problem.objective(x), float(np.linalg.norm(grads.mean(axis=0))),
-                             wall, up_total, down_total))
+        rows.append(TraceRow(k + 1, *problem.objective_and_grad_norm(x), wall, up_total, down_total))
     return rows, x
 
 
