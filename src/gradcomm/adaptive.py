@@ -114,26 +114,21 @@ def adaptive_controller(
     samples,
     objective: SelectionObjective,
     p_max: float,
-    cadence: int = 1,
     forgetting: float = 1.0,
 ):
     """Track (size, time) samples online and re-select k as the fit drifts.
 
     The first fit (the first sample at which sizes vary) gives the first
-    decision; from there every ``cadence``-th sample re-selects the power.  A
-    decision record is yielded for the first fit and then whenever k* changes.
-    Each fit's (alpha_hat, beta_hat) is priced against ``objective`` (its own
+    decision; from there every sample re-selects the power.  A decision
+    record is yielded for the first fit and then whenever k* changes.  Each
+    fit's (alpha_hat, beta_hat) is priced against ``objective`` (its own
     alpha and beta are not read), which ``estimator.fit`` keeps finite.  If
     forgetting has washed out all size variation the fit is degenerate; the
     controller keeps the last selection and moves on.
     """
-    if cadence < 1:
-        raise ParameterError("re-fit cadence must be >= 1")
-    first = last_k = None
+    last_k = None
     for state, current in estimator.running_fits(samples, p_max, forgetting):
-        if first is None:
-            first = state.count
-        elif current is None or (state.count - first) % cadence != 0:
+        if current is None:  # a washed-out fit; running_fits never yields one first
             continue
         k_star, cost = _argmin(objective, current.alpha_hat, current.beta_hat)
         if k_star != last_k:

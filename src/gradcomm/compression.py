@@ -18,15 +18,16 @@ need, from ``message_bits``, the package's one bit formula:
   produces factors P and Q, and P @ Q.T is the decompressed approximation:
   r * (rows + cols) * b bits.
 
-``decompress`` is the receiver side.  Randomness enters only through explicit
-seeds.  ``omega_inf`` reports the uncompressed-to-compressed bit ratio as an
-exact rational.
+``decompress`` is the receiver side.  ``omega_inf`` reports the
+uncompressed-to-compressed bit ratio as an exact rational.
 
 ``add_decompressed`` is the in-process twin of ``compress`` followed by
 ``decompress`` for a whole round of messages: it adds each receiver's vector
 straight into an aggregate, one call per round.  Both paths build their
 values from the same index, rounding and factor helpers, so each operator's
-math exists once.
+math exists once.  Randomness enters only explicitly: a message from its
+integer seed, which for rand_k travels on the wire, and a round's messages,
+in row order, from the round's one ``np.random.Generator``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ DEFAULT_BITS_PER_SCALAR = 32
 NATURAL_BITS_PER_SCALAR = 9
 
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
-# The operators that draw from their seed; the others ignore it.
+# The operators that draw from their seed or generator; the others ignore it.
 RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
 # Most values that one stacked batch of rank_r matrices holds, and that one
 # chunk of the simulator's objective pass holds; a batch or chunk takes whole
@@ -114,12 +115,16 @@ def _check_k(k: int, d: int) -> None:
         raise ParameterError(f"sparsity level k={k} outside [1, {d}]")
 
 
+def _is_seed(seed) -> bool:
+    """A message seed is a non-negative integer (a bool is not one)."""
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+
+
 def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
-    """Uniformly random k-subset of range(d), reproducible from the shared seed."""
+    """Uniformly random k-subset of range(d), from a seed or a Generator's next draws."""
     if seed is None:
         raise ParameterError("rand_k requires a shared randomness seed")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(d, size=k, replace=False))
+    return np.sort(np.random.default_rng(seed).choice(d, size=k, replace=False))
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -202,24 +207,20 @@ def _orthonormalize_columns(q: np.ndarray) -> np.ndarray:
 
 
 def rank_r_factors(
-    values: np.ndarray, r: int, rows: int, cols: int, seeds
+    values: np.ndarray, r: int, rows: int, cols: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked factors P (m, rows, r) and Q (m, cols, r) of the m rows of ``values``.
 
     Each row fills a rows x cols matrix X row-major with zero padding; one
-    power iteration against a Gaussian test matrix drawn from the row's seed,
-    the next of the iterator ``seeds`` (0 when None), yields P with
-    orthonormal columns, and Q = X.T @ P.  The matrix products run stacked
-    and give each matrix's product bit for bit.
+    power iteration against a Gaussian test matrix yields P with orthonormal
+    columns, and Q = X.T @ P.  One ``standard_normal`` call draws the m test
+    matrices from ``rng`` in row order, the same numbers as one call per row.
+    The matrix products run stacked and give each matrix's product bit for bit.
     """
     m = values.shape[0]
     mats = np.zeros((m, rows, cols))
     mats.reshape(m, -1)[:, : values.shape[1]] = values
-    tests = np.empty((m, cols, r))
-    for test in tests:
-        seed = next(seeds)
-        np.random.default_rng(0 if seed is None else seed).standard_normal(out=test)
-    p = _orthonormalize_columns(mats @ tests)
+    p = _orthonormalize_columns(mats @ rng.standard_normal((m, cols, r)))
     return p, np.swapaxes(mats, 1, 2) @ p
 
 
@@ -240,8 +241,8 @@ def decompress(msg: CompressedMessage) -> DenseVector:
                 raise DecodeError(f"{msg.kind} payload length {values.size} != d={msg.d}")
             return DenseVector(values, msg.bits_per_scalar)
         if msg.kind == "rand_k":
-            if msg.seed is None:
-                raise DecodeError("rand_k message is missing the shared seed")
+            if not _is_seed(msg.seed):
+                raise DecodeError(f"rand_k message seed {msg.seed!r} is not an integer >= 0")
             values = np.asarray(msg.payload["values"], dtype=np.float64)
             k = values.size
             if not 1 <= k <= msg.d:
@@ -310,11 +311,15 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None,
              rows: int | None = None, cols: int | None = None) -> CompressedMessage:
     """Apply the operator named by ``spec`` to ``x``; the message's bits are ``message_bits``.
 
-    ``seed`` draws rand_k's index set (and travels in its message), natural's
-    rounding and rank_r's test matrix (0 when None); identity and top_k ignore
-    it.  ``rows`` and ``cols`` are rank_r's matrix shape, as in ``message_bits``.
+    ``seed`` is an integer >= 0.  It draws rand_k's index set (and travels in
+    its message), natural's rounding and rank_r's test matrix (0 when None);
+    rand_k and natural require it, and identity and top_k ignore it.  ``rows``
+    and ``cols`` are rank_r's matrix shape, as in ``message_bits``.
     """
     bits = message_bits(spec, x.d, x.bits_per_scalar, rows, cols)
+    seed = 0 if spec.kind == "rank_r" and seed is None else seed
+    if spec.kind in RANDOMIZED_KINDS and not _is_seed(seed):
+        raise ParameterError(f"{spec.kind} needs an integer seed >= 0, got {seed!r}")
     if spec.kind == "identity":
         payload = {"values": x.values}
     elif spec.kind == "rand_k":
@@ -327,29 +332,29 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None,
         payload = {"values": natural_round(x.values, seed)}
     else:
         rows, cols = _matrix_shape(x.d, rows, cols)
-        p, q = rank_r_factors(x.values[None], spec.r, rows, cols, iter([seed]))
+        p, q = rank_r_factors(x.values[None], spec.r, rows, cols, np.random.default_rng(seed))
         payload = {"p": p[0], "q": q[0], "rows": rows, "cols": cols}
     return CompressedMessage(spec.kind, payload, bits, x.d, x.bits_per_scalar,
                              seed if spec.kind == "rand_k" else None)
 
 
-def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, seeds) -> int:
+def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
+                     rng: np.random.Generator | None) -> int:
     """Add C(row) for each row of ``rows`` into ``out``; return one message's bits.
 
     ``rows`` is (m, d), one message per row, such as a round's worker
-    gradients.  ``seeds`` is an iterator with one seed per row; the kinds
-    that draw (rand_k, natural, rank_r) take them in row order, and identity
-    and top_k never touch it.  A seed is what ``np.random.default_rng``
-    takes: an int, or a Generator, which the operator draws from as it
-    stands.  One Generator given as every row's seed is drawn in row order,
-    each row taking its draws after the previous row's, as the simulator
-    does with one Generator per round.  ``rows`` must be finite.
+    gradients; it must be finite.  ``rng`` is the round's one Generator: the
+    kinds that draw (rand_k, natural, rank_r) take each row's draws from it
+    in row order, after the previous row's, and refuse anything else with
+    ``ParameterError`` before ``out`` is touched.  identity and top_k never
+    draw, and take None.
 
     Same result, bit for bit, as adding ``decompress(compress(DenseVector(row),
-    spec, seed)).values`` into ``out`` row after row, from the same seeds and
-    helpers, but no message is built: rand_k draws its index set once, and
-    the sparse kinds touch only their k coordinates (adding the other
-    coordinates' zeros changes nothing unless ``out`` holds a negative zero).
+    spec, seed)).values`` into ``out`` row after row (one row with ``rng =
+    default_rng(seed)``), from the same helpers, but no message is built:
+    rand_k draws its index set once, and the sparse kinds touch only their k
+    coordinates (adding the other coordinates' zeros changes nothing unless
+    ``out`` holds a negative zero).
     rank_r factors its messages in stacked batches of whole rows, up to
     ``BATCH_VALUES`` padded matrix entries per batch and at least one row;
     natural rounds its messages in batches of whole rows, up to
@@ -357,13 +362,15 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
     """
     d = rows.shape[1]
     bits = message_bits(spec, d)
+    if spec.kind in RANDOMIZED_KINDS and not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"{spec.kind} needs the round's np.random.Generator, got {rng!r}")
     if spec.kind == "identity":
         for row in rows:
             out += row
     elif spec.kind == "rand_k":
         scale = d / spec.k
         for row in rows:
-            idx = rand_k_indices(d, spec.k, next(seeds))
+            idx = rand_k_indices(d, spec.k, rng)
             out[idx] += row[idx] * scale
     elif spec.kind == "top_k":
         for row in rows:
@@ -377,9 +384,7 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
         draws = np.empty((min(step, rows.shape[0]), d))
         for start in range(0, rows.shape[0], step):
             batch = rows[start:start + step]
-            part = draws[: batch.shape[0]]
-            for row_draws in part:
-                np.random.default_rng(next(seeds)).random(out=row_draws)
+            part = rng.random(out=draws[: batch.shape[0]])
             dense = _round_to_powers_of_two(batch, part)
             # The same sums, in the same order, as out += row for each row.
             dense[0] += out
@@ -388,7 +393,7 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray, se
         shape = default_matrix_shape(d)
         step = max(1, BATCH_VALUES // (shape[0] * shape[1]))
         for start in range(0, rows.shape[0], step):
-            p, q = rank_r_factors(rows[start:start + step], spec.r, *shape, seeds)
+            p, q = rank_r_factors(rows[start:start + step], spec.r, *shape, rng)
             for row in rank_r_expand(p, q, d):
                 out += row
     return bits

@@ -16,12 +16,12 @@ target and the optimal value, which each ``Problem`` computes once.
 
 The seeded kinds' randomness is keyed by (seed, stream, round): each stream
 (uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
-(stream, round)))`` per round, and its messages draw from it in worker order.
+(stream, round)))`` per round and hands it to ``add_decompressed``, whose
+messages draw from it in worker order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,10 +51,9 @@ _UPLINK_STREAM = 1
 _DOWNLINK_STREAM = 2
 
 
-def _round_seeds(seed: int, stream: int, round_idx: int, count: int):
-    """Round ``round_idx``'s generator of ``stream`` as each of ``count`` rows' seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx)))
-    return itertools.repeat(rng, count)
+def _round_rng(seed: int, stream: int, round_idx: int) -> np.random.Generator:
+    """The one generator that round ``round_idx``'s messages of ``stream`` draw from."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx)))
 
 
 TRACE_CSV_HEADER = "round,objective,grad_norm,wall_clock_s,uplink_bits,downlink_bits"
@@ -219,10 +218,8 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
 
-    def round_seeds(stream: int, round_idx: int, count: int):
-        if spec.kind not in RANDOMIZED_KINDS:
-            return None  # identity and top_k never draw
-        return _round_seeds(config.seed, stream, round_idx, count)
+    def round_rng(stream: int, round_idx: int):  # None for identity and top_k, which never draw
+        return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
 
     wall, up_total, down_total = 0.0, 0, 0
     # The one (n, d) array that lives across rounds: the gradients the uplink
@@ -233,12 +230,11 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         down_bits, x_sent = d * b, x
         if compress_downlink:
             x_sent = np.zeros(d)
-            down_bits = add_decompressed(x_sent, spec, x[None],
-                                         round_seeds(_DOWNLINK_STREAM, k, 1))
+            down_bits = add_decompressed(x_sent, spec, x[None], round_rng(_DOWNLINK_STREAM, k))
         problem.worker_gradients(x_sent, out=grads)
 
         agg = np.zeros(d)
-        up_bits = add_decompressed(agg, spec, grads, round_seeds(_UPLINK_STREAM, k, n))
+        up_bits = add_decompressed(agg, spec, grads, round_rng(_UPLINK_STREAM, k))
         # One draw per round: the downlink's time first, then each uplink's.
         t_down, *t_up = sample_time(time_model, [down_bits] + [up_bits] * n, time_rng).tolist()
 

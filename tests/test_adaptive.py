@@ -17,13 +17,11 @@ from gradcomm.errors import DegenerateDesignError, ParameterError
 from gradcomm.optimizer import Problem, SimConfig, run_compressed_gd
 
 
-def oracle_decisions(samples, objective, p_max, cadence, forgetting):
+def oracle_decisions(samples, objective, p_max, forgetting):
     """The controller's decisions rebuilt from ``select_power`` on each refreshed objective."""
-    decisions, first, last_k = [], None, None
+    decisions, last_k = [], None
     for state, fit in estimator.running_fits(samples, p_max, forgetting):
-        if first is None:
-            first = state.count
-        elif fit is None or (state.count - first) % cadence != 0:
+        if fit is None:
             continue
         k_star, cost = select_power(
             dataclasses.replace(objective, alpha=fit.alpha_hat, beta=fit.beta_hat))
@@ -231,16 +229,6 @@ class TestController:
             with pytest.raises(DegenerateDesignError):
                 list(adaptive_controller(samples, self.template(), p_max=10.0))
 
-    def test_cadence_counts_from_first_decision(self):
-        rng = np.random.default_rng(2)
-        sizes = [5e4, 5e4, 5e4] + list(rng.uniform(1e3, 1e6, size=100))
-        samples = [(s, (1e-6 if i < 50 else 1e-4) + 1e-9 * s) for i, s in enumerate(sizes)]
-        decisions = list(adaptive_controller(samples, self.template(), p_max=1e6,
-                                             cadence=10, forgetting=0.9))
-        assert decisions[0].sample_index == 4
-        assert len(decisions) > 1
-        assert all((d.sample_index - 4) % 10 == 0 for d in decisions)
-
     def test_constant_stream_keeps_last_selection(self):
         # forgetting decays away the initial size spread; the fit degenerates
         # but the controller keeps serving the last k* instead of crashing
@@ -250,28 +238,19 @@ class TestController:
         )
         assert len(decisions) >= 1
 
-    def test_cadence_controls_refit_frequency(self):
-        alpha, beta = 1e-3, 1e-9
-        rng = np.random.default_rng(2)
-        sizes = rng.uniform(1e3, 1e6, size=50)
-        samples = [(s, alpha + beta * s) for s in sizes]
-        all_decisions = list(
-            adaptive_controller(samples, self.template(), p_max=1e6, cadence=10)
-        )
-        assert all(d.sample_index == 2 or (d.sample_index - 2) % 10 == 0 for d in all_decisions)
-
     def test_overflowed_fit_raises_degenerate(self):
         # Every product of the sums is finite, but beta = inf: refused at the fit.
         samples = [(1.0, -1.1666666666666667e308), (2.0, 0.8333333333333334e308)]
         with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
             list(adaptive_controller(samples, self.template(), p_max=2.0))
 
-    @pytest.mark.parametrize("cadence", [1, 3])
+    # ``draw`` offsets the seed of the samples: two independent streams per case.
+    @pytest.mark.parametrize("draw", [1, 3])
     @pytest.mark.parametrize("forgetting", [1.0, 0.9])
     @pytest.mark.parametrize("d", [1, 2, 1000, 10**6, 10**9])
     @pytest.mark.parametrize("family", ["rand_k", "top_k"])
-    def test_decisions_equal_select_power_on_each_fit(self, family, d, forgetting, cadence):
-        rng = np.random.default_rng(d + 7 * cadence + int(10 * forgetting))
+    def test_decisions_equal_select_power_on_each_fit(self, family, d, forgetting, draw):
+        rng = np.random.default_rng(d + 7 * draw + int(10 * forgetting))
         objective = SelectionObjective(family, d=d, n=9, alpha=0.0, beta=0.0, b=16)
         # Every channel's alpha steps up tenfold halfway.  The last three have
         # noise that swamps alpha, times that fall with size, or no signal at
@@ -284,9 +263,9 @@ class TestController:
             times = alpha * np.where(np.arange(120) < 60, 1.0, 10.0) + beta * sizes
             times += rng.normal(0.0, noise * max(alpha, 1e-6), size=120)
             samples = list(zip(sizes.tolist(), times.tolist()))
-            decisions = adaptive_controller(samples, objective, 1e6, cadence, forgetting)
+            decisions = adaptive_controller(samples, objective, 1e6, forgetting)
             got = [(dec.sample_index, dec.k_star, dec.predicted_cost.hex()) for dec in decisions]
-            assert got == oracle_decisions(samples, objective, 1e6, cadence, forgetting)
+            assert got == oracle_decisions(samples, objective, 1e6, forgetting)
             signs.update((fit.alpha_hat > 0, fit.beta_hat > 0)
                          for _, fit in estimator.running_fits(samples, 1e6, forgetting))
         assert {(True, True), (False, True), (True, False)} <= signs

@@ -204,7 +204,8 @@ class TestNatural:
             for got, (value, allowed) in zip(out, NATURAL_EDGES):
                 assert bits_of(got) in {bits_of(a) for a in allowed}, value
             summed = np.zeros(values.size)
-            add_decompressed(summed, CompressorSpec("natural"), values[None], iter([seed]))
+            add_decompressed(summed, CompressorSpec("natural"), values[None],
+                             np.random.default_rng(seed))
             np.testing.assert_array_equal(summed, out)
 
     @pytest.mark.filterwarnings("error")
@@ -384,6 +385,38 @@ class TestDeterminism:
                                 compress(x, CompressorSpec("rand_k", k=5), seed=43))
 
 
+SEEDED_SPECS = [CompressorSpec("rand_k", k=3), CompressorSpec("natural"),
+                CompressorSpec("rank_r", r=1)]
+
+
+class TestMessageSeeds:
+    @pytest.mark.parametrize("spec", SEEDED_SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, np.random.default_rng(1)],
+                             ids=["negative", "float", "str", "bool", "generator"])
+    def test_seed_must_be_a_non_negative_int(self, spec, seed):
+        with pytest.raises(ParameterError, match="integer seed"):
+            compress(DenseVector(np.arange(1.0, 10.0)), spec, seed)
+
+    @pytest.mark.parametrize("kind", ["rand_k", "natural"])
+    def test_rand_k_and_natural_require_a_seed(self, kind):
+        spec = CompressorSpec(kind, k=3 if kind == "rand_k" else None)
+        with pytest.raises(ParameterError, match="integer seed"):
+            compress(DenseVector(np.arange(1.0, 10.0)), spec)
+
+    def test_rank_r_seed_defaults_to_zero_and_numpy_ints_pass(self):
+        x = DenseVector(np.random.default_rng(2).standard_normal(30))
+        spec = CompressorSpec("rank_r", r=2)
+        assert same_message(compress(x, spec), compress(x, spec, 0))
+        assert same_message(compress(x, spec, np.int64(7)), compress(x, spec, 7))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, np.random.default_rng(1)],
+                             ids=["negative", "float", "str", "bool", "generator"])
+    def test_decompress_refuses_a_rand_k_seed_that_is_not_an_int(self, seed):
+        msg = CompressedMessage("rand_k", {"values": np.ones(2)}, 64, 5, seed=seed)
+        with pytest.raises(DecodeError, match="seed"):
+            decompress(msg)
+
+
 def bits_of(a: np.ndarray) -> bytes:
     """Exact IEEE-754 contents, so -0.0 and 0.0 (and NaN payloads) differ."""
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
@@ -413,20 +446,21 @@ class TestAddDecompressed:
             msg = compress(DenseVector(values), spec, seed)
             dense = decompress(msg).values
             out = np.zeros(d)
-            assert add_decompressed(out, spec, values[None], iter([seed])) == msg.bits
+            bits = add_decompressed(out, spec, values[None], np.random.default_rng(seed))
+            assert bits == msg.bits
             assert bits_of(out) == bits_of(dense), spec
             # The simulator's use: accumulate into a running sum.
             out = base.copy()
-            add_decompressed(out, spec, values[None], iter([seed]))
+            add_decompressed(out, spec, values[None], np.random.default_rng(seed))
             assert bits_of(out) == bits_of(base + dense), spec
 
     def test_top_k_ignores_seed(self):
         values = np.random.default_rng(4).standard_normal(50)
         spec = CompressorSpec("top_k", k=7)
         dense = decompress(compress(DenseVector(values), spec)).values
-        for seed in (None, 0, 99):
+        for rng in (None, np.random.default_rng(0), np.random.default_rng(99)):
             out = np.zeros(50)
-            add_decompressed(out, spec, values[None], iter([seed]))
+            add_decompressed(out, spec, values[None], rng)
             assert bits_of(out) == bits_of(dense)
 
     @pytest.mark.parametrize("d", [1, 2, 17, 1000])
@@ -440,7 +474,7 @@ class TestAddDecompressed:
             dense = np.zeros(d)
             dense[expected] = values[expected]
             out = np.zeros(d)
-            add_decompressed(out, CompressorSpec("top_k", k=k), values[None], iter([None]))
+            add_decompressed(out, CompressorSpec("top_k", k=k), values[None], None)
             assert bits_of(out) == bits_of(dense), k
             np.testing.assert_array_equal(
                 compress(DenseVector(values), CompressorSpec("top_k", k=k)).payload["indices"],
@@ -450,12 +484,22 @@ class TestAddDecompressed:
         out = np.zeros(4)
         rows = np.ones((2, 4))
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("top_k", k=5), rows, iter([None, None]))
+            add_decompressed(out, CompressorSpec("top_k", k=5), rows, None)
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("rank_r", r=3), rows, iter([0, 1]))
+            add_decompressed(out, CompressorSpec("rank_r", r=3), rows, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            add_decompressed(out, CompressorSpec("rand_k", k=2), rows, iter([None, None]))
+            add_decompressed(out, CompressorSpec("rand_k", k=2), rows, None)
         assert not out.any()
+
+    @pytest.mark.parametrize("kind", ["rand_k", "natural", "rank_r"])
+    @pytest.mark.parametrize("rng", [None, 0, iter([None])], ids=["none", "int", "iterator"])
+    def test_seeded_kinds_refuse_anything_but_a_generator(self, kind, rng):
+        spec = CompressorSpec(kind, k=2 if kind == "rand_k" else None,
+                              r=1 if kind == "rank_r" else None)
+        out = np.full(4, 0.5)
+        with pytest.raises(ParameterError, match="Generator"):
+            add_decompressed(out, spec, np.ones((2, 4)), rng)
+        assert bits_of(out) == bits_of(np.full(4, 0.5))
 
     @pytest.mark.parametrize("d, m", [
         *itertools.product([1, 2, 6, 17, 1000], [1, 3, 130]),
@@ -465,30 +509,33 @@ class TestAddDecompressed:
         # Rows cycle through Gaussian, all-zero (rank_r's dead columns) and
         # integer (tied top_k boundary) vectors.  d = 1000 with m = 130 pads
         # 1024-entry matrices, so rank_r works through three batches.
+        # The single-row calls draw from a twin of the round's generator, in
+        # row order; test_equals_message_round_trip_bitwise ties a single-row
+        # call to the message round trip.
         rng = np.random.default_rng([d, m])
         rows = rng.standard_normal((m, d))
         rows[1::3] = 0.0
         rows[2::3] = rng.integers(-3, 4, size=rows[2::3].shape)
-        seeds = [int(s) for s in rng.integers(0, 2**63, size=m)]
         base = rng.standard_normal(d)
-        for spec in fused_specs(d):
+        for i, spec in enumerate(fused_specs(d)):
+            twin = np.random.default_rng([d, m, i])
             want = base.copy()
-            for row, seed in zip(rows, seeds):
-                msg = compress(DenseVector(row), spec, seed)
-                want += decompress(msg).values
+            for row in rows:
+                bits = add_decompressed(want, spec, row[None], twin)
             out = base.copy()
-            assert add_decompressed(out, spec, rows, iter(seeds)) == msg.bits
+            assert add_decompressed(out, spec, rows, np.random.default_rng([d, m, i])) == bits
             assert bits_of(out) == bits_of(want), spec
 
     @pytest.mark.parametrize("kind", ["rand_k", "natural", "rank_r"])
     def test_draws_one_seed_per_row_in_order(self, kind):
+        # One round of m rows leaves its generator where m single-row calls
+        # leave a twin, so the next round's draws continue from the same state.
         spec = CompressorSpec(kind, k=3 if kind == "rand_k" else None,
                               r=1 if kind == "rank_r" else None)
         rows = np.random.default_rng(5).standard_normal((4, 9))
-        seeds = iter([10, 11, 12, 13, 14])
-        forward, backward = np.zeros(9), np.zeros(9)
-        add_decompressed(forward, spec, rows, seeds)
-        assert next(seeds) == 14
-        # Rows reversed with their seeds reversed add the same messages.
-        add_decompressed(backward, spec, rows[::-1], iter([13, 12, 11, 10]))
-        np.testing.assert_allclose(forward, backward, rtol=1e-12, atol=1e-12)
+        rng, twin = np.random.default_rng(10), np.random.default_rng(10)
+        add_decompressed(np.zeros(9), spec, rows, rng)
+        for row in rows:
+            add_decompressed(np.zeros(9), spec, row[None], twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(10).bit_generator.state

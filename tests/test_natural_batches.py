@@ -1,6 +1,5 @@
 """natural's batched rounding in ``add_decompressed``: same sums, bounded temporaries."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -32,7 +31,7 @@ def test_batches_equal_row_by_row_rounding(m, d, seed):
     for row in rows:
         want += natural_round(row, row_rng)
     got = base.copy()
-    add_decompressed(got, NATURAL, rows, itertools.repeat(np.random.default_rng(seed), m))
+    add_decompressed(got, NATURAL, rows, np.random.default_rng(seed))
     assert got.tobytes() == want.tobytes()
 
 
@@ -41,10 +40,10 @@ def test_round_of_64_by_1000_keeps_batch_sized_temporaries():
     # each (2.3 MB at its peak); batches of 2**13 values peak near 0.35 MB.
     rows = np.random.default_rng(0).standard_normal((64, 1000))
     out = np.zeros(1000)
-    seeds = itertools.repeat(np.random.default_rng(1), 64)
+    rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        add_decompressed(out, NATURAL, rows, seeds)
+        add_decompressed(out, NATURAL, rows, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

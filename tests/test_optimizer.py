@@ -25,7 +25,7 @@ from gradcomm.optimizer import (
     Problem,
     SimConfig,
     TraceRow,
-    _round_seeds,
+    _round_rng,
     closed_form_optimum,
     default_stepsize,
     run_compressed_gd,
@@ -347,10 +347,7 @@ def _first_draws(rng):
 ], ids=["from-zero", "rounds-2**16", "workers-2**16", "three-blocks"])
 def test_message_generators_match_seed_sequence(seed, stream, rounds, n_workers):
     for round_idx in rounds:
-        seeds = list(_round_seeds(seed, stream, round_idx, n_workers))
-        assert len(seeds) == n_workers
-        got = seeds[0]
-        assert all(rng is got for rng in seeds)  # one generator per round
+        got = _round_rng(seed, stream, round_idx)
         want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, round_idx)))
         assert got.bit_generator.state == want.bit_generator.state, round_idx
         # Messages draw from it in worker order; each round's first four are checked.
@@ -381,7 +378,7 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
             return out
         if spec.kind == "natural":
             return natural_round(vector, rng)
-        p, q = rank_r_factors(vector[None], spec.r, *default_matrix_shape(d), iter([rng]))
+        p, q = rank_r_factors(vector[None], spec.r, *default_matrix_shape(d), rng)
         return rank_r_expand(p, q, d)[0]
 
     x = np.zeros(d)
