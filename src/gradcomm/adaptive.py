@@ -33,7 +33,7 @@ import numpy as np
 
 from . import estimator
 from .compression import DEFAULT_BITS_PER_SCALAR, CompressorSpec, message_bits
-from .errors import ParameterError
+from .errors import ParameterError, is_int
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
 
@@ -52,7 +52,7 @@ class SelectionObjective:
     def __post_init__(self):
         if self.family not in SELECTION_FAMILIES:
             raise ParameterError(f"unsupported compressor family: {self.family!r}")
-        if self.d < 1 or self.n < 1 or self.b < 1:
+        if not (is_int(self.d, 1) and is_int(self.n, 1) and is_int(self.b, 1)):
             raise ParameterError("d, n, and b must be positive integers")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ParameterError(f"alpha={self.alpha} and beta={self.beta} must be finite")

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DecodeError, ParameterError
+from .errors import DecodeError, ParameterError, is_int
 
 DEFAULT_BITS_PER_SCALAR = 32
 # Sign bit plus the 8 exponent bits of a 32-bit float.
@@ -60,9 +60,9 @@ NATURAL_BATCH_VALUES = 1 << 13
 
 def index_bits(d: int) -> int:
     """Bits needed to address one of d coordinates: ceil(log2(d)); 0 for d=1."""
-    if d < 1:
+    if not is_int(d, 1):
         raise ParameterError("dimension must be >= 1")
-    return (d - 1).bit_length()
+    return (int(d) - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,7 @@ class DenseVector:
             raise ParameterError("vector must contain at least one entry")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("vector entries must be finite")
-        if int(self.bits_per_scalar) < 1:
+        if not is_int(self.bits_per_scalar, 1):
             raise ParameterError("bits_per_scalar must be a positive integer")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -110,16 +110,6 @@ class CompressedMessage:
     seed: int | None = None
 
 
-def _check_k(k: int, d: int) -> None:
-    if not 1 <= k <= d:
-        raise ParameterError(f"sparsity level k={k} outside [1, {d}]")
-
-
-def _is_seed(seed) -> bool:
-    """A message seed is a non-negative integer (a bool is not one)."""
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
-
-
 def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
     """Uniformly random k-subset of range(d), from a seed or a Generator's next draws."""
     if seed is None:
@@ -144,12 +134,12 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def natural_round(values: np.ndarray, seed) -> np.ndarray:
+def _round_to_powers_of_two(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Round each entry to an adjacent power of two, unbiased in expectation.
 
     An entry v = m * 2^e (``np.frexp``: 0.5 <= |m| < 1) lies between lower =
-    sign(v) * 2^(e-1) and upper = 2 * lower.  It becomes lower when its one
-    uniform draw u, taken in entry order, is below p_lower = 2 - 2|m|, else
+    sign(v) * 2^(e-1) and upper = 2 * lower.  It becomes lower when its draw
+    u (``draws`` has the shape of ``values``) is below p_lower = 2 - 2|m|, else
     upper; so the kept exponent is e - (u < p_lower), one ``np.ldexp`` away.
     That p_lower makes the rounding unbiased, and it is exact: it equals
     (|upper| - |v|) / |lower|, Sterbenz's lemma covers the subtraction, and
@@ -157,11 +147,6 @@ def natural_round(values: np.ndarray, seed) -> np.ndarray:
     and stays itself; a zero stays zero, sign included.  From 2^1023 up, where
     2 * lower is not a float, the exponent is capped and the entry rounds down.
     """
-    return _round_to_powers_of_two(values, np.random.default_rng(seed).random(values.size))
-
-
-def _round_to_powers_of_two(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``natural_round`` of ``values`` given each entry's uniform draw (same shape)."""
     mantissa, exponent = np.frexp(values)
     p_lower = np.abs(mantissa)
     p_lower *= -2.0
@@ -241,7 +226,7 @@ def decompress(msg: CompressedMessage) -> DenseVector:
                 raise DecodeError(f"{msg.kind} payload length {values.size} != d={msg.d}")
             return DenseVector(values, msg.bits_per_scalar)
         if msg.kind == "rand_k":
-            if not _is_seed(msg.seed):
+            if not is_int(msg.seed, 0):
                 raise DecodeError(f"rand_k message seed {msg.seed!r} is not an integer >= 0")
             values = np.asarray(msg.payload["values"], dtype=np.float64)
             k = values.size
@@ -263,8 +248,9 @@ def decompress(msg: CompressedMessage) -> DenseVector:
         if msg.kind == "rank_r":
             p = np.asarray(msg.payload["p"], dtype=np.float64)
             q = np.asarray(msg.payload["q"], dtype=np.float64)
-            rows, cols = int(msg.payload["rows"]), int(msg.payload["cols"])
-            if p.shape[0] != rows or q.shape[0] != cols or p.shape[1] != q.shape[1]:
+            rows, cols = msg.payload["rows"], msg.payload["cols"]
+            if (not (is_int(rows, 1) and is_int(cols, 1)) or p.shape[0] != rows
+                    or q.shape[0] != cols or p.shape[1] != q.shape[1]):
                 raise DecodeError("rank_r factor shapes are inconsistent")
             if rows * cols < msg.d:
                 raise DecodeError(f"rank_r matrix {rows}x{cols} smaller than d={msg.d}")
@@ -285,9 +271,9 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown compressor kind: {self.kind!r}")
-        if self.kind in ("rand_k", "top_k") and (self.k is None or self.k < 1):
+        if self.kind in ("rand_k", "top_k") and not is_int(self.k, 1):
             raise ParameterError(f"{self.kind} requires a sparsity level k >= 1")
-        if self.kind == "rank_r" and (self.r is None or self.r < 1):
+        if self.kind == "rank_r" and not is_int(self.r, 1):
             raise ParameterError("rank_r requires a rank r >= 1")
 
     def zeta(self, d: int) -> float:
@@ -318,7 +304,7 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None,
     """
     bits = message_bits(spec, x.d, x.bits_per_scalar, rows, cols)
     seed = 0 if spec.kind == "rank_r" and seed is None else seed
-    if spec.kind in RANDOMIZED_KINDS and not _is_seed(seed):
+    if spec.kind in RANDOMIZED_KINDS and not is_int(seed, 0):
         raise ParameterError(f"{spec.kind} needs an integer seed >= 0, got {seed!r}")
     if spec.kind == "identity":
         payload = {"values": x.values}
@@ -329,7 +315,7 @@ def compress(x: DenseVector, spec: CompressorSpec, seed=None,
         idx = top_k_indices(x.values, spec.k)
         payload = {"values": x.values[idx], "indices": idx.astype(np.int64)}
     elif spec.kind == "natural":
-        payload = {"values": natural_round(x.values, seed)}
+        payload = {"values": _round_to_powers_of_two(x.values, np.random.default_rng(seed).random(x.d))}
     else:
         rows, cols = _matrix_shape(x.d, rows, cols)
         p, q = rank_r_factors(x.values[None], spec.r, rows, cols, np.random.default_rng(seed))
@@ -411,20 +397,20 @@ def message_bits(
     This is the package's one bit formula: ``compress``, ``add_decompressed``,
     ``omega_inf`` and the power selector take their bit counts from it.
     """
-    if d < 1 or b < 1:
+    if not (is_int(d, 1) and is_int(b, 1)):
         raise ParameterError("d and b must be positive integers")
     if spec.kind == "identity":
         return d * b
+    if spec.kind in ("rand_k", "top_k") and not spec.k <= d:
+        raise ParameterError(f"sparsity level k={spec.k} outside [1, {d}]")
     if spec.kind == "rand_k":
-        _check_k(spec.k, d)
         return spec.k * b
     if spec.kind == "top_k":
-        _check_k(spec.k, d)
         return spec.k * b + spec.k * index_bits(d)
     if spec.kind == "natural":
         return NATURAL_BITS_PER_SCALAR * d
     rows, cols = _matrix_shape(d, rows, cols)
-    if rows < 1 or cols < 1 or rows * cols < d:
+    if not (is_int(rows, 1) and is_int(cols, 1)) or rows * cols < d:
         raise ParameterError(f"matrix shape {rows}x{cols} cannot hold {d} entries")
     if not 1 <= spec.r <= min(rows, cols):
         raise ParameterError(f"rank r={spec.r} outside [1, {min(rows, cols)}]")

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule, ``is_int``:
+every count, size, port and seed it takes is an int or NumPy integer, not a bool, at
+least a bound.  A float, even a whole one, is refused with the caller's error, not truncated.
+"""
+
+import numpy as np
+
+
+def is_int(value, low: int) -> bool:
+    """Whether ``value`` is an int or NumPy integer (a bool is not one) >= ``low``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 class GradcommError(Exception):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_csv
-from .errors import NetworkError, ParameterError
+from .errors import NetworkError, ParameterError, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +130,9 @@ class PingPongServer(socketserver.TCPServer):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  p_max_bytes: int = DEFAULT_P_MAX_BYTES):
-        if p_max_bytes < 1:
+        if not is_int(p_max_bytes, 1):
             raise ParameterError("p_max_bytes must be >= 1")
-        if not 0 <= port <= _MAX_PORT:
+        if not (is_int(port, 0) and port <= _MAX_PORT):
             raise ParameterError(f"port must lie in 0..{_MAX_PORT}, got {port}")
         super().__init__((host, port), _FrameHandler, bind_and_activate=False)
         self.port = port
@@ -193,13 +193,13 @@ def _exchange(sock: socket.socket, header: bytes, payload) -> None:
 def check_probe(port: int, sizes, reps: int, warmup: int) -> None:
     """Raise :class:`ParameterError` for what ``probe`` refuses before opening a socket.
 
-    That is a size below 1, a negative count or a port outside 1..65535.
+    That is a non-integer, a size below 1, a negative count or a port outside 1..65535.
     """
-    if any(s < 1 for s in sizes):
+    if not all(is_int(s, 1) for s in sizes):
         raise ParameterError("probe sizes must be >= 1 byte")
-    if reps < 0 or warmup < 0:
+    if not (is_int(reps, 0) and is_int(warmup, 0)):
         raise ParameterError("reps and warmup must be nonnegative")
-    if not 1 <= port <= _MAX_PORT:
+    if not (is_int(port, 1) and port <= _MAX_PORT):
         raise ParameterError(f"port must lie in 1..{_MAX_PORT}, got {port}")
 
 
@@ -221,7 +221,7 @@ def probe(
     failures raise :class:`NetworkError`; a mid-stream disconnect returns
     the partial samples with ``error`` set.
     """
-    sizes = [int(s) for s in sizes_bytes]
+    sizes = list(sizes_bytes)
     check_probe(port, sizes, reps, warmup)
     if reps == 0:
         return ProbeResult()

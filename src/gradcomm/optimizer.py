@@ -31,15 +31,15 @@ import numpy as np
 from .commodel import TimeModelParams, sample_time
 from .compression import (
     BATCH_VALUES,
-    DEFAULT_BITS_PER_SCALAR,
     RANDOMIZED_KINDS,
     CompressorSpec,
     add_decompressed,
     compress,  # noqa: F401  (unused here; perfbench/spans.py patches it on this module)
     decompress,  # noqa: F401  (same)
+    message_bits,
 )
 from .csvio import write_csv
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, is_int
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -158,11 +158,10 @@ class SimConfig:
     downlink_compressed: bool = False
 
     def __post_init__(self):
-        for name, low, rule in (("steps", 1, "an integer of at least 1"),
-                                ("seed", 0, "a non-negative integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ParameterError(f"{name} must be {rule}, got {value!r}")
+        if not is_int(self.steps, 1):
+            raise ParameterError(f"steps must be an integer of at least 1, got {self.steps!r}")
+        if not is_int(self.seed, 0):
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     unless ``downlink_compressed`` is set.
     """
     spec = config.compressor
-    d, n, b = problem.d, problem.n, DEFAULT_BITS_PER_SCALAR
+    d, n = problem.d, problem.n
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
     if not 0 < gamma < math.inf:
         raise ParameterError(f"stepsize must be positive and finite, got {gamma}")
@@ -217,6 +216,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
+    dense_bits = message_bits(CompressorSpec(), d)  # an uncompressed broadcast
 
     def round_rng(stream: int, round_idx: int):  # None for identity and top_k, which never draw
         return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
@@ -227,7 +227,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     grads = np.empty((n, d))
     rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
     for k in range(config.steps):
-        down_bits, x_sent = d * b, x
+        down_bits, x_sent = dense_bits, x
         if compress_downlink:
             x_sent = np.zeros(d)
             down_bits = add_decompressed(x_sent, spec, x[None], round_rng(_DOWNLINK_STREAM, k))

@@ -9,9 +9,9 @@ from gradcomm.compression import (
     BATCH_VALUES,
     NATURAL_BATCH_VALUES,
     CompressorSpec,
+    _round_to_powers_of_two,
     default_matrix_shape,
     message_bits,
-    natural_round,
     omega_inf,
     rand_k_indices,
     rank_r_expand,
@@ -377,7 +377,7 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
             out[idx] = vector[idx] * (d / spec.k)
             return out
         if spec.kind == "natural":
-            return natural_round(vector, rng)
+            return _round_to_powers_of_two(vector, rng.random(vector.size))
         p, q = rank_r_factors(vector[None], spec.r, *default_matrix_shape(d), rng)
         return rank_r_expand(p, q, d)[0]
 
