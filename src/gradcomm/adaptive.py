@@ -56,6 +56,10 @@ class SelectionObjective:
             raise ParameterError("d, n, and b must be positive integers")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ParameterError(f"alpha={self.alpha} and beta={self.beta} must be finite")
+        # Python floats: a denormal beta overflows J's argmin to inf quietly,
+        # where a NumPy scalar raises a RuntimeWarning.
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
 
     @cached_property
     def penalty_scale(self) -> float:

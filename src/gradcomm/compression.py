@@ -23,11 +23,16 @@ uncompressed-to-compressed bit ratio as an exact rational.
 
 ``add_decompressed`` is the in-process twin of ``compress`` followed by
 ``decompress`` for a whole round of messages: it adds each receiver's vector
-straight into an aggregate, one call per round.  Both paths build their
-values from the same index, rounding and factor helpers, so each operator's
-math exists once.  Randomness enters only explicitly: a message from its
-integer seed, which for rand_k travels on the wire, and a round's messages,
-in row order, from the round's one ``np.random.Generator``.
+straight into an aggregate, one call per round; only identity's sum and
+rand_k's draws loop over the rows in Python.  top_k selects over stacked
+batches of rows, and rand_k and top_k add their kept values with one
+row-ordered ``np.add.at``; natural and rank_r decode stacked batches and add
+each with one shared ordered sum that matches adding row after row (a single
+column, d = 1, is summed by ``np.add.accumulate``, not pairwise).  Both paths
+build their values from the same index, rounding and factor helpers, so each
+operator's math exists once.  Randomness enters only explicitly: a message
+from its integer seed, which for rand_k travels on the wire, and a round's
+messages, in row order, from the round's one ``np.random.Generator``.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ NATURAL_BITS_PER_SCALAR = 9
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
 # The operators that draw from their seed or generator; the others ignore it.
 RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
-# Most values that one stacked batch of rank_r matrices holds, and that one
-# chunk of the simulator's objective pass holds; a batch or chunk takes whole
-# rows, at least one.  It bounds the batch temporaries (2**16 values are
-# 512 KiB), so a large gradient does not raise peak memory.
+# Most values that one stacked batch of rank_r matrices or of top_k rows
+# holds, and that one chunk of the simulator's objective pass holds; a batch
+# or chunk takes whole rows, at least one.  It bounds the batch temporaries
+# (2**16 values are 512 KiB), so a large gradient does not raise peak memory.
 BATCH_VALUES = 1 << 16
 # Most values that one batch of natural's rounding holds, whole rows and at
 # least one.  Its half-dozen temporaries of 2**13 values (64 KiB each) stay
@@ -118,20 +123,47 @@ def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices of the k largest magnitudes, ties going to the lowest index.
+    """Flat indices of each row's k largest magnitudes, ties going to the lowest index.
 
-    Equals ``np.sort(np.argsort(-np.abs(values), kind="stable")[:k])``, but a
-    partial selection finds the k-th largest magnitude in O(d); every larger
-    magnitude is kept, and the remaining places go to the lowest-indexed
-    entries equal to it.  k must lie in [1, d].
+    ``values`` is (m, d), one message per row, or a single row of d; the
+    indices are ascending and row-major, into ``values.reshape(-1)``.  Each
+    row's share equals ``np.sort(np.argsort(-np.abs(row), kind="stable")[:k])``
+    offset by the row's start, but one partial selection along the rows finds
+    every row's k-th largest magnitude in O(d) and keeps what is at or above
+    it.  Only a row that keeps more than k, by ties at its boundary, is
+    fixed alone: it gives up its highest-indexed boundary entries.  k must lie
+    in [1, d].
     """
-    magnitudes = np.abs(values)
-    d = magnitudes.size
-    boundary = np.partition(magnitudes, d - k)[d - k]
-    keep = magnitudes > boundary
-    ties = np.flatnonzero(magnitudes == boundary)
-    keep[ties[: k - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+    magnitudes = np.abs(values).reshape(-1, values.shape[-1])
+    d = magnitudes.shape[1]
+    boundary = np.partition(magnitudes, d - k, axis=1)[:, d - k, None]
+    keep = magnitudes >= boundary
+    idx = np.flatnonzero(keep)
+    if idx.size > k * magnitudes.shape[0]:
+        counts = np.count_nonzero(keep, axis=1)
+        for i in np.flatnonzero(counts > k):
+            ties = np.flatnonzero(magnitudes[i] == boundary[i])
+            keep[i, ties[ties.size - (counts[i] - k):]] = False
+        idx = np.flatnonzero(keep)
+    return idx
+
+
+def _add_rows_in_order(out: np.ndarray, block: np.ndarray) -> None:
+    """Bit for bit ``for row in block: out += row``, with no Python loop; may overwrite ``block``.
+
+    Adding ``out`` into the first row and reducing down the rows takes the
+    same sums in the same order while np.add.reduce's inner loop runs along
+    d.  Down a single column (d = 1) it sums pairwise instead, so that case
+    takes the sequential np.add.accumulate.  A single row is one pass.
+    """
+    if block.shape[0] == 1:
+        out += block[0]
+        return
+    block[0] += out
+    if block.shape[1] == 1:
+        out[:] = np.add.accumulate(block[:, 0])[-1]
+    else:
+        np.add.reduce(block, axis=0, out=out)
 
 
 def _round_to_powers_of_two(values: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -237,7 +269,9 @@ def decompress(msg: CompressedMessage) -> DenseVector:
             return DenseVector(out, msg.bits_per_scalar)
         if msg.kind == "top_k":
             values = np.asarray(msg.payload["values"], dtype=np.float64)
-            idx = np.asarray(msg.payload["indices"], dtype=np.int64)
+            idx = np.asarray(msg.payload["indices"])
+            if idx.dtype.kind not in "iu":
+                raise DecodeError(f"top_k indices have dtype {idx.dtype}, not an integer type")
             if idx.size != values.size or idx.size < 1:
                 raise DecodeError("top_k payload values/indices length mismatch")
             if idx.min() < 0 or idx.max() >= msg.d or np.unique(idx).size != idx.size:
@@ -249,8 +283,8 @@ def decompress(msg: CompressedMessage) -> DenseVector:
             p = np.asarray(msg.payload["p"], dtype=np.float64)
             q = np.asarray(msg.payload["q"], dtype=np.float64)
             rows, cols = msg.payload["rows"], msg.payload["cols"]
-            if (not (is_int(rows, 1) and is_int(cols, 1)) or p.shape[0] != rows
-                    or q.shape[0] != cols or p.shape[1] != q.shape[1]):
+            if (not (is_int(rows, 1) and is_int(cols, 1)) or p.ndim != 2 or q.ndim != 2
+                    or p.shape[0] != rows or q.shape[0] != cols or p.shape[1] != q.shape[1]):
                 raise DecodeError("rank_r factor shapes are inconsistent")
             if rows * cols < msg.d:
                 raise DecodeError(f"rank_r matrix {rows}x{cols} smaller than d={msg.d}")
@@ -337,16 +371,20 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
 
     Same result, bit for bit, as adding ``decompress(compress(DenseVector(row),
     spec, seed)).values`` into ``out`` row after row (one row with ``rng =
-    default_rng(seed)``), from the same helpers, but no message is built:
-    rand_k draws its index set once, and the sparse kinds touch only their k
-    coordinates (adding the other coordinates' zeros changes nothing unless
-    ``out`` holds a negative zero).
-    rank_r factors its messages in stacked batches of whole rows, up to
-    ``BATCH_VALUES`` padded matrix entries per batch and at least one row;
-    natural rounds its messages in batches of whole rows, up to
+    default_rng(seed)``), from the same helpers, but no message is built.
+    rand_k draws each row's index set in turn, unsorted; top_k selects in
+    stacked batches of whole rows, up to ``BATCH_VALUES`` values per batch
+    and at least one row.  Both add only their kept values, in one
+    row-ordered ``np.add.at`` per round (rand_k) or batch (top_k); adding
+    the other coordinates' zeros would change nothing unless ``out`` held a
+    negative zero.  rank_r factors its messages in stacked batches of whole
+    rows, up to ``BATCH_VALUES`` padded matrix entries per batch and at least
+    one row; natural rounds its messages in batches of whole rows, up to
     ``NATURAL_BATCH_VALUES`` (2**13) values per batch and at least one row.
+    Both add each decoded batch with one ordered sum, which takes the rows
+    in order as ``out += row`` would (d = 1 included).
     """
-    d = rows.shape[1]
+    m, d = rows.shape
     bits = message_bits(spec, d)
     if spec.kind in RANDOMIZED_KINDS and not isinstance(rng, np.random.Generator):
         raise ParameterError(f"{spec.kind} needs the round's np.random.Generator, got {rng!r}")
@@ -354,34 +392,40 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
         for row in rows:
             out += row
     elif spec.kind == "rand_k":
-        scale = d / spec.k
-        for row in rows:
-            idx = rand_k_indices(d, spec.k, rng)
-            out[idx] += row[idx] * scale
+        # rand_k_indices' draws, one row after another; a row's indices are
+        # distinct, so the order within a row does not change its sums.
+        cols = np.empty((m, spec.k), dtype=np.intp)
+        for row_cols in cols:
+            row_cols[:] = rng.choice(d, size=spec.k, replace=False)
+        values = rows.take(cols + np.arange(0, m * d, d)[:, None])
+        values *= d / spec.k
+        # One-dimensional operands take np.add.at's fast path, about 7x the
+        # speed of the (m, k) ones.
+        np.add.at(out, cols.reshape(-1), values.reshape(-1))
     elif spec.kind == "top_k":
-        for row in rows:
-            idx = top_k_indices(row, spec.k)
-            out[idx] += row[idx]
+        step = max(1, BATCH_VALUES // d)
+        for start in range(0, m, step):
+            batch = rows[start:start + step]
+            idx = top_k_indices(batch, spec.k)
+            np.add.at(out, idx % d, batch.take(idx))
     elif spec.kind == "natural":
-        # np.add.reduce below adds the rows in order only while its inner
-        # loop runs along d; down a single column it sums pairwise, so d = 1
-        # takes one row per batch.
-        step = max(1, NATURAL_BATCH_VALUES // d) if d > 1 else 1
-        draws = np.empty((min(step, rows.shape[0]), d))
-        for start in range(0, rows.shape[0], step):
+        step = max(1, NATURAL_BATCH_VALUES // d)
+        draws = np.empty((min(step, m), d))
+        for start in range(0, m, step):
             batch = rows[start:start + step]
             part = rng.random(out=draws[: batch.shape[0]])
+            # Named, so it lives until the next batch's rounding is done.  Freed
+            # at once, it left the next batch's temporaries on fresh pages: at
+            # d = 1e5, about 650 minor page faults per row against 60, and
+            # twice the time.
             dense = _round_to_powers_of_two(batch, part)
-            # The same sums, in the same order, as out += row for each row.
-            dense[0] += out
-            np.add.reduce(dense, axis=0, out=out)
+            _add_rows_in_order(out, dense)
     else:
         shape = default_matrix_shape(d)
         step = max(1, BATCH_VALUES // (shape[0] * shape[1]))
-        for start in range(0, rows.shape[0], step):
+        for start in range(0, m, step):
             p, q = rank_r_factors(rows[start:start + step], spec.r, *shape, rng)
-            for row in rank_r_expand(p, q, d):
-                out += row
+            _add_rows_in_order(out, rank_r_expand(p, q, d))
     return bits
 
 

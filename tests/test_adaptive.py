@@ -146,6 +146,15 @@ class TestSelectPower:
         obj = SelectionObjective(family, d=1000, n=16, alpha=1e-3, beta=1e-320)
         assert select_power(obj)[0] == 1000
 
+    @pytest.mark.parametrize("family", ["rand_k", "top_k"])
+    def test_numpy_scalar_coefficients_with_denormal_beta(self, family):
+        # NumPy scalars warn on the k_c division's overflow, which the pytest
+        # settings turn into an error; Python floats give inf quietly.
+        obj = SelectionObjective(family, d=1000, n=16, alpha=np.float64(1e-3),
+                                 beta=np.float64(1e-320))
+        assert select_power(obj) == select_power(dataclasses.replace(obj, alpha=1e-3, beta=1e-320))
+        assert select_power(obj)[0] == 1000
+
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficients_rejected(self, field, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from gradcomm.compression import (
     message_bits,
     omega_inf,
     rand_k_indices,
+    rank_r_expand,
+    rank_r_factors,
     top_k_indices,
 )
 from gradcomm.errors import DecodeError, ParameterError
@@ -296,6 +299,26 @@ class TestDecompress:
         with pytest.raises(DecodeError):
             decompress(CompressedMessage("natural", {}, 10, 3))
 
+    @pytest.mark.parametrize("indices", [[8.7, 9.2], [8.0, 9.0], [True, False]],
+                             ids=["fractional", "whole-float", "bool"])
+    def test_top_k_indices_must_be_integers(self, indices):
+        msg = compress(DenseVector(np.arange(1.0, 11.0)), CompressorSpec("top_k", k=2))
+        bad = dataclasses.replace(msg, payload={**msg.payload, "indices": np.array(indices)})
+        with pytest.raises(DecodeError, match="integer"):
+            decompress(bad)
+        for dtype in (np.int32, np.uint64):
+            good = dataclasses.replace(
+                msg, payload={**msg.payload, "indices": msg.payload["indices"].astype(dtype)})
+            assert decompress(good).values.tolist() == [0.0] * 8 + [9.0, 10.0]
+
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_rank_r_factors_must_be_matrices(self, field):
+        msg = compress(DenseVector(np.arange(1.0, 41.0)), CompressorSpec("rank_r", r=1), 0,
+                       rows=8, cols=5)
+        bad = dataclasses.replace(msg, payload={**msg.payload, field: msg.payload[field][:, 0]})
+        with pytest.raises(DecodeError, match="shapes"):
+            decompress(bad)
+
 
 class TestSpecAndRatios:
     def test_spec_validation(self):
@@ -503,28 +526,57 @@ class TestAddDecompressed:
 
     @pytest.mark.parametrize("d, m", [
         *itertools.product([1, 2, 6, 17, 1000], [1, 3, 130]),
+        (17, 4000),  # top_k: a batch of 3855 rows and one of 145
+        (1000, 200),  # top_k: three batches of 65 rows and one of 5
         (70_000, 2),  # one row is more than a batch of values
     ])
     def test_round_equals_row_by_row_round_trips(self, d, m):
         # Rows cycle through Gaussian, all-zero (rank_r's dead columns) and
-        # integer (tied top_k boundary) vectors.  d = 1000 with m = 130 pads
-        # 1024-entry matrices, so rank_r works through three batches.
-        # The single-row calls draw from a twin of the round's generator, in
-        # row order; test_equals_message_round_trip_bitwise ties a single-row
-        # call to the message round trip.
+        # integer (tied top_k boundary) vectors, scaled by powers of ten from
+        # 1e-8 to 1e8 so that any change in the order of a sum shows in its
+        # bits.  d = 1000 with m = 130 pads 1024-entry matrices, so rank_r
+        # works through three batches.  The reference adds one row's decoded
+        # vector at a time, built from the per-row helpers and drawing from a
+        # twin of the round's generator in row order;
+        # test_equals_message_round_trip_bitwise ties a single-row call to the
+        # message round trip.
         rng = np.random.default_rng([d, m])
-        rows = rng.standard_normal((m, d))
+        rows = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 9, (m, d))
         rows[1::3] = 0.0
-        rows[2::3] = rng.integers(-3, 4, size=rows[2::3].shape)
+        rows[2::3] = (rng.integers(-3, 4, size=rows[2::3].shape)
+                      * 10.0 ** rng.integers(-8, 9, (rows[2::3].shape[0], 1)))
         base = rng.standard_normal(d)
         for i, spec in enumerate(fused_specs(d)):
             twin = np.random.default_rng([d, m, i])
             want = base.copy()
             for row in rows:
-                bits = add_decompressed(want, spec, row[None], twin)
+                if spec.kind == "identity":
+                    want += row
+                elif spec.kind == "natural":
+                    want += _round_to_powers_of_two(row, twin.random(d))
+                elif spec.kind == "rand_k":
+                    idx = rand_k_indices(d, spec.k, twin)
+                    want[idx] += row[idx] * (d / spec.k)
+                elif spec.kind == "top_k":
+                    idx = top_k_indices(row, spec.k)
+                    want[idx] += row[idx]
+                else:
+                    p, q = rank_r_factors(row[None], spec.r, *default_matrix_shape(d), twin)
+                    want += rank_r_expand(p, q, d)[0]
             out = base.copy()
-            assert add_decompressed(out, spec, rows, np.random.default_rng([d, m, i])) == bits
+            assert add_decompressed(out, spec, rows, np.random.default_rng([d, m, i])) == message_bits(spec, d)
             assert bits_of(out) == bits_of(want), spec
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 1000])
+    def test_top_k_indices_of_stacked_rows_are_each_row_s_offset(self, d):
+        # Integer rows, so most boundaries are tied, and zero rows, tied throughout.
+        rows = np.random.default_rng(d).integers(-3, 4, size=(7, d)).astype(np.float64)
+        rows[::3] = 0.0
+        for k in sorted({1, min(2, d), max(1, d // 2), d}):
+            expected = np.concatenate([
+                np.sort(np.argsort(-np.abs(row), kind="stable")[:k]) + i * d
+                for i, row in enumerate(rows)])
+            np.testing.assert_array_equal(top_k_indices(rows, k), expected)
 
     @pytest.mark.parametrize("kind", ["rand_k", "natural", "rank_r"])
     def test_draws_one_seed_per_row_in_order(self, kind):
