@@ -7,8 +7,10 @@ out.  Every run writes a manifest next to its outputs recording the resolved
 configuration, seed (null for subcommands that draw no random numbers),
 output names, and tool version.
 
-Exit codes: 0 success, 2 usage/config error or an unusable path (the error
-names it), 3 degenerate data, 4 network error.
+Exit codes: 0 success, 1 the simulation diverged, 2 usage/config error or an
+unusable path (the error names it), 3 degenerate data, 4 network error.  Each
+package error carries its status as ``exit_code``; ``main`` prints the error
+and returns that status.
 """
 
 from __future__ import annotations
@@ -29,18 +31,7 @@ from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
 from .compression import DEFAULT_BITS_PER_SCALAR, KINDS, CompressorSpec
 from .csvio import format_rows, read_csv, write_csv
-from .errors import (
-    ConfigError,
-    DegenerateDesignError,
-    DivergenceError,
-    NetworkError,
-    ParameterError,
-)
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DEGENERATE = 3
-EXIT_NETWORK = 4
+from .errors import ConfigError, DegenerateDesignError, GradcommError, NetworkError
 
 BITS_PER_BYTE = 8
 
@@ -160,7 +151,7 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed, outputs: lis
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     params = _time_model(args.alpha, args.beta, args.alpha_m, args.beta_m)
@@ -177,10 +168,9 @@ def cmd_synth(args) -> int:
     }
     _write_manifest(out, "synth", config, args.seed, [path.name])
     print(f"wrote {len(sizes)} samples to {path}")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     if args.live:
         samples, p_max = _probe_live(args)
         config = {
@@ -206,7 +196,6 @@ def cmd_fit(args) -> int:
     _write_manifest(out, "fit", config, args.seed, [path.name])
     k, alpha, beta = rows[-1]
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
-    return EXIT_OK
 
 
 def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
@@ -277,7 +266,7 @@ def _write_jcurve(handle, obj: adaptive.SelectionObjective) -> None:
             handle.write(future.result())
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     """Write jcurve.csv, J(k) at every listed power, and print the exact k* and its cost.
 
     The rows come from ``_write_jcurve``, in worker processes when there are
@@ -311,10 +300,9 @@ def cmd_select(args) -> int:
     }
     _write_manifest(out, "select", config, None, [path.name])
     print(f"k_star={k_star} predicted_cost={cost!r}")
-    return EXIT_OK
 
 
-def cmd_regions(args) -> int:
+def cmd_regions(args) -> None:
     params = _time_model(args.alpha, args.beta)
     sizes = parse_sizes(args.sizes)
     bits = [size * BITS_PER_BYTE for size in sizes]
@@ -337,10 +325,9 @@ def cmd_regions(args) -> int:
               "rho": args.rho, "omegas": args.omegas}
     _write_manifest(out, "regions", config, None, [regions_path.name, speedup_path.name])
     print(f"wrote {regions_path} and {speedup_path}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     # The optional keys' defaults, then the config file, then the flags given.
     config = {"alpha_m": 0.0, "beta_m": 0.0, "compressor.kind": "identity",
               "downlink_compressed": False, "seed": 0,
@@ -384,10 +371,9 @@ def cmd_simulate(args) -> int:
         f"final_objective={final.objective!r} wall_clock_s={final.wall_clock_s!r} "
         f"uplink_bits={final.uplink_bits} downlink_bits={final.downlink_bits}"
     )
-    return EXIT_OK
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> None:
     if not 0 < args.timeout < math.inf:
         raise ConfigError(f"--timeout must be a finite number of seconds > 0, got {args.timeout}")
     if args.reps < 1:
@@ -405,14 +391,11 @@ def cmd_probe(args) -> int:
               "reps": args.reps, "warmup": args.warmup}
     _write_manifest(out, "probe", config, None, [path.name])
     if result.error:
-        print(f"error: {result.error} ({len(result.samples)} partial samples kept)",
-              file=sys.stderr)
-        return EXIT_NETWORK
+        raise NetworkError(f"{result.error} ({len(result.samples)} partial samples kept)")
     print(f"wrote {len(result.samples)} samples to {path}")
-    return EXIT_OK
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args) -> None:
     server = netprobe.PingPongServer(args.host, args.port, args.pmax)
     port = server.bind()
     print(f"serving on {args.host}:{port} (p_max={args.pmax} bytes)", flush=True)
@@ -422,7 +405,6 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,25 +524,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+        args.func(args)
+    except GradcommError as exc:  # first: a NetworkError is also an OSError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NetworkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
+        return exc.exit_code
     except OSError as exc:  # a path that cannot be read or written as asked
         if exc.filename is None:
             raise
         problem = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         print(f"error: {exc.filename}: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return ConfigError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ class Region(enum.Enum):
 
 def expected_time(params: TimeModelParams, s: float) -> float:
     """Mean transmission time of an s-bit message."""
-    if s < 0:
-        raise ParameterError("message size must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ParameterError("message size must be finite and nonnegative")
     return params.alpha_const + params.beta_const * s
 
 
@@ -76,8 +76,8 @@ def sample_time(params: TimeModelParams, s, rng=None):
     order, as one call per size.  A scalar size gives a float.
     """
     sizes = np.asarray(s, dtype=np.float64)
-    if np.any(sizes < 0):
-        raise ParameterError("message size must be nonnegative")
+    if not np.all((0 <= sizes) & (sizes < math.inf)):
+        raise ParameterError("message size must be finite and nonnegative")
     gen = np.random.default_rng(rng)
     noise = gen.normal(0.0, [params.sigma_alpha, params.sigma_beta], size=sizes.shape + (2,))
     alpha = params.alpha_const + noise[..., 0]
@@ -92,8 +92,8 @@ def eta(params: TimeModelParams, s: float, omega: float) -> float:
     eta = T(s) / T(s / omega).  The pure-bandwidth limit (alpha = 0) returns
     omega exactly and the pure-latency limit (beta = 0) returns 1 exactly.
     """
-    if s <= 0:
-        raise ParameterError("message size must be positive")
+    if not 0 < s < math.inf:
+        raise ParameterError("message size must be finite and positive")
     if not 1 <= omega < math.inf:
         raise ParameterError("compression ratio must be finite and >= 1")
     if params.alpha_const == 0:
@@ -109,8 +109,8 @@ def classify_region(params: TimeModelParams, s: float, rho: float = DEFAULT_RHO)
     Area 1 when beta*s <= alpha/rho, area 3 when beta*s >= rho*alpha, area 2
     between.  Larger s never moves the classification to a lower area.
     """
-    if s < 0:
-        raise ParameterError("message size must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ParameterError("message size must be finite and nonnegative")
     if not 1 < rho < math.inf:
         raise ParameterError("dominance threshold rho must be finite and exceed 1")
     load = params.beta_const * s
@@ -153,8 +153,8 @@ def transition_report(
     rho: float = DEFAULT_RHO,
 ) -> SpeedupReport:
     """Tabulate, per compression ratio, where the message lands and how much it gains."""
-    if s_from <= 0:
-        raise ParameterError("source message size must be positive")
+    if not 0 < s_from < math.inf:
+        raise ParameterError("source message size must be finite and positive")
     region_from = classify_region(params, s_from, rho)
     rows = []
     for omega in omegas:

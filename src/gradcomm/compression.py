@@ -261,19 +261,20 @@ def decompress(msg: CompressedMessage) -> DenseVector:
             if not is_int(msg.seed, 0):
                 raise DecodeError(f"rand_k message seed {msg.seed!r} is not an integer >= 0")
             values = np.asarray(msg.payload["values"], dtype=np.float64)
-            k = values.size
-            if not 1 <= k <= msg.d:
-                raise DecodeError(f"rand_k payload has {k} values for d={msg.d}")
+            if values.ndim != 1 or not 1 <= values.size <= msg.d:
+                raise DecodeError(f"rand_k values of shape {values.shape} are not 1-D "
+                                  f"with 1..{msg.d} entries")
             out = np.zeros(msg.d)
-            out[rand_k_indices(msg.d, k, msg.seed)] = values
+            out[rand_k_indices(msg.d, values.size, msg.seed)] = values
             return DenseVector(out, msg.bits_per_scalar)
         if msg.kind == "top_k":
             values = np.asarray(msg.payload["values"], dtype=np.float64)
             idx = np.asarray(msg.payload["indices"])
             if idx.dtype.kind not in "iu":
                 raise DecodeError(f"top_k indices have dtype {idx.dtype}, not an integer type")
-            if idx.size != values.size or idx.size < 1:
-                raise DecodeError("top_k payload values/indices length mismatch")
+            if values.ndim != 1 or idx.shape != values.shape or idx.size < 1:
+                raise DecodeError(f"top_k values {values.shape} and indices {idx.shape} "
+                                  "are not 1-D of one nonzero length")
             if idx.min() < 0 or idx.max() >= msg.d or np.unique(idx).size != idx.size:
                 raise DecodeError("top_k indices out of range or duplicated")
             out = np.zeros(msg.d)

@@ -54,7 +54,7 @@ class FitResult(NamedTuple):
 
 def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
     """An estimator that has seen no samples yet."""
-    if p_max <= 0:
+    if not 0 < p_max <= math.inf:
         raise ParameterError("p_max must be positive")
     if not 0.0 < forgetting <= 1.0:
         raise ParameterError("forgetting factor must lie in (0, 1]")
@@ -93,6 +93,8 @@ def advance(state: EstimatorState, x_k, y_k) -> EstimatorState:
     """Absorb one sample into the sums without computing a fit."""
     if not 0 < x_k <= state.p_max:
         raise ParameterError(f"message size {x_k} outside (0, {state.p_max}]")
+    if not -math.inf < y_k < math.inf:
+        raise ParameterError(f"time {y_k} is not finite")
     lam = state.forgetting
     return EstimatorState(  # positional, in field order: the cheapest call
         state.count + 1,

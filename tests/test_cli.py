@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from gradcomm import adaptive, cli, estimator, netprobe
+from gradcomm import adaptive, cli, errors, estimator, netprobe
 from gradcomm.adaptive import SelectionObjective, predicted_cost
 from gradcomm.cli import main, parse_sizes
 from gradcomm.errors import ConfigError, ParameterError
@@ -357,6 +357,14 @@ class TestSimulate:
         assert rc == 2
         assert "stepsize must be" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_divergence_exit_1_without_out_dir(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "2", "--d", "3", "--steps", "50", "--alpha", "1e-3",
+                   "--beta", "1e-8", "--gamma", "5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective") and err.endswith("reduce the stepsize\n")
+        assert not (tmp_path / "out").exists()
 
 
 # sha256 of trace.csv from GOLDEN_ARGS, recorded before the simulator added
@@ -706,6 +714,22 @@ class TestProbeAndServe:
         rows = read_csv(tmp_path / "samples.csv")
         assert len(rows) == 4
         assert all(float(r["time_seconds"]) > 0 for r in rows)
+
+    def test_probe_aborted_mid_stream_exit_4_keeps_partial_samples(self, tmp_path, capsys):
+        srv = PingPongServer(p_max_bytes=100)  # resets the connection at the 4096-byte frame
+        port = srv.start()
+        try:
+            rc = main(["probe", "--port", str(port), "--sizes", "64,4096", "--reps", "2",
+                       "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.search(r"^error: probe aborted mid-stream: .+ \(2 partial samples kept\)$",
+                         err, re.M), err
+        assert [r["size_bytes"] for r in read_csv(tmp_path / "samples.csv")] == ["64", "64"]
+        manifest = json.loads((tmp_path / "probe.manifest.json").read_text())
+        assert manifest["outputs"] == ["samples.csv"]
 
     def test_probe_unreachable_exit_4(self, tmp_path):
         import socket
@@ -1087,3 +1111,34 @@ def test_refused_input_makes_no_out_dir(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "new")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "new").exists()
+
+
+EXIT_CODES = {
+    errors.GradcommError: 1,
+    errors.DivergenceError: 1,
+    errors.ParameterError: 2,
+    errors.ConfigError: 2,
+    errors.DecodeError: 2,
+    errors.DegenerateModelError: 2,
+    errors.DegenerateDesignError: 3,
+    errors.NetworkError: 4,
+}
+
+
+def test_exit_code_table_names_every_error_type():
+    types = {value for value in vars(errors).values()
+             if isinstance(value, type) and issubclass(value, errors.GradcommError)}
+    assert types == EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", v))
+def test_each_error_type_carries_its_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    assert error.exit_code == code
+
+    def fail(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_regions", fail)
+    rc = main(["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10",
+               "--out", str(tmp_path)])
+    assert (rc, capsys.readouterr().err) == (code, "error: refused\n")

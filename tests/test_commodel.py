@@ -1,8 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
+from gradcomm import estimator
 from gradcomm.commodel import (
     MIN_TIME_S,
     Region,
@@ -216,3 +218,30 @@ class TestReports:
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
         assert first[2].startswith("area")
+
+
+MODEL = TimeModelParams(1e-3, 1e-8)
+NON_FINITE = (math.nan, math.inf)
+
+# Each check as a call of the one value under test, with the values it refuses;
+# 8.0 is valid at every site.
+FINITE_SITES = {
+    "expected_time": (lambda v: expected_time(MODEL, v), NON_FINITE),
+    "sample_time": (lambda v: sample_time(MODEL, v, 0), NON_FINITE),
+    "sample_time.array": (lambda v: sample_time(MODEL, [8.0, v], 0), NON_FINITE),
+    "eta": (lambda v: eta(MODEL, v, 2.0), NON_FINITE),
+    "classify_region": (lambda v: classify_region(MODEL, v), NON_FINITE),
+    "transition_report": (lambda v: transition_report(MODEL, v, [1.0, 2.0]), NON_FINITE),
+    "estimator.start": (estimator.start, (math.nan,)),  # p_max = inf stays accepted
+    "estimator.advance": (lambda v: estimator.advance(estimator.start(16.0), 8.0, v),
+                          (math.nan, math.inf, -math.inf)),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site, (_, refused) in FINITE_SITES.items() for value in refused])
+def test_nan_and_infinity_are_refused(site, value):
+    check = FINITE_SITES[site][0]
+    check(8.0)
+    with pytest.raises(ParameterError):
+        check(value)

@@ -319,6 +319,15 @@ class TestDecompress:
         with pytest.raises(DecodeError, match="shapes"):
             decompress(bad)
 
+    @pytest.mark.parametrize("kind, field", [("top_k", "indices"), ("top_k", "values"),
+                                             ("rand_k", "values")])
+    def test_sparse_payload_arrays_must_be_vectors(self, kind, field):
+        msg = compress(DenseVector(np.arange(1.0, 11.0)), CompressorSpec(kind, k=2), 0)
+        bad = dataclasses.replace(
+            msg, payload={**msg.payload, field: msg.payload[field].reshape(2, 1)})
+        with pytest.raises(DecodeError, match="1-D"):
+            decompress(bad)
+
 
 class TestSpecAndRatios:
     def test_spec_validation(self):

@@ -50,6 +50,7 @@ SITES = {
     "check_probe.reps": lambda v: check_probe(1, [1], v, 0),
     "check_probe.warmup": lambda v: check_probe(1, [1], 0, v),
     "probe.sizes": lambda v: probe("127.0.0.1", 1, [v], reps=0),
+    "probe.payload_seed": lambda v: probe("127.0.0.1", 1, [1], reps=0, payload_seed=v),
 }
 
 

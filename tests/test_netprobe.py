@@ -274,6 +274,16 @@ class TestProbe:
         with pytest.raises(ParameterError, match="port"):
             probe("127.0.0.1", port, [16], reps=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_bad_payload_seed_rejected_before_connecting(self, monkeypatch, seed):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("socket opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        for reps in (0, 1):
+            with pytest.raises(ParameterError, match="payload_seed"):
+                probe("127.0.0.1", 1, [16], reps=reps, payload_seed=seed)
+
     @pytest.mark.parametrize("accepted", [0, 3, 8, 13, 8 + 64])
     def test_partial_sendmsg_is_finished_from_views(self, accepted):
         class ShortSendSocket:
