@@ -23,16 +23,17 @@ uncompressed-to-compressed bit ratio as an exact rational.
 
 ``add_decompressed`` is the in-process twin of ``compress`` followed by
 ``decompress`` for a whole round of messages: it adds each receiver's vector
-straight into an aggregate, one call per round; only identity's sum and
-rand_k's draws loop over the rows in Python.  top_k selects over stacked
-batches of rows, and rand_k and top_k add their kept values with one
-row-ordered ``np.add.at``; natural and rank_r decode stacked batches and add
-each with one shared ordered sum that matches adding row after row (a single
-column, d = 1, is summed by ``np.add.accumulate``, not pairwise).  Both paths
-build their values from the same index, rounding and factor helpers, so each
-operator's math exists once.  Randomness enters only explicitly: a message
-from its integer seed, which for rand_k travels on the wire, and a round's
-messages, in row order, from the round's one ``np.random.Generator``.
+straight into an aggregate, one call per round; only identity's sum loops
+over the rows in Python.  rand_k draws a round's index sets in one stacked
+pass of Floyd's rule, top_k selects over stacked batches of rows, and both
+add their kept values with one row-ordered ``np.add.at``; natural and rank_r
+decode stacked batches and add each with one shared ordered sum that matches
+adding row after row (a single column, d = 1, is summed by
+``np.add.accumulate``, not pairwise).  Both paths build their values from the
+same index, rounding and factor helpers, so each operator's math exists once.
+Randomness enters only explicitly: a message from its integer seed, which for
+rand_k travels on the wire, and a round's messages, in row order, from the
+round's one ``np.random.Generator``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ BATCH_VALUES = 1 << 16
 # least one.  Its half-dozen temporaries of 2**13 values (64 KiB each) stay
 # in cache, which a whole round's (m, d) block of them does not.
 NATURAL_BATCH_VALUES = 1 << 13
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def index_bits(d: int) -> int:
@@ -115,11 +117,70 @@ class CompressedMessage:
     seed: int | None = None
 
 
+def _floyd_subsets(d: int, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """An (m, k) array whose rows are uniformly random k-subsets of range(d), by Floyd's rule.
+
+    Row i takes k bounded draws t_j ~ U{0 .. d-k+j}, j = 0 .. k-1, and keeps
+    s_j = t_j unless t_j is already among the row's s_0 .. s_{j-1}, when it
+    keeps s_j = d-k+j (Bentley and Floyd 1987).  One ``rng.integers`` call
+    draws all m*k of them in row order, so a row gets the draws it would get
+    alone, and rows do not depend on m.  t_j collides exactly when it equals
+    an earlier draw of its row, which one sort per row finds, or equals
+    d-k+i for an earlier i that collided: an OR along the pointer i < j,
+    resolved by pointer doubling.  Work and memory are O(m*k), not O(d).
+    """
+    base = d - k
+    draws = rng.integers(0, np.arange(base + 1, d + 1), size=(m, k))
+    if k == d:
+        # Each step's set is then all of range(j), so s_j = j in every row.
+        return np.broadcast_to(np.arange(d), (m, d))
+    j = np.arange(k)
+    if d <= _INT64_MAX // k:
+        # Packed keys value*k + j sort equal values in draw order.
+        keys = draws * k
+        keys += j
+        keys.sort(axis=1)
+        values = keys // k
+        order = keys - values * k
+    else:
+        order = np.argsort(draws, axis=1, kind="stable")
+        values = np.take_along_axis(draws, order, axis=1)
+    values, order = values.reshape(-1), order.reshape(-1)
+    repeat = values[1:] == values[:-1]
+    repeat[k - 1::k] = False  # a row's last value against the next row's first
+    later = np.flatnonzero(repeat) + 1
+    hit = np.zeros(m * k, dtype=bool)
+    hit[later - later % k + order[later]] = True
+    link = draws - base
+    src = np.flatnonzero(((link >= 0) & (link < j)).reshape(-1) & ~hit)
+    if src.size:
+        # at is src's pointer 2**n links down its chain, n the pass; an entry
+        # leaves once it hit or its pointer rests on an entry with no link.
+        ptr = np.arange(m * k)
+        ptr[src] = at = src - src % k + link.reshape(-1)[src]
+        while src.size:
+            hit[src] |= hit[at]
+            nxt = ptr[at]
+            live = (nxt != at) & ~hit[src]
+            src, at = src[live], nxt[live]
+            ptr[src] = at
+    np.copyto(draws, base + j, where=hit.reshape(m, k))
+    return draws
+
+
 def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
-    """Uniformly random k-subset of range(d), from a seed or a Generator's next draws."""
+    """Uniformly random k-subset of range(d), sorted, from a seed or a Generator's next draws.
+
+    Floyd's rule picks it: k draws t_j ~ U{0 .. d-k+j}, keeping t_j, or
+    d-k+j when t_j is already kept.  It is one row of an ``add_decompressed``
+    rand_k round, whose rows do not depend on how many share the round, and
+    it allocates O(k), not O(d).
+    """
     if seed is None:
         raise ParameterError("rand_k requires a shared randomness seed")
-    return np.sort(np.random.default_rng(seed).choice(d, size=k, replace=False))
+    if not (is_int(d, 1) and is_int(k, 1) and k <= d):
+        raise ParameterError(f"rand_k needs integers 1 <= k <= d, got k={k!r}, d={d!r}")
+    return np.sort(_floyd_subsets(d, k, 1, np.random.default_rng(seed))[0])
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -373,9 +434,12 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     Same result, bit for bit, as adding ``decompress(compress(DenseVector(row),
     spec, seed)).values`` into ``out`` row after row (one row with ``rng =
     default_rng(seed)``), from the same helpers, but no message is built.
-    rand_k draws each row's index set in turn, unsorted; top_k selects in
-    stacked batches of whole rows, up to ``BATCH_VALUES`` values per batch
-    and at least one row.  Both add only their kept values, in one
+    rand_k draws every row's index set in one stacked pass of Floyd's rule:
+    row i takes k draws t_j ~ U{0 .. d-k+j}, after row i-1's, and keeps
+    t_j, or d-k+j when t_j is already in its set.  So a row's subset does
+    not depend on m, and one row is ``rand_k_indices`` unsorted.  top_k
+    selects in stacked batches of whole rows, up to ``BATCH_VALUES`` values
+    per batch and at least one row.  Both add only their kept values, in one
     row-ordered ``np.add.at`` per round (rand_k) or batch (top_k); adding
     the other coordinates' zeros would change nothing unless ``out`` held a
     negative zero.  rank_r factors its messages in stacked batches of whole
@@ -393,11 +457,9 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
         for row in rows:
             out += row
     elif spec.kind == "rand_k":
-        # rand_k_indices' draws, one row after another; a row's indices are
-        # distinct, so the order within a row does not change its sums.
-        cols = np.empty((m, spec.k), dtype=np.intp)
-        for row_cols in cols:
-            row_cols[:] = rng.choice(d, size=spec.k, replace=False)
+        # rand_k_indices' subsets, unsorted: a row's indices are distinct, so
+        # their order within the row does not change its sums.
+        cols = _floyd_subsets(d, spec.k, m, rng)
         values = rows.take(cols + np.arange(0, m * d, d)[:, None])
         values *= d / spec.k
         # One-dimensional operands take np.add.at's fast path, about 7x the

@@ -27,6 +27,7 @@ timeout) can hold the sequential server for longer than the timeout.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -216,13 +217,16 @@ def probe(
 
     For every size, ``warmup`` unrecorded exchanges precede ``reps`` timed
     ones.  Every frame is a prefix of one draw from ``payload_seed`` at the
-    largest size.  Arguments ``check_probe`` refuses, and a ``payload_seed``
-    that is not an integer >= 0, raise :class:`ParameterError` before any
-    socket is opened.  Connection failures raise :class:`NetworkError`; a
-    mid-stream disconnect returns the partial samples with ``error`` set.
+    largest size.  Arguments ``check_probe`` refuses, a ``timeout`` that is
+    not a finite number of seconds > 0, and a ``payload_seed`` that is not an
+    integer >= 0 raise :class:`ParameterError` before any socket is opened.
+    Connection failures raise :class:`NetworkError`; a mid-stream disconnect
+    returns the partial samples with ``error`` set.
     """
     sizes = list(sizes_bytes)
     check_probe(port, sizes, reps, warmup)
+    if not 0 < timeout < math.inf:
+        raise ParameterError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
     if not is_int(payload_seed, 0):
         raise ParameterError(f"payload_seed must be an integer >= 0, got {payload_seed!r}")
     if reps == 0:

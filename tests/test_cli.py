@@ -379,6 +379,11 @@ class TestSimulate:
 # relative, grad_norm by <= 1.2e-15 of its round-0 value), while round,
 # wall_clock_s, uplink_bits, downlink_bits and final_x were checked
 # byte-identical against the previous code first.
+# The rand_k entries were re-recorded when rand_k's index sets moved from
+# one rng.choice per row to Floyd's rule, drawn for the whole round in one
+# stacked pass: only objective and grad_norm moved, while round,
+# wall_clock_s, uplink_bits and downlink_bits were checked byte-identical
+# against the previous code first.
 GOLDEN_ARGS = ["simulate", "--n", "4", "--d", "17", "--steps", "5", "--alpha", "1e-3",
                "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "7"]
 GOLDEN_KIND_ARGS = {"identity": [], "rand_k": ["--k", "5"], "top_k": ["--k", "5"],
@@ -386,8 +391,8 @@ GOLDEN_KIND_ARGS = {"identity": [], "rand_k": ["--k", "5"], "top_k": ["--k", "5"
 GOLDEN_TRACE_SHA256 = {
     ("identity", False): "3dfc3b632285a4ddab76f870fbcc08adc2577966e9b1091449dd96ab33909ff4",
     ("identity", True): "3dfc3b632285a4ddab76f870fbcc08adc2577966e9b1091449dd96ab33909ff4",
-    ("rand_k", False): "e7c63fb70074d1c8658380c55fce917a426cefd72140f0d491bbd5344b484d97",
-    ("rand_k", True): "63379120d7ba1c1951addd0874949a00b270f8dbc0330c3f0c2345ccb919fbae",
+    ("rand_k", False): "c4c234610b547f2670e835dff13f57f4a4aea6b3b06718bc8128a90902775c57",
+    ("rand_k", True): "6d949c420d5e174ebce7b923661785d6e3b53596f562bb972c3bae1bd94664cd",
     ("top_k", False): "c867d4002db938232b1fa6b06edba7106cbe01bfb3979aa654444f903689859e",
     ("top_k", True): "1286609c743c12e2e0ecaeb9665836359fc84e96fe193596bdfaa4b49b27007b",
     ("natural", False): "8684a26a4072af016a32fa17151054ad844c248d6aebd47431aa82ef54545b27",
@@ -433,12 +438,17 @@ def test_trace_does_not_depend_on_blas_threads(tmp_path, cli_env):
 # moved (objective by <= 6e-16 relative, grad_norm by <= 1.2e-15 of its
 # round-0 value), while round, wall_clock_s, uplink_bits, downlink_bits and
 # final_x were checked byte-identical against the previous code first.
+# The rand_k entries were re-recorded when rand_k's index sets moved from
+# one rng.choice per row to Floyd's rule, drawn for the whole round in one
+# stacked pass: only objective and grad_norm moved, while round,
+# wall_clock_s, uplink_bits and downlink_bits were checked byte-identical
+# against the previous code first.
 MULTI_BLOCK_ARGS = ["simulate", "--n", "50", "--d", "6", "--steps", "100", "--alpha", "1e-3",
                     "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "11"]
 MULTI_BLOCK_KIND_ARGS = {"rand_k": ["--k", "2"], "natural": [], "rank_r": ["--r", "1"]}
 MULTI_BLOCK_TRACE_SHA256 = {
-    ("rand_k", False): "ddf92d45128e9ba1d09d14f9cbfd84a69864747806885809e3cc25bad5d68961",
-    ("rand_k", True): "2ce0c2f42695f6c797d5438992379a54f003a8c4a8348e610e7471bd57544282",
+    ("rand_k", False): "ac0c20d6b305582a64efaf4ababbb6aee206c9cb7ce06d0f36824856d44d1bca",
+    ("rand_k", True): "6bc46aad9a85599f38c8ac55065bce31172a4a0ce37ac0f1c9d1eb85617f1004",
     ("natural", False): "09affa953500f1fa44b1ab531b0b9113b58a2dc06dca25b5514924ff4a4fb1b3",
     ("natural", True): "8117ff2238ae7f9fb8d3230957a9773921d8ea8b2f807ed277aa5d2ca84ab05b",
     ("rank_r", False): "dd348b89fb0074ea212f5ed2cac811cdc6fe091f5b1465b282142845cc7d471b",
@@ -467,6 +477,11 @@ def test_multi_block_trace_matches_golden_hash(tmp_path, kind, downlink):
 # moved (objective by <= 6e-16 relative, grad_norm by <= 1.2e-15 of its
 # round-0 value), while round, wall_clock_s, uplink_bits, downlink_bits and
 # final_x were checked byte-identical against the previous code first.
+# The rand_k entries were re-recorded when rand_k's index sets moved from
+# one rng.choice per row to Floyd's rule, drawn for the whole round in one
+# stacked pass: only objective and grad_norm moved, while round,
+# wall_clock_s, uplink_bits and downlink_bits were checked byte-identical
+# against the previous code first.
 BATCHED_ARGS = ["simulate", "--n", "70", "--d", "1000", "--steps", "3", "--alpha", "1e-3",
                 "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1", "--seed", "5"]
 BATCHED_KIND_ARGS = {"identity": [], "rand_k": ["--k", "50"], "top_k": ["--k", "50"],
@@ -474,8 +489,8 @@ BATCHED_KIND_ARGS = {"identity": [], "rand_k": ["--k", "50"], "top_k": ["--k", "
 BATCHED_TRACE_SHA256 = {
     ("identity", False): "923a7e4797fe9eee2400210255434340dd62b19bd970da33063758745957a7cf",
     ("identity", True): "923a7e4797fe9eee2400210255434340dd62b19bd970da33063758745957a7cf",
-    ("rand_k", False): "2e70a4d76792f174c7e09314ec8f15b0dcac08a8a81547b1baf17db7fad02bcf",
-    ("rand_k", True): "27047aee1739126267da1e2b35b1bcab97cc9ec7738d6688d51404cdc9f5ca54",
+    ("rand_k", False): "84b74ec112cb86045c3f4ff58f07ec192454fa52a5c9f2d07cb7a7e3afe95e2a",
+    ("rand_k", True): "b892a8b1b66f9801854ec27e8b00e73ec947ce9fa26f4e405a9b0eb2b8391f5a",
     ("top_k", False): "7093252f23467a2b838324d11b5a5316ebc4480a0c9ba10f4e581c0f0c235ef4",
     ("top_k", True): "f3feb4e2052e13deaa1058f30a3692b53f7f6a6e360698d961975fec9c561d25",
     ("natural", False): "ff07729808cd87292e51a6524c0b02e9cf394673834e2bf4374752142ab38a24",
@@ -508,6 +523,11 @@ def test_batched_trace_matches_golden_hash(tmp_path, kind, downlink):
 # <= 6e-16 relative, grad_norm by <= 1.2e-15 of its round-0 value), while
 # the other columns and final_x were checked byte-identical against the
 # previous code first.  The manifests are the original records.
+# The trace.csv entries of the rand_k config file (file and its three
+# downlink runs) were re-recorded when rand_k's index sets moved from one
+# rng.choice per row to Floyd's rule, drawn for the whole round in one
+# stacked pass: only objective and grad_norm moved, while the other
+# columns and the manifests were checked byte-identical first.
 SETTINGS_FILE = ("n = 3\nd = 12\nsteps = 4\ngamma = 0.25\nalpha = 0.001\nbeta = 1e-8\n"
                  "alpha_m = 0.1\nbeta_m = 0.1\ncompressor.kind = rand_k\ncompressor.k = 4\n"
                  "seed = 7\n")
@@ -525,7 +545,7 @@ SETTINGS_SHA256 = {
     ("file", "simulate.manifest.json"):
         "7921afe34fa62093195368d597082174d83194197b43373ccf65822e8cb3db7c",
     ("file", "trace.csv"):
-        "c049e5517167acdaeb2c6d8de108bf93b69099091ecfa9a60b70088074870232",
+        "095cfc99e96c41bdf750a3007ed6bdcefe6dda85dc5dccc5cba6173eeaa1a03a",
     ("flags", "simulate.manifest.json"):
         "de2911511bc470a39c207126a8b00672237a54cb03bb88844f7fe0ef2e8b0837",
     ("flags", "trace.csv"):
@@ -537,15 +557,15 @@ SETTINGS_SHA256 = {
     ("downlink_file", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_file", "trace.csv"):
-        "a9c260cc9ebdf34e584c43ae0dff02bed1c6bbc8348a603adcfb7496ac1f691c",
+        "a90ada07f8abd1751a3e80776d0ede61ea8271fc5ae2eb987fd7f521097ac492",
     ("downlink_flag", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_flag", "trace.csv"):
-        "a9c260cc9ebdf34e584c43ae0dff02bed1c6bbc8348a603adcfb7496ac1f691c",
+        "a90ada07f8abd1751a3e80776d0ede61ea8271fc5ae2eb987fd7f521097ac492",
     ("downlink_both", "simulate.manifest.json"):
         "b78865e247f264420aa0a4d369ab662fe4a07c5c6e1a9c8dcb7b0ea500258be5",
     ("downlink_both", "trace.csv"):
-        "a9c260cc9ebdf34e584c43ae0dff02bed1c6bbc8348a603adcfb7496ac1f691c",
+        "a90ada07f8abd1751a3e80776d0ede61ea8271fc5ae2eb987fd7f521097ac492",
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from gradcomm.compression import (
     CompressedMessage,
     CompressorSpec,
     DenseVector,
+    _floyd_subsets,
     _round_to_powers_of_two,
     add_decompressed,
     compress,
@@ -600,3 +603,73 @@ class TestAddDecompressed:
             add_decompressed(np.zeros(9), spec, row[None], twin)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.bit_generator.state != np.random.default_rng(10).bit_generator.state
+
+
+def floyd_oracle(d, k, rng):
+    """Floyd's rule one bounded draw at a time: (the row in draw order, chained collisions).
+
+    Draw t_j ~ U{0 .. d-k+j} and keep t_j, or d-k+j when t_j is already
+    kept.  A chained collision is a t_j that no earlier draw equals but an
+    earlier collision's d-k+i does.
+    """
+    kept, drawn, row, chained = set(), set(), [], 0
+    for j in range(k):
+        t = int(rng.integers(0, d - k + j + 1))
+        chained += t in kept and t not in drawn
+        drawn.add(t)
+        row.append(d - k + j if t in kept else t)
+        kept.add(row[-1])
+    return row, chained
+
+
+class TestFloydDraw:
+    # k = 1, k = d - 1 and k = d; d = 1; one row; d = 2**62 is past the
+    # packed sort keys (d * k > 2**63), so its rows take the stable argsort.
+    # The CHAINED cases have collisions resolved through an earlier collision.
+    CHAINED = [(6, 5, 200), (10, 9, 300), (5, 3, 400), (1000, 999, 4), (6, 6, 30)]
+    CASES = CHAINED + [(1, 1, 3), (2, 1, 40), (7, 1, 50), (50, 50, 10), (1000, 10, 64),
+                       (17, 5, 1), (100_000, 1000, 1), (2**40, 3, 5), (2**62, 3, 5)]
+
+    @pytest.mark.parametrize("d, k, m", CASES)
+    def test_stacked_draw_equals_sequential_floyd(self, d, k, m):
+        rng, twin = np.random.default_rng([d, k, m]), np.random.default_rng([d, k, m])
+        got = _floyd_subsets(d, k, m, rng)
+        rows, chained = zip(*(floyd_oracle(d, k, twin) for _ in range(m)))
+        np.testing.assert_array_equal(got, np.array(rows))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert sum(chained) > 0 or (d, k, m) not in self.CHAINED
+
+    @pytest.mark.parametrize("d, k, m", CASES)
+    def test_message_indices_are_one_sorted_row(self, d, k, m):
+        for seed in range(3):
+            row, _ = floyd_oracle(d, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(rand_k_indices(d, k, seed), sorted(row))
+
+    # 20 000 stacked rows per case; each bound is the 0.9999 quantile of
+    # chi-square with C(d, k) - 1 degrees of freedom (9 and 19), fixed
+    # before the run.
+    @pytest.mark.parametrize("d, k, bound", [(5, 2, 33.72), (6, 3, 50.80)])
+    def test_subset_frequencies_are_uniform(self, d, k, bound):
+        n, subsets = 20_000, math.comb(d, k)
+        rows = _floyd_subsets(d, k, n, np.random.default_rng([d, k]))
+        _, counts = np.unique((1 << rows).sum(axis=1), return_counts=True)
+        assert counts.size == subsets
+        expected = n / subsets
+        assert ((counts - expected) ** 2 / expected).sum() < bound
+
+    @pytest.mark.parametrize("d, k", [(5, 0), (5, 6), (5, 2.0), (0, 0), (5.0, 2)])
+    def test_message_indices_refuse_k_outside_one_to_d(self, d, k):
+        with pytest.raises(ParameterError):
+            rand_k_indices(d, k, 0)
+
+    @pytest.mark.parametrize("d", [2**40, 2**62])
+    def test_huge_dimension_takes_no_dimension_sized_memory(self, d):
+        tracemalloc.start()
+        try:
+            idx = rand_k_indices(d, 3, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert idx.size == np.unique(idx).size == 3
+        assert 0 <= idx.min() and idx.max() < d

@@ -284,6 +284,20 @@ class TestProbe:
             with pytest.raises(ParameterError, match="payload_seed"):
                 probe("127.0.0.1", 1, [16], reps=reps, payload_seed=seed)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_timeout_rejected_before_any_socket(self, monkeypatch, timeout):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket.socket, "__init__", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for reps in (0, 1):
+                with pytest.raises(ParameterError, match="timeout"):
+                    probe("127.0.0.1", 1, [16], reps=reps, timeout=timeout)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     @pytest.mark.parametrize("accepted", [0, 3, 8, 13, 8 + 64])
     def test_partial_sendmsg_is_finished_from_views(self, accepted):
         class ShortSendSocket:
