@@ -379,7 +379,7 @@ def cmd_probe(args) -> None:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     sizes = parse_sizes(args.sizes)
-    netprobe.check_probe(args.port, sizes, args.reps, args.warmup)
+    netprobe.check_probe(args.port, sizes, args.reps, args.warmup, args.timeout)
     out = _out_dir(args)  # before connecting, so an unusable --out costs no measurement
     result = netprobe.probe(
         args.host, args.port, sizes, reps=args.reps, warmup=args.warmup,

@@ -122,21 +122,31 @@ def _floyd_subsets(d: int, k: int, m: int, rng: np.random.Generator) -> np.ndarr
 
     Row i takes k bounded draws t_j ~ U{0 .. d-k+j}, j = 0 .. k-1, and keeps
     s_j = t_j unless t_j is already among the row's s_0 .. s_{j-1}, when it
-    keeps s_j = d-k+j (Bentley and Floyd 1987).  One ``rng.integers`` call
-    draws all m*k of them in row order, so a row gets the draws it would get
-    alone, and rows do not depend on m.  t_j collides exactly when it equals
-    an earlier draw of its row, which one sort per row finds, or equals
-    d-k+i for an earlier i that collided: an OR along the pointer i < j,
-    resolved by pointer doubling.  Work and memory are O(m*k), not O(d).
+    keeps s_j = d-k+j (Bentley and Floyd 1987).  When 2k > d the rule picks
+    the d-k coordinates each row leaves out, and the row is the others in
+    increasing order (so k = d draws nothing).  One ``rng.integers`` call
+    draws all m rows' draws in row order, so a row gets the draws it would
+    get alone, and rows do not depend on m.  t_j collides exactly when it
+    equals an earlier draw of its row, which one sort per row finds, or
+    equals d-k+i for an earlier i that collided: an OR along the pointer
+    i < j, resolved by pointer doubling.  Work and memory are O(m*k), not
+    O(d).
     """
+    if 2 * k > d:
+        # Near k = d almost every draw would collide, in long chains.
+        offsets = np.arange(0, m * d, d)[:, None]
+        keep = np.ones(m * d, dtype=bool)
+        if k < d:
+            keep[_floyd_subsets(d, d - k, m, rng) + offsets] = False
+        cols = np.flatnonzero(keep).reshape(m, k)
+        cols -= offsets
+        return cols
     base = d - k
     draws = rng.integers(0, np.arange(base + 1, d + 1), size=(m, k))
-    if k == d:
-        # Each step's set is then all of range(j), so s_j = j in every row.
-        return np.broadcast_to(np.arange(d), (m, d))
     j = np.arange(k)
     if d <= _INT64_MAX // k:
-        # Packed keys value*k + j sort equal values in draw order.
+        # Packed keys value*k + j sort equal values in draw order, several
+        # times faster than the stable argsort that any d can take.
         keys = draws * k
         keys += j
         keys.sort(axis=1)
@@ -172,7 +182,8 @@ def rand_k_indices(d: int, k: int, seed) -> np.ndarray:
     """Uniformly random k-subset of range(d), sorted, from a seed or a Generator's next draws.
 
     Floyd's rule picks it: k draws t_j ~ U{0 .. d-k+j}, keeping t_j, or
-    d-k+j when t_j is already kept.  It is one row of an ``add_decompressed``
+    d-k+j when t_j is already kept; when 2k > d the rule picks the d-k
+    coordinates left out instead.  It is one row of an ``add_decompressed``
     rand_k round, whose rows do not depend on how many share the round, and
     it allocates O(k), not O(d).
     """
@@ -436,8 +447,9 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     default_rng(seed)``), from the same helpers, but no message is built.
     rand_k draws every row's index set in one stacked pass of Floyd's rule:
     row i takes k draws t_j ~ U{0 .. d-k+j}, after row i-1's, and keeps
-    t_j, or d-k+j when t_j is already in its set.  So a row's subset does
-    not depend on m, and one row is ``rand_k_indices`` unsorted.  top_k
+    t_j, or d-k+j when t_j is already in its set (when 2k > d, the same for
+    the d-k coordinates it leaves out).  So a row's subset does not depend
+    on m, and one row is ``rand_k_indices`` unsorted.  top_k
     selects in stacked batches of whole rows, up to ``BATCH_VALUES`` values
     per batch and at least one row.  Both add only their kept values, in one
     row-ordered ``np.add.at`` per round (rand_k) or batch (top_k); adding

@@ -191,10 +191,12 @@ def _exchange(sock: socket.socket, header: bytes, payload) -> None:
         raise ConnectionError(f"protocol desync: expected ack 0x06, got {ack!r}")
 
 
-def check_probe(port: int, sizes, reps: int, warmup: int) -> None:
+def check_probe(port: int, sizes, reps: int, warmup: int,
+                timeout: float = DEFAULT_TIMEOUT_S) -> None:
     """Raise :class:`ParameterError` for what ``probe`` refuses before opening a socket.
 
-    That is a non-integer, a size below 1, a negative count or a port outside 1..65535.
+    That is a non-integer, a size below 1, a negative count, a port outside
+    1..65535 or a timeout that is not a finite number of seconds > 0.
     """
     if not all(is_int(s, 1) for s in sizes):
         raise ParameterError("probe sizes must be >= 1 byte")
@@ -202,6 +204,8 @@ def check_probe(port: int, sizes, reps: int, warmup: int) -> None:
         raise ParameterError("reps and warmup must be nonnegative")
     if not (is_int(port, 1) and port <= _MAX_PORT):
         raise ParameterError(f"port must lie in 1..{_MAX_PORT}, got {port}")
+    if not 0 < timeout < math.inf:
+        raise ParameterError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
 
 
 def probe(
@@ -217,16 +221,13 @@ def probe(
 
     For every size, ``warmup`` unrecorded exchanges precede ``reps`` timed
     ones.  Every frame is a prefix of one draw from ``payload_seed`` at the
-    largest size.  Arguments ``check_probe`` refuses, a ``timeout`` that is
-    not a finite number of seconds > 0, and a ``payload_seed`` that is not an
-    integer >= 0 raise :class:`ParameterError` before any socket is opened.
-    Connection failures raise :class:`NetworkError`; a mid-stream disconnect
-    returns the partial samples with ``error`` set.
+    largest size.  Arguments ``check_probe`` refuses, and a ``payload_seed``
+    that is not an integer >= 0, raise :class:`ParameterError` before any
+    socket is opened.  Connection failures raise :class:`NetworkError`; a
+    mid-stream disconnect returns the partial samples with ``error`` set.
     """
     sizes = list(sizes_bytes)
-    check_probe(port, sizes, reps, warmup)
-    if not 0 < timeout < math.inf:
-        raise ParameterError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
+    check_probe(port, sizes, reps, warmup, timeout)
     if not is_int(payload_seed, 0):
         raise ParameterError(f"payload_seed must be an integer >= 0, got {payload_seed!r}")
     if reps == 0:

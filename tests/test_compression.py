@@ -609,9 +609,13 @@ def floyd_oracle(d, k, rng):
     """Floyd's rule one bounded draw at a time: (the row in draw order, chained collisions).
 
     Draw t_j ~ U{0 .. d-k+j} and keep t_j, or d-k+j when t_j is already
-    kept.  A chained collision is a t_j that no earlier draw equals but an
-    earlier collision's d-k+i does.
+    kept.  When 2k > d the rule picks the d-k values left out, and the row is
+    the others in increasing order.  A chained collision is a t_j that no
+    earlier draw equals but an earlier collision's d-k+i does.
     """
+    if 2 * k > d:
+        left_out, chained = floyd_oracle(d, d - k, rng)
+        return sorted(set(range(d)) - set(left_out)), chained
     kept, drawn, row, chained = set(), set(), [], 0
     for j in range(k):
         t = int(rng.integers(0, d - k + j + 1))
@@ -623,12 +627,15 @@ def floyd_oracle(d, k, rng):
 
 
 class TestFloydDraw:
-    # k = 1, k = d - 1 and k = d; d = 1; one row; d = 2**62 is past the
-    # packed sort keys (d * k > 2**63), so its rows take the stable argsort.
-    # The CHAINED cases have collisions resolved through an earlier collision.
-    CHAINED = [(6, 5, 200), (10, 9, 300), (5, 3, 400), (1000, 999, 4), (6, 6, 30)]
-    CASES = CHAINED + [(1, 1, 3), (2, 1, 40), (7, 1, 50), (50, 50, 10), (1000, 10, 64),
-                       (17, 5, 1), (100_000, 1000, 1), (2**40, 3, 5), (2**62, 3, 5)]
+    # k = 1, k = d - 1 and k = d; 2k = d and 2k = d + 1, either side of the
+    # left-out draw; d = 1; one row; d = 2**62 is past the packed sort keys
+    # (d * k > 2**63), so its rows take the stable argsort.  The CHAINED
+    # cases have collisions resolved through an earlier collision.
+    CHAINED = [(6, 3, 300), (8, 4, 200), (10, 5, 300), (1000, 500, 4)]
+    CASES = CHAINED + [(6, 5, 200), (10, 9, 300), (5, 3, 400), (7, 4, 100), (1000, 999, 4),
+                       (6, 6, 30), (1, 1, 3), (2, 1, 40), (7, 1, 50), (50, 50, 10),
+                       (1000, 10, 64), (17, 5, 1), (100_000, 1000, 1), (2**40, 3, 5),
+                       (2**62, 3, 5)]
 
     @pytest.mark.parametrize("d, k, m", CASES)
     def test_stacked_draw_equals_sequential_floyd(self, d, k, m):
@@ -645,10 +652,11 @@ class TestFloydDraw:
             row, _ = floyd_oracle(d, k, np.random.default_rng(seed))
             np.testing.assert_array_equal(rand_k_indices(d, k, seed), sorted(row))
 
-    # 20 000 stacked rows per case; each bound is the 0.9999 quantile of
-    # chi-square with C(d, k) - 1 degrees of freedom (9 and 19), fixed
-    # before the run.
-    @pytest.mark.parametrize("d, k, bound", [(5, 2, 33.72), (6, 3, 50.80)])
+    # 20 000 stacked rows per case, two drawn directly and two from the
+    # values left out; each bound is the 0.9999 quantile of chi-square with
+    # C(d, k) - 1 degrees of freedom (9, 19, 9 and 14), fixed before the run.
+    @pytest.mark.parametrize("d, k, bound",
+                             [(5, 2, 33.72), (6, 3, 50.80), (5, 3, 33.72), (6, 4, 42.58)])
     def test_subset_frequencies_are_uniform(self, d, k, bound):
         n, subsets = 20_000, math.comb(d, k)
         rows = _floyd_subsets(d, k, n, np.random.default_rng([d, k]))
