@@ -12,7 +12,14 @@ another, from the same operator code and seeds as message round trips, so
 the trace is identical to one.  A run allocates one (n, d) gradient buffer,
 which ``Problem.worker_gradients`` fills once a round for the uplink; the
 trace's objective and gradient norm come from O(d) closed forms in the mean
-target and the optimal value, which each ``Problem`` computes once.
+target and the optimal value, which each ``Problem`` computes once.  With
+unit curvature (``Problem.mean``) a gradient is one subtraction and the
+trace's two numbers share one sum of squares.
+
+Every message size is fixed before the first round, so the time noise is
+drawn ahead by one ``sample_time`` call per block of whole rounds (at least
+one, at most ``BATCH_VALUES`` sizes): the same numbers, in the same order, as
+one call per round.
 
 The seeded kinds' randomness is keyed by (seed, stream, round): each stream
 (uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
@@ -65,12 +72,28 @@ class Problem:
 
     Worker i holds row a_i of ``targets`` (n, d); the positive ``curvature``
     h (length d) is shared, so the minimizer is the mean target, L = max h and
-    mu = min h.  ``mean`` is the problem with h = 1.  The mean target and f*
-    are cached on first use, so neither array may change once it is built.
+    mu = min h.  ``mean`` is the problem with h = 1, and refuses non-finite
+    targets.  The mean target and f* are cached on first use, so neither
+    array may change once it is built.
     """
 
     targets: np.ndarray
     curvature: np.ndarray
+
+    def __post_init__(self):
+        # Float64 arrays are kept as given: a copy of the targets would double
+        # the problem's memory.
+        targets = np.asarray(self.targets, dtype=np.float64)
+        curvature = np.asarray(self.curvature, dtype=np.float64)
+        if targets.ndim != 2 or targets.shape[0] < 1 or targets.shape[1] < 1:
+            raise ParameterError("targets must be an (n, d) array with n, d >= 1")
+        if curvature.shape != targets.shape[1:]:
+            raise ParameterError(f"curvature must be a 1-D array of length d = {targets.shape[1]}, "
+                                 f"got shape {curvature.shape}")
+        if not np.all((curvature > 0) & (curvature < math.inf)):
+            raise ParameterError("curvature must be finite and positive")
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "curvature", curvature)
 
     @property
     def n(self) -> int:
@@ -83,11 +106,10 @@ class Problem:
     @classmethod
     def mean(cls, targets) -> "Problem":
         arr = np.asarray(targets, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ParameterError("targets must be an (n, d) array with n, d >= 1")
+        problem = cls(targets=arr, curvature=np.ones(arr.shape[-1:]))
         if not np.all(np.isfinite(arr)):
             raise ParameterError("targets must be finite")
-        return cls(targets=arr, curvature=np.ones(arr.shape[1]))
+        return problem
 
     @classmethod
     def random_quadratic(cls, n: int, d: int, seed=0) -> "Problem":
@@ -112,12 +134,21 @@ class Problem:
             part.sum(axis=1, out=sums[start:stop])
         return mean, float(0.5 * np.mean(sums))
 
+    @cached_property
+    def _unit_curvature(self) -> bool:
+        """Whether h = 1, where multiplying by h changes no bit and is skipped."""
+        return bool(np.all(self.curvature == 1.0))
+
     def objective_and_grad_norm(self, x: np.ndarray) -> tuple[float, float]:
         """f(x) = f* + 0.5 * sum_j h_j * (x_j - a-bar_j)**2 and the norm of the mean
         gradient h * (x - a-bar), in O(d).  The norm sums with ``np.add.reduce``:
-        a BLAS dot product would split the sum by the host's thread count."""
+        a BLAS dot product would split the sum by the host's thread count.
+        With h = 1 both are the one sum of (x - a-bar)**2."""
         mean, f_star = self._optimum
         diff = x - mean
+        if self._unit_curvature:
+            square = np.add.reduce(diff * diff)
+            return f_star + 0.5 * float(square), math.sqrt(square)
         grad = diff * self.curvature
         return (f_star + 0.5 * float(np.add.reduce(grad * diff)),
                 math.sqrt(np.add.reduce(grad * grad)))
@@ -131,7 +162,8 @@ class Problem:
         They fill ``out`` when it is given, else a new array.
         """
         grads = np.subtract(x, self.targets, out=out)
-        grads *= self.curvature
+        if not self._unit_curvature:
+            grads *= self.curvature
         return grads
 
     def smoothness(self) -> float:
@@ -162,6 +194,9 @@ class SimConfig:
             raise ParameterError(f"steps must be an integer of at least 1, got {self.steps!r}")
         if not is_int(self.seed, 0):
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.downlink_compressed, bool):
+            raise ParameterError(
+                f"downlink_compressed must be a bool, got {self.downlink_compressed!r}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +251,12 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
-    dense_bits = message_bits(CompressorSpec(), d)  # an uncompressed broadcast
+    up_bits = message_bits(spec, d)
+    down_bits = up_bits if compress_downlink else message_bits(CompressorSpec(), d)
+    # Each round's sizes, the downlink's first, then each uplink's; the time
+    # noise is drawn ahead for blocks of ``block`` rounds.
+    sizes = np.array([down_bits] + [up_bits] * n, dtype=np.float64)
+    block = max(1, BATCH_VALUES // (n + 1))
 
     def round_rng(stream: int, round_idx: int):  # None for identity and top_k, which never draw
         return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
@@ -227,19 +267,21 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     grads = np.empty((n, d))
     rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
     for k in range(config.steps):
-        down_bits, x_sent = dense_bits, x
+        if k % block == 0:
+            rounds = min(block, config.steps - k)
+            times = sample_time(time_model, np.broadcast_to(sizes, (rounds, n + 1)), time_rng)
+            round_times = (times[:, 0] + times[:, 1:].max(axis=1)).tolist()
+        x_sent = x
         if compress_downlink:
             x_sent = np.zeros(d)
-            down_bits = add_decompressed(x_sent, spec, x[None], round_rng(_DOWNLINK_STREAM, k))
+            add_decompressed(x_sent, spec, x[None], round_rng(_DOWNLINK_STREAM, k))
         problem.worker_gradients(x_sent, out=grads)
 
         agg = np.zeros(d)
-        up_bits = add_decompressed(agg, spec, grads, round_rng(_UPLINK_STREAM, k))
-        # One draw per round: the downlink's time first, then each uplink's.
-        t_down, *t_up = sample_time(time_model, [down_bits] + [up_bits] * n, time_rng).tolist()
+        add_decompressed(agg, spec, grads, round_rng(_UPLINK_STREAM, k))
 
         x = x - gamma * (agg / n)
-        wall += t_down + max(t_up)
+        wall += round_times[k % block]
         up_total += n * up_bits
         down_total += down_bits
         obj, grad_norm = problem.objective_and_grad_norm(x)

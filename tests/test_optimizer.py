@@ -16,9 +16,11 @@ from gradcomm.compression import (
     rand_k_indices,
     rank_r_expand,
     rank_r_factors,
+    top_k_indices,
 )
 from gradcomm.errors import DivergenceError, ParameterError
 from gradcomm.optimizer import (
+    DIVERGENCE_LIMIT,
     _DOWNLINK_STREAM,
     _TIME_STREAM,
     _UPLINK_STREAM,
@@ -127,6 +129,50 @@ class TestProblem:
         for scale in (1e-12, 1e-6, 1.0, 1e3):
             x = x_star + scale * rng.standard_normal(d)
             assert problem.objective(x) - f_star >= 0
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 5), (130, 6), (3, 70_000)])
+    def test_unit_curvature_is_bitwise_the_general_formula(self, n, d):
+        rng = np.random.default_rng(n + d)
+        problem = Problem.mean(rng.standard_normal((n, d)))
+        h = np.ones(d)
+        mean, f_star = problem._optimum
+        for x in (np.zeros(d), rng.standard_normal(d), mean):
+            want = (x - problem.targets) * h
+            assert problem.worker_gradients(x).tobytes() == want.tobytes()
+            buf = np.empty((n, d))
+            assert problem.worker_gradients(x, out=buf).tobytes() == want.tobytes()
+            diff = x - mean
+            grad = diff * h
+            want_f = f_star + 0.5 * float(np.add.reduce(grad * diff))
+            want_norm = math.sqrt(np.add.reduce(grad * grad))
+            f, grad_norm = problem.objective_and_grad_norm(x)
+            assert (f.hex(), grad_norm.hex()) == (want_f.hex(), want_norm.hex())
+
+    def test_mean_keeps_float64_targets_uncopied(self):
+        targets = np.random.default_rng(0).standard_normal((4, 3))
+        assert Problem.mean(targets).targets is targets
+        assert Problem(targets, np.full(3, 2.0)).targets is targets
+
+    @pytest.mark.parametrize("curvature", [
+        np.ones(4), np.ones(2), np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0),
+    ], ids=["too-long", "too-short", "row", "column", "scalar"])
+    def test_curvature_of_wrong_shape_rejected(self, curvature):
+        with pytest.raises(ParameterError, match="curvature must be a 1-D array of length d = 3"):
+            Problem(np.zeros((2, 3)), curvature)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_curvature_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ParameterError, match="curvature must be finite and positive"):
+            Problem(np.zeros((2, 3)), np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("targets", [np.zeros(3), np.zeros((2, 3, 1)), np.zeros((0, 3)),
+                                         np.zeros((2, 0)), np.float64(0.0)],
+                             ids=["1-D", "3-D", "no-rows", "no-columns", "scalar"])
+    def test_targets_of_wrong_shape_rejected(self, targets):
+        with pytest.raises(ParameterError, match="targets must be an"):
+            Problem(targets, np.ones(3))
+        with pytest.raises(ParameterError, match="targets must be an"):
+            Problem.mean(targets)
 
     def test_random_quadratic_holds_n_plus_one_rows(self):
         n, d = 16, 100_000
@@ -313,6 +359,13 @@ class TestSimConfig:
         wide = SimConfig(steps=3, time_model=QUIET, gamma=0.5, seed=np.uint64(9), compressor=spec)
         assert run_compressed_gd(problem, plain).rows == run_compressed_gd(problem, wide).rows
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, 0, None, np.bool_(False)],
+                             ids=["no", "empty", "1", "0", "None", "np.bool_"])
+    def test_downlink_compressed_must_be_a_bool(self, flag):
+        with pytest.raises(ParameterError, match="downlink_compressed must be a bool"):
+            SimConfig(steps=1, time_model=QUIET, compressor=CompressorSpec("top_k", k=1),
+                      downlink_compressed=flag)
+
     def test_numpy_int64_seed_is_accepted(self):
         assert SimConfig(steps=1, time_model=QUIET, seed=np.int64(3)).seed == 3
 
@@ -363,7 +416,7 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
     round), and every message of the round draws from it in worker order.
     """
     spec, d, n = config.compressor, problem.d, problem.n
-    gamma = default_stepsize(problem, spec)
+    gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
     time_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TIME_STREAM,)))
     bits = message_bits(spec, d)
 
@@ -371,6 +424,13 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
         return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(stream, round_idx)))
 
     def decoded(vector, rng):
+        if spec.kind == "identity":
+            return vector.copy()
+        if spec.kind == "top_k":
+            out = np.zeros(d)
+            idx = top_k_indices(vector, spec.k)
+            out[idx] = vector[idx]
+            return out
         if spec.kind == "rand_k":
             out = np.zeros(d)
             idx = rand_k_indices(d, spec.k, rng)
@@ -404,16 +464,52 @@ def _explicit_run(problem: Problem, config: SimConfig) -> tuple[list, np.ndarray
     return rows, x
 
 
-@pytest.mark.parametrize("downlink", [False, True])
-@pytest.mark.parametrize("spec", [CompressorSpec("rand_k", k=50), CompressorSpec("natural"),
-                                  CompressorSpec("rank_r", r=2)], ids=lambda spec: spec.kind)
-def test_seeded_run_matches_explicit_per_message_draws(spec, downlink):
-    n, d = 12, 1000
-    assert n * d > NATURAL_BATCH_VALUES  # natural's rounds cross a batch boundary
-    problem = Problem.random_quadratic(n, d, seed=4)
-    config = SimConfig(steps=3, time_model=TimeModelParams(1e-3, 1e-8, 0.1, 0.1),
-                       compressor=spec, seed=2**64 + 3, downlink_compressed=downlink)
+NOISY = TimeModelParams(1e-3, 1e-8, 0.1, 0.1)
+ALL_SPECS = [CompressorSpec("identity"), CompressorSpec("rand_k", k=50),
+             CompressorSpec("top_k", k=50), CompressorSpec("natural"),
+             CompressorSpec("rank_r", r=2)]
+
+
+def _assert_matches_explicit_run(problem: Problem, config: SimConfig) -> None:
     trace = run_compressed_gd(problem, config)
     rows, final_x = _explicit_run(problem, config)
     assert [repr(row) for row in trace.rows] == [repr(row) for row in rows]  # repr is exact
     assert trace.final_x.tobytes() == final_x.tobytes()
+
+
+@pytest.mark.parametrize("downlink", [False, True])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
+def test_seeded_run_matches_explicit_per_message_draws(spec, downlink):
+    n, d = 12, 1000
+    assert n * d > NATURAL_BATCH_VALUES  # natural's rounds cross a batch boundary
+    rng = np.random.default_rng(4)
+    for problem in (Problem.random_quadratic(n, d, seed=4),
+                    Problem.mean(rng.normal(0.0, 2.0, d) + rng.standard_normal((n, d)))):
+        config = SimConfig(steps=3, time_model=NOISY, compressor=spec, seed=2**64 + 3,
+                           downlink_compressed=downlink)
+        _assert_matches_explicit_run(problem, config)
+
+
+def test_time_draws_across_blocks_match_explicit_run():
+    # One round prices n + 1 messages, so a block holds 8 rounds here: the
+    # run takes two whole blocks and a partial third.
+    n, d, steps = 8191, 1, 19
+    block = BATCH_VALUES // (n + 1)
+    assert block == 8 and steps > 2 * block and steps % block
+    problem = Problem.mean(np.random.default_rng(5).standard_normal((n, d)) + 3.0)
+    config = SimConfig(steps=steps, time_model=NOISY, seed=7)
+    _assert_matches_explicit_run(problem, config)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
+def test_diverging_run_names_the_explicit_runs_round(spec):
+    problem = Problem.random_quadratic(4, 100, seed=9)
+    config = SimConfig(steps=10, time_model=NOISY, gamma=50.0 / problem.smoothness(),
+                       compressor=spec, seed=11)
+    rows, _ = _explicit_run(problem, config)
+    first = next(row for row in rows if not row.objective <= DIVERGENCE_LIMIT)
+    assert first.round < config.steps
+    with pytest.raises(DivergenceError) as err:
+        run_compressed_gd(problem, config)
+    assert str(err.value).startswith(
+        f"objective {first.objective:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {first.round}; ")
