@@ -2,9 +2,10 @@
 
 A message of s bits takes T(s) = alpha + beta * s seconds in expectation;
 per message the coefficients jitter as alpha + N(0, (alpha_m*alpha)^2) and
-beta + N(0, (beta_m*beta)^2).  On top of the model sit the real-speedup
-ratio eta(s, omega) = T(s) / T(s/omega), a three-way classification of the
-operating regime by which term dominates, and tabulated speedup reports.
+beta + N(0, (beta_m*beta)^2).  On top of the model sit the star round's
+time (``round_times``), the real-speedup ratio eta(s, omega) = T(s) / T(s/omega),
+a three-way classification of the operating regime by which term dominates,
+and tabulated speedup reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compression import BATCH_VALUES
 from .csvio import write_csv
 from .errors import DegenerateModelError, ParameterError
 
@@ -84,6 +86,23 @@ def sample_time(params: TimeModelParams, s, rng=None):
     beta = params.beta_const + noise[..., 1]
     times = np.maximum(alpha + beta * sizes, MIN_TIME_S)
     return float(times) if times.ndim == 0 else times
+
+
+def round_times(params: TimeModelParams, down_bits, up_bits, n: int, rounds: int, rng):
+    """Yield each of ``rounds`` star rounds' sampled time T_down + max_i T_up_i: one
+    downlink of ``down_bits``, then n parallel uplinks of ``up_bits``.
+
+    The noise is drawn by one ``sample_time`` call per block of whole rounds
+    (at least one, at most ``BATCH_VALUES`` sizes): the same numbers, in the
+    same order, as one call per round, with memory bounded by one block.
+    """
+    gen = np.random.default_rng(rng)
+    sizes = np.array([down_bits] + [up_bits] * n, dtype=np.float64)
+    block = max(1, BATCH_VALUES // (n + 1))
+    for start in range(0, rounds, block):
+        shape = (min(block, rounds - start), n + 1)
+        times = sample_time(params, np.broadcast_to(sizes, shape), gen)
+        yield from (times[:, 0] + times[:, 1:].max(axis=1)).tolist()
 
 
 def eta(params: TimeModelParams, s: float, omega: float) -> float:

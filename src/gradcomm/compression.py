@@ -53,9 +53,9 @@ NATURAL_BITS_PER_SCALAR = 9
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
 # The operators that draw from their seed or generator; the others ignore it.
 RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
-# Most values that one stacked batch of rank_r matrices or of top_k rows
-# holds, and that one chunk of the simulator's objective pass holds; a batch
-# or chunk takes whole rows, at least one.  It bounds the batch temporaries
+# Most values that one batch of rank_r matrices, top_k or identity rows, one
+# chunk of the simulator's objective pass or one block of ``round_times``' draws
+# holds; each takes whole rows (rounds), at least one.  It bounds temporaries
 # (2**16 values are 512 KiB), so a large gradient does not raise peak memory.
 BATCH_VALUES = 1 << 16
 # Most values that one batch of natural's rounding holds, whole rows and at
@@ -459,15 +459,18 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     one row; natural rounds its messages in batches of whole rows, up to
     ``NATURAL_BATCH_VALUES`` (2**13) values per batch and at least one row.
     Both add each decoded batch with one ordered sum, which takes the rows
-    in order as ``out += row`` would (d = 1 included).
+    in order as ``out += row`` would (d = 1 included), as does identity, from
+    a copy of each batch of up to ``BATCH_VALUES`` values: ``rows`` is never written.
     """
     m, d = rows.shape
     bits = message_bits(spec, d)
     if spec.kind in RANDOMIZED_KINDS and not isinstance(rng, np.random.Generator):
         raise ParameterError(f"{spec.kind} needs the round's np.random.Generator, got {rng!r}")
     if spec.kind == "identity":
-        for row in rows:
-            out += row
+        step = max(1, BATCH_VALUES // d)
+        for start in range(0, m, step):  # the sum writes into a batch of several rows
+            batch = rows[start:start + step]
+            _add_rows_in_order(out, batch.copy() if len(batch) > 1 else batch)
     elif spec.kind == "rand_k":
         # rand_k_indices' subsets, unsorted: a row's indices are distinct, so
         # their order within the row does not change its sums.

@@ -3,8 +3,8 @@
 Each round the server broadcasts the iterate, every worker computes its local
 gradient of a diagonal quadratic ``Problem`` (optionally compressed for the
 uplink), and the server averages the received vectors.  Simulated wall-clock
-time charges one downlink transmission plus the maximum of the n parallel
-uplink transmissions per round; gradient compute time is charged as zero.
+time charges each round ``commodel.round_times``, one downlink transmission plus
+the maximum of the n parallel uplinks; gradient compute time is charged as zero.
 Bit accounting uses the compressors' exact message sizes.  The round's
 compressed gradients are reconstructed in-process by one
 ``compression.add_decompressed`` call, and a compressed downlink's iterate by
@@ -15,11 +15,6 @@ trace's objective and gradient norm come from O(d) closed forms in the mean
 target and the optimal value, which each ``Problem`` computes once.  With
 unit curvature (``Problem.mean``) a gradient is one subtraction and the
 trace's two numbers share one sum of squares.
-
-Every message size is fixed before the first round, so the time noise is
-drawn ahead by one ``sample_time`` call per block of whole rounds (at least
-one, at most ``BATCH_VALUES`` sizes): the same numbers, in the same order, as
-one call per round.
 
 The seeded kinds' randomness is keyed by (seed, stream, round): each stream
 (uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
@@ -35,13 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .commodel import TimeModelParams, sample_time
+from .commodel import TimeModelParams, round_times
+from .commodel import sample_time  # noqa: F401  (unused; perfbench/spans.py patches it here)
 from .compression import (
     BATCH_VALUES,
     RANDOMIZED_KINDS,
     CompressorSpec,
     add_decompressed,
-    compress,  # noqa: F401  (unused here; perfbench/spans.py patches it on this module)
+    compress,  # noqa: F401  (same)
     decompress,  # noqa: F401  (same)
     message_bits,
 )
@@ -153,9 +149,6 @@ class Problem:
         return (f_star + 0.5 * float(np.add.reduce(grad * diff)),
                 math.sqrt(np.add.reduce(grad * grad)))
 
-    def objective(self, x: np.ndarray) -> float:
-        return self.objective_and_grad_norm(x)[0]
-
     def worker_gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array.
 
@@ -246,17 +239,12 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
     if not 0 < gamma < math.inf:
         raise ParameterError(f"stepsize must be positive and finite, got {gamma}")
-    time_model = config.time_model
     time_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TIME_STREAM,)))
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
     up_bits = message_bits(spec, d)
     down_bits = up_bits if compress_downlink else message_bits(CompressorSpec(), d)
-    # Each round's sizes, the downlink's first, then each uplink's; the time
-    # noise is drawn ahead for blocks of ``block`` rounds.
-    sizes = np.array([down_bits] + [up_bits] * n, dtype=np.float64)
-    block = max(1, BATCH_VALUES // (n + 1))
 
     def round_rng(stream: int, round_idx: int):  # None for identity and top_k, which never draw
         return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
@@ -266,11 +254,8 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     # reads, at the iterate the workers received.  The trace needs only O(d).
     grads = np.empty((n, d))
     rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
-    for k in range(config.steps):
-        if k % block == 0:
-            rounds = min(block, config.steps - k)
-            times = sample_time(time_model, np.broadcast_to(sizes, (rounds, n + 1)), time_rng)
-            round_times = (times[:, 0] + times[:, 1:].max(axis=1)).tolist()
+    times = round_times(config.time_model, down_bits, up_bits, n, config.steps, time_rng)
+    for k, round_time in enumerate(times):
         x_sent = x
         if compress_downlink:
             x_sent = np.zeros(d)
@@ -281,7 +266,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         add_decompressed(agg, spec, grads, round_rng(_UPLINK_STREAM, k))
 
         x = x - gamma * (agg / n)
-        wall += round_times[k % block]
+        wall += round_time
         up_total += n * up_bits
         down_total += down_bits
         obj, grad_norm = problem.objective_and_grad_norm(x)

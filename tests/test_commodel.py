@@ -12,9 +12,11 @@ from gradcomm.commodel import (
     classify_region,
     eta,
     expected_time,
+    round_times,
     sample_time,
     transition_report,
 )
+from gradcomm.compression import BATCH_VALUES
 from gradcomm.errors import DegenerateModelError, ParameterError
 
 
@@ -76,6 +78,19 @@ class TestSampleTime:
         assert times.tobytes() == expected.tobytes()
         # Same draws in the same order: the generators end in the same state.
         assert one.bit_generator.state == each.bit_generator.state
+        # round_times calls once per block of whole rounds: with n = 5000 a
+        # block is 13 rounds, so 30 rounds take blocks of 13, 13 and 4.
+        down, up, n, rounds = 32_000, 640, 5000, 30
+        assert BATCH_VALUES // (n + 1) == 13
+        got = list(round_times(params, down, up, n, rounds, one))
+        want = []
+        for _ in range(rounds):
+            t_down, *t_up = sample_time(params, [down] + [up] * n, each).tolist()
+            want.append(t_down + max(t_up))
+        assert len(got) == rounds and got == want
+        assert one.bit_generator.state == each.bit_generator.state
+        if noise == (0.0, 0.0):
+            assert got == [expected_time(params, down) + expected_time(params, up)] * rounds
         assert type(sample_time(params, 64, one)) is float
 
     def test_negative_size_in_array_rejected(self):

@@ -579,6 +579,21 @@ class TestAddDecompressed:
             assert add_decompressed(out, spec, rows, np.random.default_rng([d, m, i])) == message_bits(spec, d)
             assert bits_of(out) == bits_of(want), spec
 
+    @pytest.mark.parametrize("d, m", [
+        (1000, 70),  # identity: a batch of 65 rows and one of 5
+        (1, 130),  # one batch down a single column
+        (17, 1),  # a one-row round
+        (70_000, 2),  # one row is more than a batch of values
+    ])
+    def test_leaves_rows_untouched(self, d, m):
+        # A nonzero ``out``, so a sum that wrote it into the first row would show.
+        rng = np.random.default_rng([d, m])
+        rows, base = rng.standard_normal((m, d)), rng.standard_normal(d)
+        before = rows.tobytes()
+        for i, spec in enumerate(fused_specs(d)):
+            add_decompressed(base.copy(), spec, rows, np.random.default_rng(i))
+            assert rows.tobytes() == before, spec
+
     @pytest.mark.parametrize("d", [1, 2, 17, 1000])
     def test_top_k_indices_of_stacked_rows_are_each_row_s_offset(self, d):
         # Integer rows, so most boundaries are tied, and zero rows, tied throughout.

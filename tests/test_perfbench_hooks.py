@@ -4,6 +4,7 @@ A refactor that renames or removes one of them breaks ``perfbench/run.py
 --trace 1``; this test catches that without running the benchmark.
 """
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -58,3 +59,21 @@ WORKLOAD_CALLS = [
 def test_workload_calls_bind_to_the_package_signatures():
     for func, positional, keywords in WORKLOAD_CALLS:
         inspect.signature(func).bind(*range(positional), **dict.fromkeys(keywords))
+
+
+def test_every_unread_import_is_a_hook():
+    # No linter runs on the package, so this stands in for its unused-import
+    # check: a name a module imports but never reads is dead, unless it is
+    # kept there for the tracer to patch.  __init__.py re-exports on purpose.
+    hooked = {(module.__name__, attr) for module, attr in HOOKED}
+    unread = set()
+    for path in sorted(Path(optimizer.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(f"gradcomm.{path.stem}", name) for name in imported - read - {"annotations"}}
+    assert unread <= hooked, sorted(unread - hooked)
