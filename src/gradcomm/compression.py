@@ -58,9 +58,10 @@ RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
 # holds; each takes whole rows (rounds), at least one.  It bounds temporaries
 # (2**16 values are 512 KiB), so a large gradient does not raise peak memory.
 BATCH_VALUES = 1 << 16
-# Most values that one batch of natural's rounding holds, whole rows and at
-# least one.  Its half-dozen temporaries of 2**13 values (64 KiB each) stay
-# in cache, which a whole round's (m, d) block of them does not.
+# Most values that one batch of natural's rounding holds: whole rows, or
+# column pieces of a longer row.  Its half-dozen temporaries of 2**13 values
+# (64 KiB each) stay in cache, which a whole round's (m, d) block of them
+# does not.
 NATURAL_BATCH_VALUES = 1 << 13
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -435,8 +436,13 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
                      rng: np.random.Generator | None) -> int:
     """Add C(row) for each row of ``rows`` into ``out``; return one message's bits.
 
-    ``rows`` is (m, d), one message per row, such as a round's worker
-    gradients; it must be finite.  ``rng`` is the round's one Generator: the
+    ``rows`` holds m finite messages of d values, one per row: an (m, d)
+    array, or a source that computes them as they are read, such as the
+    simulator's worker gradients.  A source offers ``shape``; row slices
+    ``rows[a:b]`` of up to max(1, ``BATCH_VALUES`` // d) rows, each of which
+    may overwrite the one before; and ``rows.take(flat)`` of an (m, k) array
+    of flat indices, row i's into row i, as an array's ``take`` reads them.
+    ``rng`` is the round's one Generator: the
     kinds that draw (rand_k, natural, rank_r) take each row's draws from it
     in row order, after the previous row's, and refuse anything else with
     ``ParameterError`` before ``out`` is touched.  identity and top_k never
@@ -457,10 +463,13 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     negative zero.  rank_r factors its messages in stacked batches of whole
     rows, up to ``BATCH_VALUES`` padded matrix entries per batch and at least
     one row; natural rounds its messages in batches of whole rows, up to
-    ``NATURAL_BATCH_VALUES`` (2**13) values per batch and at least one row.
-    Both add each decoded batch with one ordered sum, which takes the rows
-    in order as ``out += row`` would (d = 1 included), as does identity, from
-    a copy of each batch of up to ``BATCH_VALUES`` values: ``rows`` is never written.
+    ``NATURAL_BATCH_VALUES`` (2**13) values per batch, and a longer row in
+    column pieces of that size.  Both add each decoded batch with one
+    ordered sum, which takes the rows in order as ``out += row`` would (d = 1
+    included), as does identity, batch by batch.  That sum writes into its
+    block, so identity copies a batch of several rows of an array first; a
+    source's slices are its own to overwrite.  An array ``rows`` is never
+    written.
     """
     m, d = rows.shape
     bits = message_bits(spec, d)
@@ -470,13 +479,15 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
         step = max(1, BATCH_VALUES // d)
         for start in range(0, m, step):  # the sum writes into a batch of several rows
             batch = rows[start:start + step]
-            _add_rows_in_order(out, batch.copy() if len(batch) > 1 else batch)
+            copy = len(batch) > 1 and isinstance(rows, np.ndarray)  # not a source's scratch
+            _add_rows_in_order(out, batch.copy() if copy else batch)
     elif spec.kind == "rand_k":
         # rand_k_indices' subsets, unsorted: a row's indices are distinct, so
         # their order within the row does not change its sums.
         cols = _floyd_subsets(d, spec.k, m, rng)
         values = rows.take(cols + np.arange(0, m * d, d)[:, None])
-        values *= d / spec.k
+        if spec.k < d:  # at k = d the scale is 1, which changes no bit
+            values *= d / spec.k
         # One-dimensional operands take np.add.at's fast path, about 7x the
         # speed of the (m, k) ones.
         np.add.at(out, cols.reshape(-1), values.reshape(-1))
@@ -487,17 +498,17 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
             idx = top_k_indices(batch, spec.k)
             np.add.at(out, idx % d, batch.take(idx))
     elif spec.kind == "natural":
+        # Whole rows, or a row longer than a batch in column pieces: either
+        # way the draws and the sums come in the order of one row at a time.
         step = max(1, NATURAL_BATCH_VALUES // d)
-        draws = np.empty((min(step, m), d))
+        width = min(d, NATURAL_BATCH_VALUES)
+        draws = np.empty(min(step, m) * width)
         for start in range(0, m, step):
             batch = rows[start:start + step]
-            part = rng.random(out=draws[: batch.shape[0]])
-            # Named, so it lives until the next batch's rounding is done.  Freed
-            # at once, it left the next batch's temporaries on fresh pages: at
-            # d = 1e5, about 650 minor page faults per row against 60, and
-            # twice the time.
-            dense = _round_to_powers_of_two(batch, part)
-            _add_rows_in_order(out, dense)
+            for col in range(0, d, width):
+                piece = batch[:, col:col + width]
+                part = rng.random(out=draws[: piece.size]).reshape(piece.shape)
+                _add_rows_in_order(out[col:col + width], _round_to_powers_of_two(piece, part))
     else:
         shape = default_matrix_shape(d)
         step = max(1, BATCH_VALUES // (shape[0] * shape[1]))

@@ -9,12 +9,13 @@ Bit accounting uses the compressors' exact message sizes.  The round's
 compressed gradients are reconstructed in-process by one
 ``compression.add_decompressed`` call, and a compressed downlink's iterate by
 another, from the same operator code and seeds as message round trips, so
-the trace is identical to one.  A run allocates one (n, d) gradient buffer,
-which ``Problem.worker_gradients`` fills once a round for the uplink; the
-trace's objective and gradient norm come from O(d) closed forms in the mean
-target and the optimal value, which each ``Problem`` computes once.  With
-unit curvature (``Problem.mean``) a gradient is one subtraction and the
-trace's two numbers share one sum of squares.
+the trace is identical to one.  A run makes no (n, d) array: the uplink
+computes each worker's gradient entries as ``add_decompressed`` reads them,
+whole rows a batch at a time, or for rand_k with 2k <= d only the kept
+entries.  The trace's objective and gradient norm come from O(d) closed
+forms in the mean target and the optimal value, which each ``Problem``
+computes once.  With unit curvature (``Problem.mean``) a gradient is one
+subtraction and the trace's two numbers share one sum of squares.
 
 The seeded kinds' randomness is keyed by (seed, stream, round): each stream
 (uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
@@ -154,9 +155,13 @@ class Problem:
 
         They fill ``out`` when it is given, else a new array.
         """
-        grads = np.subtract(x, self.targets, out=out)
+        return self._gradients(x, self.targets, slice(None), out)
+
+    def _gradients(self, x, targets, cols, out=None) -> np.ndarray:
+        """h * (x - a) entry by entry, into ``out``: x and a as given, h as ``curvature[cols]``."""
+        grads = np.subtract(x, targets, out=out)
         if not self._unit_curvature:
-            grads *= self.curvature
+            grads *= self.curvature[cols]
         return grads
 
     def smoothness(self) -> float:
@@ -165,6 +170,46 @@ class Problem:
 
     def strong_convexity(self) -> float:
         return float(self.curvature.min())
+
+
+class _WorkerGradients:
+    """``problem.worker_gradients(x)`` as ``compression.add_decompressed`` reads it:
+    each entry is computed when it is read, and no (n, d) array is made.
+
+    ``grads[a:b]`` computes rows a .. b-1 into one scratch array of up to
+    max(1, ``BATCH_VALUES`` // d) rows, which the next slice overwrites.
+    ``grads.take(flat)`` reads an (m, k) array of flat indices, row i's into
+    row i.  With 2k <= d it computes only those m*k entries; otherwise
+    whole rows, a scratch batch at a time.  Either way each entry is the
+    float ``worker_gradients`` gives it.  ``x`` may be rebound between reads.
+    """
+
+    def __init__(self, problem: Problem, x: np.ndarray):
+        self.problem, self.x = problem, x
+        self.shape = problem.targets.shape
+        self._scratch = np.empty((min(max(1, BATCH_VALUES // problem.d), problem.n), problem.d))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        targets = self.problem.targets[rows]  # more rows than the scratch raise ValueError
+        return self.problem._gradients(self.x, targets, slice(None), self._scratch[: len(targets)])
+
+    def take(self, flat: np.ndarray) -> np.ndarray:
+        d = self.shape[1]
+        if 2 * flat.shape[1] <= d:
+            cols = flat - np.arange(0, len(flat) * d, d)[:, None]
+            x = self.x.take(cols)
+            return self.problem._gradients(x, self.problem.targets.take(flat), cols, out=x)
+        step = len(self._scratch)
+        # Taken straight into ``values``: with ``out``, mode "raise" takes
+        # through a temporary, and freed temporaries of this size can let the
+        # heap shrink, so that the next round faults their pages back in.
+        # The indices are in range, so "wrap" moves none of them.
+        values = np.empty(flat.shape)
+        for start in range(0, len(flat), step):
+            idx = flat[start:start + step]
+            np.take(self[start:start + step], idx - start * d if start else idx,
+                    out=values[start:start + step], mode="wrap")
+        return values
 
 
 def closed_form_optimum(problem: Problem) -> tuple[np.ndarray, float]:
@@ -250,9 +295,9 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
 
     wall, up_total, down_total = 0.0, 0, 0
-    # The one (n, d) array that lives across rounds: the gradients the uplink
-    # reads, at the iterate the workers received.  The trace needs only O(d).
-    grads = np.empty((n, d))
+    # The gradients the uplink reads, at the iterate the workers received,
+    # computed as it reads them.  The trace needs only O(d).
+    grads = _WorkerGradients(problem, x)
     rows = [TraceRow(0, *problem.objective_and_grad_norm(x), 0.0, 0, 0)]
     times = round_times(config.time_model, down_bits, up_bits, n, config.steps, time_rng)
     for k, round_time in enumerate(times):
@@ -260,7 +305,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
         if compress_downlink:
             x_sent = np.zeros(d)
             add_decompressed(x_sent, spec, x[None], round_rng(_DOWNLINK_STREAM, k))
-        problem.worker_gradients(x_sent, out=grads)
+        grads.x = x_sent
 
         agg = np.zeros(d)
         add_decompressed(agg, spec, grads, round_rng(_UPLINK_STREAM, k))

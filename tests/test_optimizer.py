@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gradcomm.compression import (
     BATCH_VALUES,
     NATURAL_BATCH_VALUES,
     CompressorSpec,
+    _floyd_subsets,
     _round_to_powers_of_two,
     default_matrix_shape,
     message_bits,
@@ -28,6 +30,7 @@ from gradcomm.optimizer import (
     SimConfig,
     TraceRow,
     _round_rng,
+    _WorkerGradients,
     closed_form_optimum,
     default_stepsize,
     run_compressed_gd,
@@ -106,6 +109,29 @@ class TestProblem:
         assert problem.worker_gradients(x, out=buf) is buf
         want = (x - problem.targets) * problem.curvature  # unchunked, one (n, d) array
         assert buf.tobytes() == want.tobytes() == problem.worker_gradients(x).tobytes()
+
+    # (67, 1000) is 65 + 2 rows: a last batch that starts at no multiple of its length.
+    @pytest.mark.parametrize("n, d", [(70, 1000), (67, 1000), (3, 70_000), (130, 6), (5, 1)])
+    @pytest.mark.parametrize("kind", ["random_quadratic", "mean"])
+    def test_gradient_source_reads_worker_gradients_bitwise(self, n, d, kind):
+        rng = np.random.default_rng([n, d])
+        problem = (Problem.random_quadratic(n, d, seed=n) if kind == "random_quadratic"
+                   else Problem.mean(rng.standard_normal((n, d))))
+        grads = _WorkerGradients(problem, np.zeros(d))
+        assert grads.shape == (n, d)
+        step = max(1, BATCH_VALUES // d)
+        for x in (rng.standard_normal(d), problem._optimum[0]):
+            grads.x = x
+            want = problem.worker_gradients(x)
+            for start in range(0, n, step):
+                assert grads[start:start + step].tobytes() == want[start:start + step].tobytes()
+            # 2k <= d reads only the kept entries, 2k > d whole rows, k = d all of them.
+            for k in sorted({max(1, d // 2), d // 2 + 1, d}):
+                flat = _floyd_subsets(d, k, n, rng) + np.arange(0, n * d, d)[:, None]
+                assert grads.take(flat).tobytes() == want.take(flat).tobytes(), k
+        if n > step:
+            with pytest.raises(ValueError):
+                grads[0:step + 1]
 
     # f* as the chunked pass over the residuals at the mean target gave it
     # before the trace's objective became a closed form around it.
@@ -480,14 +506,37 @@ def _assert_matches_explicit_run(problem: Problem, config: SimConfig) -> None:
 @pytest.mark.parametrize("downlink", [False, True])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
 def test_seeded_run_matches_explicit_per_message_draws(spec, downlink):
-    n, d = 12, 1000
-    assert n * d > NATURAL_BATCH_VALUES  # natural's rounds cross a batch boundary
-    rng = np.random.default_rng(4)
-    for problem in (Problem.random_quadratic(n, d, seed=4),
+    # At (70, 1000) identity's and top_k's rounds take a batch of 65 rows and
+    # one of 5; at (3, 70_000) a row is more than a batch, and natural rounds
+    # it in column pieces that end in a remainder.
+    assert divmod(70, BATCH_VALUES // 1000) == (1, 5) and 70_000 > BATCH_VALUES
+    assert 70_000 % NATURAL_BATCH_VALUES
+    for n, d in [(12, 1000), (70, 1000), (3, 70_000)]:
+        assert n * d > NATURAL_BATCH_VALUES  # natural's rounds cross a batch boundary
+        rng = np.random.default_rng(4)
+        for problem in (Problem.random_quadratic(n, d, seed=4),
+                        Problem.mean(rng.normal(0.0, 2.0, d) + rng.standard_normal((n, d)))):
+            config = SimConfig(steps=3, time_model=NOISY, compressor=spec, seed=2**64 + 3,
+                               downlink_compressed=downlink)
+            _assert_matches_explicit_run(problem, config)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
+def test_run_peaks_below_one_gradient_array(spec):
+    # The uplink computes gradients as it reads them, so a run holds no
+    # (n, d) array beside the problem's own targets.
+    n, d = 16, 100_000
+    rng = np.random.default_rng(6)
+    for problem in (Problem.random_quadratic(n, d, seed=6),
                     Problem.mean(rng.normal(0.0, 2.0, d) + rng.standard_normal((n, d)))):
-        config = SimConfig(steps=3, time_model=NOISY, compressor=spec, seed=2**64 + 3,
-                           downlink_compressed=downlink)
-        _assert_matches_explicit_run(problem, config)
+        config = SimConfig(steps=2, time_model=NOISY, compressor=spec, seed=6)
+        tracemalloc.start()
+        try:
+            run_compressed_gd(problem, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 def test_time_draws_across_blocks_match_explicit_run():
