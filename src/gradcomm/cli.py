@@ -2,10 +2,12 @@
 
 Unit conventions at this boundary: message sizes are BYTES and rates are
 seconds per byte (human convention); all library internals work in bits and
-seconds per bit, with the factor of 8 applied exactly once on the way in or
-out.  Every run writes a manifest next to its outputs recording the resolved
-configuration, seed (null for subcommands that draw no random numbers),
-output names, and tool version.
+seconds per bit.  ``estimator.BITS_PER_BYTE`` is the one factor between them,
+applied exactly once on the way in or out: here, or by
+``estimator.read_samples_csv`` to the byte sizes of a samples CSV.  Every run
+writes a manifest next to its outputs recording the resolved configuration,
+seed (null for subcommands that draw no random numbers), output names, and
+tool version.
 
 Exit codes: 0 success, 1 the simulation diverged, 2 usage/config error or an
 unusable path (the error names it), 3 degenerate data, 4 network error.  Each
@@ -32,8 +34,7 @@ from .commodel import TimeModelParams
 from .compression import DEFAULT_BITS_PER_SCALAR, KINDS, CompressorSpec
 from .csvio import format_rows, read_csv, write_csv
 from .errors import ConfigError, DegenerateDesignError, GradcommError, NetworkError
-
-BITS_PER_BYTE = 8
+from .estimator import BITS_PER_BYTE
 
 
 def non_negative_int(text: str) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import BATCH_VALUES
+from .compression import row_batches
 from .csvio import write_csv
 from .errors import DegenerateModelError, ParameterError
 
@@ -92,15 +92,14 @@ def round_times(params: TimeModelParams, down_bits, up_bits, n: int, rounds: int
     """Yield each of ``rounds`` star rounds' sampled time T_down + max_i T_up_i: one
     downlink of ``down_bits``, then n parallel uplinks of ``up_bits``.
 
-    The noise is drawn by one ``sample_time`` call per block of whole rounds
-    (at least one, at most ``BATCH_VALUES`` sizes): the same numbers, in the
+    The noise is drawn by one ``sample_time`` call per block of whole rounds,
+    of n + 1 sizes each, that ``row_batches`` yields: the same numbers, in the
     same order, as one call per round, with memory bounded by one block.
     """
     gen = np.random.default_rng(rng)
     sizes = np.array([down_bits] + [up_bits] * n, dtype=np.float64)
-    block = max(1, BATCH_VALUES // (n + 1))
-    for start in range(0, rounds, block):
-        shape = (min(block, rounds - start), n + 1)
+    for block in row_batches(rounds, n + 1):
+        shape = (block.stop - block.start, n + 1)
         times = sample_time(params, np.broadcast_to(sizes, shape), gen)
         yield from (times[:, 0] + times[:, 1:].max(axis=1)).tolist()
 

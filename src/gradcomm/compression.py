@@ -53,17 +53,25 @@ NATURAL_BITS_PER_SCALAR = 9
 KINDS = ("identity", "rand_k", "top_k", "natural", "rank_r")
 # The operators that draw from their seed or generator; the others ignore it.
 RANDOMIZED_KINDS = ("rand_k", "natural", "rank_r")
-# Most values that one batch of rank_r matrices, top_k or identity rows, one
-# chunk of the simulator's objective pass or one block of ``round_times``' draws
-# holds; each takes whole rows (rounds), at least one.  It bounds temporaries
-# (2**16 values are 512 KiB), so a large gradient does not raise peak memory.
+# The value budget of one ``row_batches`` batch: of rank_r matrices, top_k or
+# identity rows, the simulator's worker gradients or f* pass, or one block of
+# ``round_times``' draws.  It bounds temporaries (2**16 values are 512 KiB), so
+# a large gradient does not raise peak memory.
 BATCH_VALUES = 1 << 16
-# Most values that one batch of natural's rounding holds: whole rows, or
-# column pieces of a longer row.  Its half-dozen temporaries of 2**13 values
-# (64 KiB each) stay in cache, which a whole round's (m, d) block of them
-# does not.
+# The budget of one batch of natural's rounding: whole rows, or column pieces
+# of a longer row.  Its half-dozen temporaries of 2**13 values (64 KiB each)
+# stay in cache, which a whole round's (m, d) block of them does not.
 NATURAL_BATCH_VALUES = 1 << 13
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def row_batches(m: int, width: int, limit: int = BATCH_VALUES):
+    """Yield slices that cover range(m) in order: max(1, limit // width) whole rows of
+    ``width`` values each, the last one maybe fewer.  So a batch holds at most
+    ``limit`` values, unless one row alone is longer."""
+    step = max(1, limit // width)
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
 
 
 def index_bits(d: int) -> int:
@@ -439,12 +447,12 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     ``rows`` holds m finite messages of d values, one per row: an (m, d)
     array, or a source that computes them as they are read, such as the
     simulator's worker gradients.  A source offers ``shape``; row slices
-    ``rows[a:b]`` of up to max(1, ``BATCH_VALUES`` // d) rows, each of which
-    may overwrite the one before; and ``rows.take(flat)`` of an (m, k) array
-    of flat indices, row i's into row i, as an array's ``take`` reads them.
-    ``rng`` is the round's one Generator: the
-    kinds that draw (rand_k, natural, rank_r) take each row's draws from it
-    in row order, after the previous row's, and refuse anything else with
+    ``rows[part]``, for the slices ``row_batches(m, d)`` yields or shorter,
+    each of which may overwrite the one before; and ``rows.take(flat)`` of an
+    (m, k) array of flat indices, row i's into row i, as an array's ``take``
+    reads them.  ``rng`` is the round's one Generator: the kinds that draw
+    (rand_k, natural, rank_r) take each row's draws from it in row order,
+    after the previous row's, and refuse anything else with
     ``ParameterError`` before ``out`` is touched.  identity and top_k never
     draw, and take None.
 
@@ -455,30 +463,26 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
     row i takes k draws t_j ~ U{0 .. d-k+j}, after row i-1's, and keeps
     t_j, or d-k+j when t_j is already in its set (when 2k > d, the same for
     the d-k coordinates it leaves out).  So a row's subset does not depend
-    on m, and one row is ``rand_k_indices`` unsorted.  top_k
-    selects in stacked batches of whole rows, up to ``BATCH_VALUES`` values
-    per batch and at least one row.  Both add only their kept values, in one
-    row-ordered ``np.add.at`` per round (rand_k) or batch (top_k); adding
-    the other coordinates' zeros would change nothing unless ``out`` held a
-    negative zero.  rank_r factors its messages in stacked batches of whole
-    rows, up to ``BATCH_VALUES`` padded matrix entries per batch and at least
-    one row; natural rounds its messages in batches of whole rows, up to
-    ``NATURAL_BATCH_VALUES`` (2**13) values per batch, and a longer row in
-    column pieces of that size.  Both add each decoded batch with one
-    ordered sum, which takes the rows in order as ``out += row`` would (d = 1
-    included), as does identity, batch by batch.  That sum writes into its
-    block, so identity copies a batch of several rows of an array first; a
-    source's slices are its own to overwrite.  An array ``rows`` is never
-    written.
+    on m, and one row is ``rand_k_indices`` unsorted.  top_k selects in the
+    stacked batches ``row_batches(m, d)`` yields.  Both add only their kept
+    values, in one row-ordered ``np.add.at`` per round (rand_k) or batch
+    (top_k); adding the other coordinates' zeros would change nothing unless
+    ``out`` held a negative zero.  rank_r factors its padded matrices in
+    stacked ``row_batches``; natural rounds its messages in the batches of
+    ``row_batches(m, d, NATURAL_BATCH_VALUES)``, a longer row in column
+    pieces of that size.  Both add each decoded batch with one ordered sum,
+    which takes the rows in order as ``out += row`` would (d = 1 included),
+    as does identity, batch by batch.  That sum writes into its block, so
+    identity copies a batch of several rows of an array first; a source's
+    slices are its own to overwrite.  An array ``rows`` is never written.
     """
     m, d = rows.shape
     bits = message_bits(spec, d)
     if spec.kind in RANDOMIZED_KINDS and not isinstance(rng, np.random.Generator):
         raise ParameterError(f"{spec.kind} needs the round's np.random.Generator, got {rng!r}")
     if spec.kind == "identity":
-        step = max(1, BATCH_VALUES // d)
-        for start in range(0, m, step):  # the sum writes into a batch of several rows
-            batch = rows[start:start + step]
+        for part in row_batches(m, d):  # the sum writes into a batch of several rows
+            batch = rows[part]
             copy = len(batch) > 1 and isinstance(rows, np.ndarray)  # not a source's scratch
             _add_rows_in_order(out, batch.copy() if copy else batch)
     elif spec.kind == "rand_k":
@@ -492,28 +496,25 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
         # speed of the (m, k) ones.
         np.add.at(out, cols.reshape(-1), values.reshape(-1))
     elif spec.kind == "top_k":
-        step = max(1, BATCH_VALUES // d)
-        for start in range(0, m, step):
-            batch = rows[start:start + step]
+        for part in row_batches(m, d):
+            batch = rows[part]
             idx = top_k_indices(batch, spec.k)
             np.add.at(out, idx % d, batch.take(idx))
     elif spec.kind == "natural":
         # Whole rows, or a row longer than a batch in column pieces: either
         # way the draws and the sums come in the order of one row at a time.
-        step = max(1, NATURAL_BATCH_VALUES // d)
         width = min(d, NATURAL_BATCH_VALUES)
-        draws = np.empty(min(step, m) * width)
-        for start in range(0, m, step):
-            batch = rows[start:start + step]
+        draws = np.empty(NATURAL_BATCH_VALUES)  # every piece fits
+        for part in row_batches(m, d, NATURAL_BATCH_VALUES):
+            batch = rows[part]
             for col in range(0, d, width):
                 piece = batch[:, col:col + width]
                 part = rng.random(out=draws[: piece.size]).reshape(piece.shape)
                 _add_rows_in_order(out[col:col + width], _round_to_powers_of_two(piece, part))
     else:
         shape = default_matrix_shape(d)
-        step = max(1, BATCH_VALUES // (shape[0] * shape[1]))
-        for start in range(0, m, step):
-            p, q = rank_r_factors(rows[start:start + step], spec.r, *shape, rng)
+        for part in row_batches(m, shape[0] * shape[1]):
+            p, q = rank_r_factors(rows[part], spec.r, *shape, rng)
             _add_rows_in_order(out, rank_r_expand(p, q, d))
     return bits
 

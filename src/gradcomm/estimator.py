@@ -31,6 +31,8 @@ import numpy as np
 from . import csvio
 from .errors import DegenerateDesignError, ParameterError
 
+# Sizes arrive in bytes (CSV files, the CLI, netprobe) and the model works in bits.
+BITS_PER_BYTE = 8
 GRID_POINTS = 16
 GRID_SPAN = 1e4  # the geometric proposal grid covers (p_max / GRID_SPAN, p_max]
 
@@ -192,7 +194,7 @@ def read_samples_csv(path) -> list[tuple[float, float]]:
     for size, time in rows:
         if not size > 0:
             rows.throw(ValueError(f"size_bytes must be positive, got {size!r}"))
-        bits = size * 8.0
+        bits = size * BITS_PER_BYTE
         if not (math.isfinite(bits * bits) and math.isfinite(bits * time)):
             rows.throw(ValueError(f"non-finite bits**2 or bits*time for size_bytes {size!r}"))
         samples.append((bits, time))

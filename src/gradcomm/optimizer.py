@@ -34,13 +34,13 @@ import numpy as np
 from .commodel import TimeModelParams, round_times
 from .commodel import sample_time  # noqa: F401  (unused; perfbench/spans.py patches it here)
 from .compression import (
-    BATCH_VALUES,
     RANDOMIZED_KINDS,
     CompressorSpec,
     add_decompressed,
     compress,  # noqa: F401  (same)
     decompress,  # noqa: F401  (same)
     message_bits,
+    row_batches,
 )
 from .csvio import write_csv
 from .errors import DivergenceError, ParameterError, is_int
@@ -116,19 +116,15 @@ class Problem:
 
     @cached_property
     def _optimum(self) -> tuple[np.ndarray, float]:
-        """The mean target a-bar and f* = f(a-bar), by whole rows (at least one) of at most
-        ``BATCH_VALUES`` values through two scratch arrays: no (n, d) temporary is made."""
+        """The mean target a-bar and f* = f(a-bar), from the ``_WorkerGradients`` at
+        a-bar, one ``row_batches`` batch at a time: no (n, d) temporary is made."""
         mean = self.targets.mean(axis=0)
-        step = max(1, BATCH_VALUES // self.d)
-        diff, scaled = np.empty((2, min(step, self.n), self.d))
+        grads = _WorkerGradients(self, mean)
         sums = np.empty(self.n)
-        for start in range(0, self.n, step):
-            stop = min(start + step, self.n)
-            part, grads = diff[: stop - start], scaled[: stop - start]
-            np.subtract(mean, self.targets[start:stop], out=part)
-            np.multiply(part, self.curvature, out=grads)
-            part *= grads  # h * (a-bar - a)**2
-            part.sum(axis=1, out=sums[start:stop])
+        for part in row_batches(self.n, self.d):
+            terms = grads[part]
+            terms *= mean - self.targets[part]  # h * (a-bar - a)**2
+            terms.sum(axis=1, out=sums[part])
         return mean, float(0.5 * np.mean(sums))
 
     @cached_property
@@ -150,14 +146,11 @@ class Problem:
         return (f_star + 0.5 * float(np.add.reduce(grad * diff)),
                 math.sqrt(np.add.reduce(grad * grad)))
 
-    def worker_gradients(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """All n local gradients h * (x - a_i) at x, stacked as an (n, d) array.
+    def worker_gradients(self, x: np.ndarray) -> np.ndarray:
+        """All n local gradients h * (x - a_i) at x, stacked as a new (n, d) array."""
+        return self._gradients(x, self.targets, slice(None), None)
 
-        They fill ``out`` when it is given, else a new array.
-        """
-        return self._gradients(x, self.targets, slice(None), out)
-
-    def _gradients(self, x, targets, cols, out=None) -> np.ndarray:
+    def _gradients(self, x, targets, cols, out) -> np.ndarray:
         """h * (x - a) entry by entry, into ``out``: x and a as given, h as ``curvature[cols]``."""
         grads = np.subtract(x, targets, out=out)
         if not self._unit_curvature:
@@ -176,8 +169,8 @@ class _WorkerGradients:
     """``problem.worker_gradients(x)`` as ``compression.add_decompressed`` reads it:
     each entry is computed when it is read, and no (n, d) array is made.
 
-    ``grads[a:b]`` computes rows a .. b-1 into one scratch array of up to
-    max(1, ``BATCH_VALUES`` // d) rows, which the next slice overwrites.
+    ``grads[part]`` computes the rows of a ``row_batches(n, d)`` slice, or a
+    shorter one, into one scratch array, which the next slice overwrites.
     ``grads.take(flat)`` reads an (m, k) array of flat indices, row i's into
     row i.  With 2k <= d it computes only those m*k entries; otherwise
     whole rows, a scratch batch at a time.  Either way each entry is the
@@ -187,7 +180,7 @@ class _WorkerGradients:
     def __init__(self, problem: Problem, x: np.ndarray):
         self.problem, self.x = problem, x
         self.shape = problem.targets.shape
-        self._scratch = np.empty((min(max(1, BATCH_VALUES // problem.d), problem.n), problem.d))
+        self._scratch = np.empty((next(row_batches(problem.n, problem.d)).stop, problem.d))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         targets = self.problem.targets[rows]  # more rows than the scratch raise ValueError
@@ -198,17 +191,16 @@ class _WorkerGradients:
         if 2 * flat.shape[1] <= d:
             cols = flat - np.arange(0, len(flat) * d, d)[:, None]
             x = self.x.take(cols)
-            return self.problem._gradients(x, self.problem.targets.take(flat), cols, out=x)
-        step = len(self._scratch)
+            return self.problem._gradients(x, self.problem.targets.take(flat), cols, x)
         # Taken straight into ``values``: with ``out``, mode "raise" takes
         # through a temporary, and freed temporaries of this size can let the
         # heap shrink, so that the next round faults their pages back in.
         # The indices are in range, so "wrap" moves none of them.
         values = np.empty(flat.shape)
-        for start in range(0, len(flat), step):
-            idx = flat[start:start + step]
-            np.take(self[start:start + step], idx - start * d if start else idx,
-                    out=values[start:start + step], mode="wrap")
+        for part in row_batches(len(flat), d):
+            idx = flat[part]
+            np.take(self[part], idx - part.start * d if part.start else idx,
+                    out=values[part], mode="wrap")
         return values
 
 

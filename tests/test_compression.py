@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gradcomm.compression import (
+    BATCH_VALUES,
+    NATURAL_BATCH_VALUES,
     CompressedMessage,
     CompressorSpec,
     DenseVector,
@@ -23,6 +25,7 @@ from gradcomm.compression import (
     rand_k_indices,
     rank_r_expand,
     rank_r_factors,
+    row_batches,
     top_k_indices,
 )
 from gradcomm.errors import DecodeError, ParameterError
@@ -696,3 +699,22 @@ class TestFloydDraw:
         assert peak < 64 * 1024
         assert idx.size == np.unique(idx).size == 3
         assert 0 <= idx.min() and idx.max() < d
+
+
+class TestRowBatches:
+    @pytest.mark.parametrize("limit, width", [
+        (limit, width) for limit in (BATCH_VALUES, NATURAL_BATCH_VALUES)
+        for width in (1, limit - 1, limit, limit + 1, 70_000)])
+    def test_slices_cover_the_rows_in_whole_batches(self, limit, width):
+        step = max(1, limit // width)
+        for m in sorted({0, 1, step - 1, step, step + 1, 3 * step}):
+            parts = list(row_batches(m, width, limit))
+            if limit == BATCH_VALUES:  # the default budget
+                assert parts == list(row_batches(m, width))
+            covered = [i for part in parts for i in range(m)[part]]
+            assert covered == list(range(m)), m  # in order, no overlap, no gap
+            sizes = [len(range(m)[part]) for part in parts]
+            assert all(size == step for size in sizes[:-1]), m
+            assert sizes[-1:] != [0], m
+            if width <= limit:
+                assert max(sizes, default=0) * width <= limit, m

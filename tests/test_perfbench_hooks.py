@@ -77,3 +77,24 @@ def test_every_unread_import_is_a_hook():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread |= {(f"gradcomm.{path.stem}", name) for name in imported - read - {"annotations"}}
     assert unread <= hooked, sorted(unread - hooked)
+
+
+def test_only_compression_names_the_batch_budgets():
+    # compression.row_batches is the one rule that turns a value budget into
+    # a row count, so no other module reads the budgets themselves.
+    budgets = {"BATCH_VALUES", "NATURAL_BATCH_VALUES"}
+    naming = []
+    for path in sorted(Path(optimizer.__file__).parent.glob("*.py")):
+        if path.name == "compression.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+        naming += [(path.name, name) for name in sorted(names & budgets)]
+    assert not naming
