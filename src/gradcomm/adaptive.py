@@ -16,11 +16,13 @@ derivative beta' - c*d*alpha/k^2 shows that J is convex with its real minimum
 at k_c = sqrt(c*d*alpha/beta') when alpha and beta' are both positive, and is
 monotone or concave otherwise.  ``select_power`` therefore compares J at the
 ends of [1, d] and at the two integers around k_c: the exact integer argmin in
-O(1).  ``adaptive_controller`` re-selects k as fresh (size, time) samples
-refine the coefficient estimates.  It prices each fit against the one
-objective it was given, so a step is O(1) arithmetic with no objective
-rebuilt, and each decision equals ``select_power`` on that objective with the
-refreshed alpha and beta.
+O(1).  It scans them in descending order, d, ceil(k_c), floor(k_c), 1, and
+only a strictly lower cost replaces the best, so ties go to the larger k.
+``adaptive_controller`` re-selects k as fresh (size, time) samples refine the
+coefficient estimates.  It prices each fit against the one objective it was
+given, so a step is O(1) arithmetic with no objective rebuilt and no
+container built, and each decision equals ``select_power`` on that objective
+with the refreshed alpha and beta.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,18 +90,25 @@ def predicted_cost(obj: SelectionObjective, k):
 def _argmin(obj: SelectionObjective, alpha: float, beta: float) -> tuple[int, float]:
     """The exact integer argmin of J at (alpha, beta) over [1, d] and its cost.
 
-    Candidates are priced from the largest k down and ``min`` keeps the first
-    of equal costs, so ties go to the larger k.
+    The candidates d, ceil(k_c), floor(k_c) and 1 are priced in descending
+    order, skipping a k that is not below the last one priced.  Only a
+    strictly lower cost replaces the best, so ties go to the larger k.
     """
-    candidates = {1, obj.d}
+    k_star = last = obj.d
+    best = _cost(obj, alpha, beta, last)
+    candidates = (1,)
     beta_unit = beta * obj.unit_bits
     if alpha > 0 and beta_unit > 0:
         # Clipped before rounding: a denormal beta can make k_c infinite.
         k_c = min(max(math.sqrt(obj.d * alpha / (obj.penalty_scale * beta_unit)), 1.0), obj.d)
-        candidates.update((math.floor(k_c), math.ceil(k_c)))
-    costs = {k: _cost(obj, alpha, beta, k) for k in sorted(candidates, reverse=True)}
-    k_star = min(costs, key=costs.__getitem__)
-    return k_star, costs[k_star]
+        candidates = (math.ceil(k_c), math.floor(k_c), 1)
+    for k in candidates:
+        if k < last:
+            cost = _cost(obj, alpha, beta, k)
+            if cost < best:
+                k_star, best = k, cost
+            last = k
+    return k_star, best
 
 
 def select_power(obj: SelectionObjective) -> tuple[int, float]:
@@ -106,8 +116,7 @@ def select_power(obj: SelectionObjective) -> tuple[int, float]:
     return _argmin(obj, obj.alpha, obj.beta)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     sample_index: int
     fit: estimator.FitResult
     k_star: int

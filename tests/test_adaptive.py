@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from gradcomm.adaptive import (
     predicted_cost,
     select_power,
 )
+from gradcomm.cli import main
 from gradcomm.commodel import TimeModelParams, expected_time
 from gradcomm.compression import CompressorSpec
 from gradcomm.errors import DegenerateDesignError, ParameterError
@@ -39,6 +41,16 @@ def brute_force_argmin(obj):
         if best_cost is None or cost <= best_cost:
             best_k, best_cost = k, cost
     return best_k, best_cost
+
+
+def numpy_argmin(family, d, n, alpha, beta, b):
+    """Scan J over every k in [1, d] with NumPy; the last minimum, so ties go to larger k."""
+    unit_bits = b if family == "rand_k" else b + math.ceil(math.log2(d))
+    scale = math.sqrt(n) if family == "rand_k" else 1.0
+    ks = np.arange(1, d + 1, dtype=np.int64)
+    costs = (1.0 + (d / ks) / scale) * (alpha + beta * (ks * unit_bits))
+    i = d - 1 - int(np.argmin(costs[::-1]))
+    return int(ks[i]), float(costs[i])
 
 
 class TestPredictedCost:
@@ -111,6 +123,24 @@ class TestSelectPower:
                 b=int(rng.choice([8, 32])),
             )
             assert select_power(obj) == brute_force_argmin(obj)
+
+    @pytest.mark.parametrize("b", [8, 32])
+    @pytest.mark.parametrize("d", [10**5, 10**6])
+    @pytest.mark.parametrize("family", ["rand_k", "top_k"])
+    def test_matches_numpy_scan_at_large_dimension(self, family, d, b):
+        rng = np.random.default_rng(d + b + len(family))
+        alphas = (10.0 ** rng.uniform(-6, -2, size=4)).tolist()
+        betas = (10.0 ** rng.uniform(-12, -9, size=4)).tolist()
+        draws = list(zip(alphas, betas))
+        draws += [(0.0, betas[0]), (alphas[0], 0.0), (0.0, 0.0), (-alphas[1], betas[1]),
+                  (alphas[2], -betas[2]), (-alphas[3], -betas[3]), (alphas[0], 5e-324)]
+        stars = []
+        for alpha, beta in draws:
+            obj = SelectionObjective(family, d=d, n=16, alpha=alpha, beta=beta, b=b)
+            expected = numpy_argmin(family, d, 16, alpha, beta, b)
+            assert select_power(obj) == expected, (alpha, beta)
+            stars.append(expected[0])
+        assert any(1 < k < d for k in stars)
 
     def test_monotone_in_alpha(self):
         beta = 1e-9
@@ -279,6 +309,22 @@ class TestController:
                          for _, fit in estimator.running_fits(samples, 1e6, forgetting))
         assert {(True, True), (False, True), (True, False)} <= signs
 
+    def test_step_prices_at_most_four_candidates(self, monkeypatch):
+        calls = []
+        cost = adaptive._cost
+        monkeypatch.setattr(adaptive, "_cost", lambda *args: calls.append(1) or cost(*args))
+        rng = np.random.default_rng(5)
+        sizes = rng.uniform(1e3, 1e6, size=500)
+        samples = [(s, (1e-5 if i < 250 else 1e-4) + 1e-9 * s + rng.normal(0.0, 1e-6))
+                   for i, s in enumerate(sizes)]
+        decisions = list(adaptive_controller(samples, self.template(d=10**6), 1e6, 0.9))
+        fits = sum(fit is not None for _, fit in estimator.running_fits(samples, 1e6, 0.9))
+        assert len(decisions) > 1 and fits > 400
+        assert len(calls) <= 4 * fits
+
+    def test_decision_fields(self):
+        assert adaptive.Decision._fields == ("sample_index", "fit", "k_star", "predicted_cost")
+
     def test_step_builds_no_objective(self, monkeypatch):
         counts = {"message_bits": 0, "objectives": 0}
         message_bits, post_init = adaptive.message_bits, SelectionObjective.__post_init__
@@ -305,3 +351,56 @@ class TestController:
         bits_before = counts["message_bits"]
         select_power(dataclasses.replace(objective, alpha=1e-4, beta=1e-9))
         assert counts == {"message_bits": bits_before + 1, "objectives": 1}
+
+
+# sha256 of the controller's decisions on a pipeline-shaped stream, as the list
+# of (sample_index, k_star, predicted_cost.hex()), and of select's stdout at
+# three (alpha, beta, d) points.  Recorded while _argmin still priced a sorted
+# set of candidates and took ``min``, and Decision was a frozen dataclass; they
+# pin that every decision and cost stayed the same.  Never regenerate them
+# from the current code.
+GOLDEN_DECISIONS_SHA256 = {
+    "rand_k": "dd825ab77d3d89961b85678517d0872b36c9fa129994411b38fee3b8f1dee8f7",
+    "top_k": "e0aba6b8ac8fbba96e0a8dc5559b99ed234026067ed60004b9f6b4ff2c0bfb7e",
+}
+GOLDEN_SELECT_ARGS = {
+    "interior": ["--alpha", "2e-3", "--beta", "1e-8", "--d", str(10**8)],
+    "alpha_negative": ["--alpha", "-1e-3", "--beta", "1e-9", "--d", "1000"],
+    "beta_denormal": ["--alpha", "1e-3", "--beta", "1e-320", "--d", "1000"],
+}
+GOLDEN_SELECT_SHA256 = {
+    "interior": "43d1c14189ba3b53d1e1cf1ff538f8be1af5c626be16e9cd84b8123ff02d2f81",
+    "alpha_negative": "44f7699b24c8967ed755d580c0ec6eca5818de521a132f95b0b30b2084e9b502",
+    "beta_denormal": "670e0c35e3fa247d9237ec9886779e9ae62cac3297692411067556c7158dd918",
+}
+
+
+def pipeline_stream(seed=7, count=128):
+    """(bits, seconds) samples interleaved over a 16-point geometric size grid;
+    alpha steps up tenfold at sample count // 2."""
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.uniform(40e-6, 80e-6), rng.uniform(0.8e-9, 1.2e-9)
+    grid = np.geomspace(8 * 64, 8 * (4 << 20), 16)
+    xs = grid[(np.arange(count) * 7) % grid.size]
+    alphas = np.where(np.arange(count) < count // 2, alpha, 10 * alpha)
+    ys = alphas + beta / 8 * xs + rng.normal(0.0, 0.05 * alpha, count)
+    return list(zip(xs.tolist(), ys.tolist())), float(xs.max())
+
+
+class TestGolden:
+    @pytest.mark.parametrize("family", sorted(GOLDEN_DECISIONS_SHA256))
+    def test_controller_decisions_match_golden_hash(self, family):
+        samples, p_max = pipeline_stream()
+        objective = SelectionObjective(family, d=10**6, n=16, alpha=0.0, beta=0.0)
+        decisions = [(dec.sample_index, dec.k_star, dec.predicted_cost.hex())
+                     for dec in adaptive_controller(samples, objective, p_max, forgetting=0.9)]
+        assert len(decisions) > 2
+        digest = hashlib.sha256(repr(decisions).encode()).hexdigest()
+        assert digest == GOLDEN_DECISIONS_SHA256[family]
+
+    @pytest.mark.parametrize("point", sorted(GOLDEN_SELECT_SHA256))
+    def test_select_stdout_matches_golden_hash(self, tmp_path, capsys, point):
+        argv = ["select", *GOLDEN_SELECT_ARGS[point], "--n", "16", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_SELECT_SHA256[point]
