@@ -7,21 +7,26 @@ first frame byte written to the acknowledgment byte received, so the recorded
 delay is a round-trip time and a fitted alpha absorbs both directions'
 startup cost.  Nagle coalescing is disabled on both ends and payloads are
 pseudorandom bytes so link-level compression cannot shrink them.  One probe
-draws its payload bytes once, at its largest size, from ``payload_seed``, and
-sends every frame as a prefix of that one draw: the frames stay pseudorandom
-and incompressible, the draw costs one pass over the largest frame instead of
-one per size, and the client's peak memory is still the largest frame.
+draws one block of payload bytes from ``payload_seed``, as large as its
+largest frame but at most ``_BLOCK_BYTES`` (16 MiB), and sends every frame
+from views of it without a copy: a frame up to the block's size is a prefix
+of it, and a longer one repeats the whole block and ends in a prefix.  A
+16 MiB period is beyond the window of deflate, LZ4, LZO, brotli and zstd up
+to level 19 without long-distance matching, so the frames stay incompressible
+to a link compressor, and the client holds at most 16 MiB of payload however
+large its frames.
 
 The server serves one connection at a time.  It counts each payload exactly
 and never keeps it: on Linux the kernel discards the bytes (``MSG_TRUNC``)
 without copying them to user space, so the server's own copy is not part of
 the round trip it times; elsewhere they are copied through a bounded 1 MiB
-buffer.  Either way a frame near p_max costs it no p_max allocation.  A
-connection idle for ``DEFAULT_TIMEOUT_S`` (5 s) is closed, and a connection
-that fails is logged in one line while serving goes on, so one peer cannot
-stop the server.  The timeout is per read, not per
-frame, so a peer that trickles bytes (one header byte just inside each
-timeout) can hold the sequential server for longer than the timeout.
+buffer.  Either way a frame near p_max costs it no p_max allocation.  The
+server waits up to ``DEFAULT_TIMEOUT_S`` (5 s) for the first byte of each
+header and of each next 1 MiB of payload, and the rest of that header or MiB
+must arrive within the same time of its first byte.  So a peer that trickles
+bytes cannot hold the sequential server for more than two timeouts per
+header or MiB.  A connection that times out or fails is logged in one line
+while serving goes on, so one peer cannot stop the server.
 """
 
 from __future__ import annotations
@@ -72,10 +77,16 @@ class ProbeResult:
 # and returns how many it dropped; elsewhere the read copies into the buffer.
 _DRAIN_BYTES = 1 << 20
 _DISCARD = socket.MSG_TRUNC if sys.platform.startswith("linux") else 0
+# The client sends every frame from views of one seeded block of at most this
+# many bytes.  A sendmsg takes at most _IOV_MAX buffers, POSIX's least
+# IOV_MAX: on a socket with a timeout one sendmsg sends at most what its send
+# buffer holds, far less than the header and 15 blocks (240 MiB).
+_BLOCK_BYTES = 1 << 24
+_IOV_MAX = 16
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
-    """Acknowledges each frame of one connection; ``timeout`` closes an idle peer."""
+    """Acknowledges each frame of one connection; ``timeout`` closes a slow peer."""
 
     timeout = DEFAULT_TIMEOUT_S
 
@@ -87,12 +98,8 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         drain = memoryview(bytearray(min(server.p_max_bytes, _DRAIN_BYTES)))
         while True:
             # Raw reads only: a buffered reader would read ahead into the payload.
-            got = 0
-            while got < _LEN.size:
-                n = sock.recv_into(header[got:])
-                if not n:
-                    return
-                got += n
+            if not self._read(header, _LEN.size, 0):
+                return
             (length,) = _LEN.unpack(header)
             if length == 0:
                 return  # clean shutdown frame
@@ -104,15 +111,40 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 return
             remaining = length
             while remaining:
-                got = sock.recv_into(drain, min(remaining, len(drain)), _DISCARD)
-                if not got:
+                chunk = min(remaining, len(drain))
+                if not self._read(drain, chunk, _DISCARD):
                     logger.warning("peer vanished mid-payload; resetting connection")
                     return
-                remaining -= got
+                remaining -= chunk
             sock.sendall(ACK)
             server.messages += 1
             server.bytes_in += _LEN.size + length
             server.bytes_out += len(ACK)
+
+    def _read(self, buffer: memoryview, nbytes: int, flags: int) -> bool:
+        """Read ``nbytes`` into ``buffer``; False if the peer closes first.
+
+        The first byte may take ``timeout``, and the rest must arrive within
+        ``timeout`` of it; a read that returns them all at once costs no clock.
+        """
+        sock = self.request
+        got = sock.recv_into(buffer, nbytes, flags)
+        if got == nbytes or not got:
+            return got == nbytes
+        deadline = time.monotonic() + self.timeout
+        try:
+            while got < nbytes:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError(f"{nbytes} bytes took longer than {self.timeout} s")
+                sock.settimeout(left)
+                n = sock.recv_into(buffer[got:], nbytes - got, flags)
+                if not n:
+                    return False
+                got += n
+        finally:
+            sock.settimeout(self.timeout)
+        return True
 
 
 class PingPongServer(socketserver.TCPServer):
@@ -175,15 +207,25 @@ class PingPongServer(socketserver.TCPServer):
         self.server_close()
 
 
-def _exchange(sock: socket.socket, header: bytes, payload) -> None:
-    # One sendmsg carries the header in the payload's first segment and copies
-    # neither; a partial send is finished from what is left of each.
-    sent = sock.sendmsg([header, payload])
-    if sent < len(header):
-        sock.sendall(header[sent:])
-        sent = len(header)
-    if sent - len(header) < len(payload):
-        sock.sendall(memoryview(payload)[sent - len(header):])
+def _frame(block: memoryview, size: int) -> list:
+    """The header and the views of ``block`` that send a ``size``-byte frame."""
+    whole, rest = divmod(size, len(block))
+    buffers = [_LEN.pack(size)] + [block] * whole
+    if rest:
+        buffers.append(block[:rest])
+    return buffers
+
+
+def _exchange(sock: socket.socket, buffers: list) -> None:
+    # One sendmsg of at most _IOV_MAX buffers copies none of them; a partial
+    # send is finished from views of what is left of each.
+    sent = sock.sendmsg(buffers[:_IOV_MAX])
+    for buffer in buffers:
+        if sent >= len(buffer):
+            sent -= len(buffer)
+        else:
+            sock.sendall(memoryview(buffer)[sent:])
+            sent = 0
     ack = sock.recv(1)
     if not ack:
         raise ConnectionResetError("server closed the connection mid-exchange")
@@ -220,11 +262,13 @@ def probe(
     """Timed ping-pong exchanges for each size; returns estimator-ready samples.
 
     For every size, ``warmup`` unrecorded exchanges precede ``reps`` timed
-    ones.  Every frame is a prefix of one draw from ``payload_seed`` at the
-    largest size.  Arguments ``check_probe`` refuses, and a ``payload_seed``
-    that is not an integer >= 0, raise :class:`ParameterError` before any
-    socket is opened.  Connection failures raise :class:`NetworkError`; a
-    mid-stream disconnect returns the partial samples with ``error`` set.
+    ones.  Every frame is sent from views of one block drawn from
+    ``payload_seed``, of min(largest size, 16 MiB) bytes: a frame up to the
+    block's size is its prefix, a longer one repeats it and ends in a prefix.
+    Arguments ``check_probe`` refuses, and a ``payload_seed`` that is not an
+    integer >= 0, raise :class:`ParameterError` before any socket is opened.
+    Connection failures raise :class:`NetworkError`; a mid-stream disconnect
+    returns the partial samples with ``error`` set.
     """
     sizes = list(sizes_bytes)
     check_probe(port, sizes, reps, warmup, timeout)
@@ -242,20 +286,21 @@ def probe(
     with sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(timeout)
-        # Every frame is a prefix view of this one draw.  64-bit words draw
+        # Every frame is sent from views of this one block.  64-bit words draw
         # about twice as fast as 32-bit ones, and rng.bytes would hold two
         # copies while it builds them.
+        block_bytes = min(max(sizes, default=0), _BLOCK_BYTES)
         words = np.random.default_rng(payload_seed).integers(
-            0, 1 << 64, size=(max(sizes, default=0) + 7) // 8, dtype=np.uint64)
-        payloads = memoryview(words).cast("B")
+            0, 1 << 64, size=(block_bytes + 7) // 8, dtype=np.uint64)
+        block = memoryview(words).cast("B")[:block_bytes]
         try:
             for size in sizes:
-                header, payload = _LEN.pack(size), payloads[:size]
+                frame = _frame(block, size)
                 for _ in range(warmup):
-                    _exchange(sock, header, payload)
+                    _exchange(sock, frame)
                 for rep in range(reps):
                     t0 = time.perf_counter_ns()
-                    _exchange(sock, header, payload)
+                    _exchange(sock, frame)
                     t1 = time.perf_counter_ns()
                     result.samples.append(
                         ProbeSample(

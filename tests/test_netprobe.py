@@ -1,8 +1,10 @@
 import gc
 import logging
+import os
 import socket
 import struct
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -16,6 +18,7 @@ from gradcomm.netprobe import (
     ACK,
     PingPongServer,
     _exchange,
+    _frame,
     probe,
     write_samples_csv,
 )
@@ -102,6 +105,37 @@ class TestServer:
             elapsed = time.monotonic() - t0
         assert result.error is None and len(result.samples) == 2
         assert elapsed < idle_s + 1.5
+
+    def test_trickling_peer_delays_next_client_by_at_most_the_timeout(self, server, monkeypatch):
+        # One header byte every 0.3 s beats a 0.5 s timeout on every read, but
+        # the whole header must arrive within 0.5 s of its first byte.
+        idle_s = 0.5
+        monkeypatch.setattr(server.RequestHandlerClass, "timeout", idle_s)
+        stop = threading.Event()
+
+        def trickle(sock):
+            try:
+                for byte in struct.pack(">Q", 64)[1:] + bytes(64):
+                    if stop.wait(0.3):
+                        return
+                    sock.sendall(bytes([byte]))
+            except OSError:
+                pass  # the server closed the connection
+
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as trickler:
+            trickler.sendall(struct.pack(">Q", 64)[:1])
+            thread = threading.Thread(target=trickle, args=(trickler,))
+            thread.start()
+            try:
+                t0 = time.monotonic()
+                result = probe("127.0.0.1", server.port, [64], reps=2, warmup=0, timeout=5)
+                elapsed = time.monotonic() - t0
+            finally:
+                stop.set()
+                thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert result.error is None and len(result.samples) == 2
+        assert elapsed < idle_s + 1.0
 
     def test_peer_reset_mid_payload_is_logged_and_serving_goes_on(self, server, caplog):
         caplog.set_level(logging.WARNING, logger="gradcomm.netprobe")
@@ -319,11 +353,10 @@ class TestProbe:
 
         header, payload = struct.pack(">Q", 64), np.random.default_rng(1).bytes(64)
         sock = ShortSendSocket()
-        _exchange(sock, header, payload)
+        _exchange(sock, [header, payload])
         assert bytes(sock.stream) == header + payload
-        # Only the header's tail is sliced; the payload is sent from a view.
-        assert sock.sendall_types == (
-            [bytes, memoryview] if accepted < 8 else [memoryview] if accepted < 72 else [])
+        # What is left of each buffer is sent from a view, never a copy.
+        assert sock.sendall_types == [memoryview] * (2 if accepted < 8 else 1 if accepted < 72 else 0)
 
     def test_reps_zero_returns_empty_without_error(self):
         # no server needed: reps=0 short-circuits before connecting
@@ -371,3 +404,147 @@ class TestProbe:
         result = probe("127.0.0.1", server.port, [64], reps=3, warmup=0)
         reps = [s.rep for s in result.samples]
         assert reps == [0, 1, 2]
+
+
+class SinkSocket:
+    """A client socket that takes at most ``accept`` bytes per ``sendmsg``.
+
+    It refuses a ``sendmsg`` of more buffers than the kernel takes, acks
+    every frame, and keeps what it is sent only when ``keep`` is true.
+    """
+
+    def __init__(self, accept=None, keep=True):
+        self.accept, self.keep = accept, keep
+        self.stream, self.sendall_types, self.buffer_counts = bytearray(), [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendmsg(self, buffers):
+        self.buffer_counts.append(len(buffers))
+        assert len(buffers) <= os.sysconf("SC_IOV_MAX")
+        sent = sum(len(b) for b in buffers)
+        if self.accept is not None:
+            sent = min(sent, self.accept)
+        if self.keep:
+            self.stream += b"".join(buffers)[:sent]
+        return sent
+
+    def sendall(self, data):
+        self.sendall_types.append(type(data))
+        if self.keep:
+            self.stream += data
+
+    def recv(self, n):
+        return ACK
+
+
+def seeded_draw(seed, size):
+    """The payload draw of one probe before frames were sent from a block."""
+    words = np.random.default_rng(seed).integers(0, 1 << 64, size=(size + 7) // 8, dtype=np.uint64)
+    return bytes(memoryview(words).cast("B")[:size])
+
+
+BLOCK = 4096  # the payload block in these tests, in place of 16 MiB
+
+
+class TestBlock:
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(netprobe, "_BLOCK_BYTES", BLOCK)
+
+    def sent_frames(self, monkeypatch, sizes, seed=7):
+        sock = SinkSocket()
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: sock)
+        result = probe("127.0.0.1", 1, sizes, reps=1, warmup=0, payload_seed=seed)
+        assert result.error is None and len(result.samples) == len(sizes)
+        stream, frames = bytes(sock.stream), []
+        for _ in sizes:
+            (size,) = struct.unpack(">Q", stream[:8])
+            frames.append(stream[8:8 + size])
+            stream = stream[8 + size:]
+        assert stream == struct.pack(">Q", 0)
+        return frames
+
+    def test_frames_up_to_the_block_keep_the_bytes_of_a_draw_at_the_largest_size(
+            self, monkeypatch):
+        sizes = [3 * BLOCK + 5, BLOCK, BLOCK - 1, 100, 1]
+        frames = self.sent_frames(monkeypatch, sizes)
+        draw = seeded_draw(7, max(sizes))
+        assert [len(f) for f in frames] == sizes
+        assert all(f == draw[:len(f)] for f in frames[1:])
+
+    def test_longer_frame_repeats_the_block_and_ends_in_its_prefix(self, monkeypatch):
+        [frame] = self.sent_frames(monkeypatch, [3 * BLOCK + 5])
+        block = seeded_draw(7, BLOCK)
+        assert frame == 3 * block + block[:5]
+
+    def test_short_sendmsg_at_every_split_point_delivers_the_frame(self):
+        block = memoryview(np.random.default_rng(3).bytes(16))
+        buffers = _frame(block, 2 * 16 + 5)
+        expected = b"".join(buffers)
+        assert [len(b) for b in buffers] == [8, 16, 16, 5]
+        for accepted in range(len(expected) + 1):
+            sock = SinkSocket(accept=accepted)
+            _exchange(sock, buffers)
+            assert bytes(sock.stream) == expected
+            assert set(sock.sendall_types) <= {memoryview}
+
+    def test_frame_of_more_segments_than_sendmsg_takes_is_delivered_whole(self):
+        iov_max = os.sysconf("SC_IOV_MAX")
+        block = memoryview(np.random.default_rng(4).bytes(16))
+        size = 16 * (iov_max + 3) + 9
+        sock = SinkSocket()
+        _exchange(sock, _frame(block, size))
+        assert len(sock.buffer_counts) == 1
+        assert bytes(sock.stream) == struct.pack(">Q", size) + (iov_max + 3) * bytes(block) + bytes(block[:9])
+
+    def test_frame_of_more_segments_than_sendmsg_takes_crosses_loopback(self, server, monkeypatch):
+        monkeypatch.setattr(netprobe, "_BLOCK_BYTES", 1024)
+        size = 1024 * os.sysconf("SC_IOV_MAX") + 7
+        assert size <= server.p_max_bytes
+        result = probe("127.0.0.1", server.port, [size], reps=2, warmup=1)
+        assert result.error is None and len(result.samples) == 2
+        server.stop()
+        assert (server.messages, server.bytes_in) == (3, 3 * (size + 8))
+
+    def test_client_memory_stays_at_one_block(self, monkeypatch):
+        block = 64 << 10
+        margin = 16 << 10  # Python objects of one probe besides its block
+        monkeypatch.setattr(netprobe, "_BLOCK_BYTES", block)
+        sock = SinkSocket(keep=False)
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: sock)
+        probe("127.0.0.1", 1, [1], reps=1)  # imports numpy.random outside the trace
+        tracemalloc.start()
+        try:
+            result = probe("127.0.0.1", 1, [4 * block], reps=2, warmup=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.error is None
+        assert peak < block + margin
+
+    @pytest.mark.parametrize("discard", [
+        pytest.param(socket.MSG_TRUNC, id="kernel-discard", marks=pytest.mark.skipif(
+            not sys.platform.startswith("linux"), reason="MSG_TRUNC discard is Linux-only")),
+        pytest.param(0, id="copying-drain"),
+    ])
+    def test_multi_segment_frames_are_counted_exactly(self, server, monkeypatch, discard):
+        monkeypatch.setattr(netprobe, "_DISCARD", discard)
+        sizes = [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+        reps, warmup = 3, 2
+        result = probe("127.0.0.1", server.port, sizes, reps=reps, warmup=warmup)
+        assert result.error is None and len(result.samples) == reps * len(sizes)
+        server.stop()
+        exchanges = len(sizes) * (reps + warmup)
+        assert (server.messages, server.bytes_in, server.bytes_out) == (
+            exchanges, sum(s + 8 for s in sizes) * (reps + warmup), exchanges)
