@@ -9,6 +9,10 @@ writes a manifest next to its outputs recording the resolved configuration,
 seed (null for subcommands that draw no random numbers), output names, and
 tool version.
 
+``simulate``'s settings are the rows of ``SETTINGS``; a run takes each default,
+then the config file, then the flags given.  ``run_compressed_gd`` resolves
+an unset stepsize and returns it for the manifest.
+
 Exit codes: 0 success, 1 the simulation diverged, 2 usage/config error or an
 unusable path (the error names it), 3 degenerate data, 4 network error.  Each
 package error carries its status as ``exit_code``; ``main`` prints the error
@@ -26,6 +30,7 @@ import re
 import sys
 import threading
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,26 +59,34 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# Flat config keys accepted by `simulate`, with their parsers; each simulate
-# flag stores under its key.  Unknown keys are rejected outright so an
-# experiment cannot run silently misconfigured.
-_CONFIG_KEYS = {
-    "n": int,
-    "d": int,
-    "steps": int,
-    "gamma": float,
-    "compressor.kind": str,
-    "compressor.k": int,
-    "compressor.r": int,
-    "alpha": float,
-    "beta": float,
-    "alpha_m": float,
-    "beta_m": float,
-    "seed": non_negative_int,
-    "downlink_compressed": _parse_bool,
-}
+REQUIRED = object()  # the default of a setting that simulate cannot run without
 
-_PROBLEM_STREAM = 3  # SeedSequence spawn key for synthetic problem data
+
+class Setting(NamedTuple):
+    flag: str
+    parse: Callable[[str], object]
+    default: object = None  # None: unset unless given
+    help: str | None = None
+    choices: tuple[str, ...] | None = None  # checked on the flag only
+
+
+# simulate's settings, one row per config-file key; a flag stores under its key.
+# Unknown keys are rejected so an experiment cannot run silently misconfigured.
+SETTINGS = {
+    "n": Setting("--n", int, REQUIRED, "number of workers"),
+    "d": Setting("--d", int, REQUIRED, "dimension"),
+    "steps": Setting("--steps", int, REQUIRED, "rounds"),
+    "gamma": Setting("--gamma", float, None, "stepsize (default: 1/L, k/(d*L) for rand_k)"),
+    "compressor.kind": Setting("--compressor", str, "identity", choices=KINDS),
+    "compressor.k": Setting("--k", int, None, "rand_k and top_k's kept entries"),
+    "compressor.r": Setting("--r", int, None, "rank_r's rank"),
+    "alpha": Setting("--alpha", float, REQUIRED, "startup time, seconds"),
+    "beta": Setting("--beta", float, REQUIRED, "seconds per byte"),
+    "alpha_m": Setting("--alpha-m", float, 0.0, "relative jitter (sd) of alpha"),
+    "beta_m": Setting("--beta-m", float, 0.0, "relative jitter (sd) of beta"),
+    "downlink_compressed": Setting("--downlink-compressed", _parse_bool, False),
+    "seed": Setting("--seed", non_negative_int, 0, "randomness seed (default: config's, else 0)"),
+}
 
 # jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it;
 # the powers are computed and formatted in blocks of JCURVE_CHUNK.
@@ -86,7 +99,7 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def read_config(path: Path) -> dict:
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value config file of ``SETTINGS`` keys; unknown keys are errors."""
     config = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,10 +108,10 @@ def read_config(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            config[key] = _CONFIG_KEYS[key](value)
+            config[key] = SETTINGS[key].parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return config
@@ -172,7 +185,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    if args.live:
+    if args.live is not None:
         samples, p_max = _probe_live(args)
         config = {
             "live": args.live, "policy": args.policy, "rounds": args.rounds,
@@ -309,7 +322,7 @@ def cmd_regions(args) -> None:
     bits = [size * BITS_PER_BYTE for size in sizes]
     # Classify and tabulate first: a bad --rho or --omegas makes no directory or file.
     regions = [(s, commodel.classify_region(params, s, args.rho).value) for s in bits]
-    if args.omegas:
+    if args.omegas is not None:
         try:
             omegas = [float(w) for w in args.omegas.split(",")]
         except ValueError as exc:
@@ -329,45 +342,36 @@ def cmd_regions(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    # The optional keys' defaults, then the config file, then the flags given.
-    config = {"alpha_m": 0.0, "beta_m": 0.0, "compressor.kind": "identity",
-              "downlink_compressed": False, "seed": 0,
-              **(read_config(Path(args.config)) if args.config else {}),
-              **{key: value for key, value in vars(args).items()
-                 if key in _CONFIG_KEYS and value is not None}}
-    missing = [key for key in ("n", "d", "steps", "alpha", "beta") if key not in config]
+    # Each setting's default, then the config file, then the flags given.
+    given = {**(read_config(Path(args.config)) if args.config is not None else {}),
+             **{key: value for key, value in vars(args).items()
+                if key in SETTINGS and value is not None}}
+    config = {key: given.get(key, setting.default) for key, setting in SETTINGS.items()}
+    missing = [key for key, value in config.items() if value is REQUIRED]
     if missing:
         raise ConfigError(f"simulate needs values for: {', '.join(missing)}")
     seed = config["seed"]
 
     params = _time_model(config["alpha"], config["beta"], config["alpha_m"], config["beta_m"])
-    spec = CompressorSpec(
-        kind=config["compressor.kind"],
-        k=config.get("compressor.k"),
-        r=config.get("compressor.r"),
-    )
-    problem_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_PROBLEM_STREAM,))
-    )
+    spec = CompressorSpec(config["compressor.kind"], config["compressor.k"], config["compressor.r"])
+    problem_rng = optimizer.stream_rng(seed, optimizer.PROBLEM_STREAM)
     problem = optimizer.Problem.mean(problem_rng.standard_normal((config["n"], config["d"])))
-    gamma = config.get("gamma")
-    if gamma is None:
-        gamma = optimizer.default_stepsize(problem, spec)
-    config["gamma"] = gamma
     sim_config = optimizer.SimConfig(
         steps=config["steps"],
         time_model=params,
-        gamma=gamma,
+        gamma=config["gamma"],
         compressor=spec,
         seed=seed,
         downlink_compressed=config["downlink_compressed"],
     )
     trace = optimizer.run_compressed_gd(problem, sim_config)
+    config["gamma"] = trace.gamma
     out = _out_dir(args)
     path = out / "trace.csv"
     trace.to_csv(path)
     final = trace.rows[-1]
-    _write_manifest(out, "simulate", config, seed, [path.name])
+    manifest = {key: value for key, value in config.items() if value is not None}
+    _write_manifest(out, "simulate", manifest, seed, [path.name])
     print(
         f"final_objective={final.objective!r} wall_clock_s={final.wall_clock_s!r} "
         f"uplink_bits={final.uplink_bits} downlink_bits={final.downlink_bits}"
@@ -466,21 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[writes],
                        help="run the distributed GD simulator on the mean problem")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--compressor", default=None, choices=KINDS, dest="compressor.kind")
-    p.add_argument("--k", type=int, default=None, dest="compressor.k", metavar="K")
-    p.add_argument("--r", type=int, default=None, dest="compressor.r", metavar="R")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None, help="seconds per byte")
-    p.add_argument("--alpha-m", type=float, default=None, dest="alpha_m")
-    p.add_argument("--beta-m", type=float, default=None, dest="beta_m")
-    p.add_argument("--downlink-compressed", action="store_const", const=True, default=None,
-                   dest="downlink_compressed")
-    p.add_argument("--seed", type=non_negative_int, default=None,
-                   help="randomness seed (default: the config's seed, else 0)")
+    for key, setting in SETTINGS.items():  # each flag is None unless given
+        if setting.parse is _parse_bool:  # given, a bool flag sets its setting true
+            p.add_argument(setting.flag, action="store_const", const=True, dest=key, help=setting.help)
+        else:
+            p.add_argument(setting.flag, type=setting.parse, choices=setting.choices, dest=key,
+                           metavar=None if setting.choices else key.rpartition(".")[2].upper(),
+                           help=setting.help)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=cmd_simulate)
 

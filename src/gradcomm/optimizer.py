@@ -5,8 +5,8 @@ gradient of a diagonal quadratic ``Problem`` (optionally compressed for the
 uplink), and the server averages the received vectors.  Simulated wall-clock
 time charges each round ``commodel.round_times``, one downlink transmission plus
 the maximum of the n parallel uplinks; gradient compute time is charged as zero.
-Bit accounting uses the compressors' exact message sizes.  The round's
-compressed gradients are reconstructed in-process by one
+Round t's bit columns are t*n*up and t*down, from exact message sizes.  The
+round's compressed gradients are reconstructed in-process by one
 ``compression.add_decompressed`` call, and a compressed downlink's iterate by
 another, from the same operator code and seeds as message round trips, so
 the trace is identical to one.  A run makes no (n, d) array: the uplink
@@ -17,10 +17,10 @@ forms in the mean target and the optimal value, which each ``Problem``
 computes once.  With unit curvature (``Problem.mean``) a gradient is one
 subtraction and the trace's two numbers share one sum of squares.
 
-The seeded kinds' randomness is keyed by (seed, stream, round): each stream
-(uplink, downlink) builds one ``default_rng(SeedSequence(seed, spawn_key=
-(stream, round)))`` per round and hands it to ``add_decompressed``, whose
-messages draw from it in worker order.
+Every seeded draw comes from ``stream_rng(seed, *spawn_key)`` and the one
+spawn-key table below: one generator per run for the time noise and the
+CLI's problem data, keyed (stream,), and one per round for the seeded kinds'
+uplink and downlink, keyed (stream, round), drawn from in worker order.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,20 +48,18 @@ from .errors import DivergenceError, ParameterError, is_int
 
 DIVERGENCE_LIMIT = 1e12
 
-# SeedSequence spawn-key prefixes; they keep the time-noise stream independent
-# of the compression streams, so runs that differ only in the compressor draw
-# identical noise.
+# The SeedSequence spawn-key prefix of every seeded stream; a new stream takes
+# a new row.  No stream draws another's numbers, so runs that differ only in
+# the compressor draw identical time noise and problem data.
 _TIME_STREAM = 0
 _UPLINK_STREAM = 1
 _DOWNLINK_STREAM = 2
+PROBLEM_STREAM = 3
 
 
-def _round_rng(seed: int, stream: int, round_idx: int) -> np.random.Generator:
-    """The one generator that round ``round_idx``'s messages of ``stream`` draw from."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, round_idx)))
-
-
-TRACE_CSV_HEADER = "round,objective,grad_norm,wall_clock_s,uplink_bits,downlink_bits"
+def stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The generator of stream ``spawn_key`` under ``seed``: key (stream,) or (stream, round)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +228,7 @@ class SimConfig:
                 f"downlink_compressed must be a bool, got {self.downlink_compressed!r}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     round: int
     objective: float
     grad_norm: float
@@ -239,18 +237,18 @@ class TraceRow:
     downlink_bits: int
 
 
-@dataclass(eq=False)
+TRACE_CSV_HEADER = ",".join(TraceRow._fields)  # a trace.csv row is a TraceRow
+
+
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     rows: list[TraceRow]
     final_x: np.ndarray
+    gamma: float  # the stepsize used: SimConfig.gamma, else default_stepsize
 
     def to_csv(self, target) -> None:
         """Write the trace; ``target`` is a path or a writable text file."""
-        write_csv(target, TRACE_CSV_HEADER, (
-            (row.round, row.objective, row.grad_norm, row.wall_clock_s,
-             row.uplink_bits, row.downlink_bits)
-            for row in self.rows
-        ))
+        write_csv(target, TRACE_CSV_HEADER, self.rows)
 
 
 def default_stepsize(problem: Problem, spec: CompressorSpec) -> float:
@@ -276,7 +274,7 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     gamma = config.gamma if config.gamma is not None else default_stepsize(problem, spec)
     if not 0 < gamma < math.inf:
         raise ParameterError(f"stepsize must be positive and finite, got {gamma}")
-    time_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(_TIME_STREAM,)))
+    time_rng = stream_rng(config.seed, _TIME_STREAM)
     x = np.zeros(d)
 
     compress_downlink = config.downlink_compressed and spec.kind != "identity"
@@ -284,9 +282,9 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
     down_bits = up_bits if compress_downlink else message_bits(CompressorSpec(), d)
 
     def round_rng(stream: int, round_idx: int):  # None for identity and top_k, which never draw
-        return _round_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
+        return stream_rng(config.seed, stream, round_idx) if spec.kind in RANDOMIZED_KINDS else None
 
-    wall, up_total, down_total = 0.0, 0, 0
+    wall = 0.0
     # The gradients the uplink reads, at the iterate the workers received,
     # computed as it reads them.  The trace needs only O(d).
     grads = _WorkerGradients(problem, x)
@@ -304,13 +302,12 @@ def run_compressed_gd(problem: Problem, config: SimConfig) -> SimTrace:
 
         x = x - gamma * (agg / n)
         wall += round_time
-        up_total += n * up_bits
-        down_total += down_bits
         obj, grad_norm = problem.objective_and_grad_norm(x)
         if not obj <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective {obj:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {k + 1}; "
                 "reduce the stepsize"
             )
-        rows.append(TraceRow(k + 1, obj, grad_norm, wall, up_total, down_total))
-    return SimTrace(rows=rows, final_x=x)
+        rows.append(TraceRow(k + 1, obj, grad_norm, wall,
+                             (k + 1) * n * up_bits, (k + 1) * down_bits))
+    return SimTrace(rows=rows, final_x=x, gamma=gamma)

@@ -1007,6 +1007,66 @@ def test_negative_config_seed_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+# One value for each simulate setting, and the other settings its run needs.
+SETTING_VALUES = {
+    "n": "3", "d": "12", "steps": "4", "gamma": "0.2", "compressor.kind": "natural",
+    "compressor.k": "5", "compressor.r": "2", "alpha": "2e-3", "beta": "3e-8",
+    "alpha_m": "0.1", "beta_m": "0.2", "downlink_compressed": "true", "seed": "9",
+}
+SETTING_CONTEXT = {"compressor.k": {"compressor.kind": "top_k"},
+                   "compressor.r": {"compressor.kind": "rank_r"},
+                   "downlink_compressed": {"compressor.kind": "rand_k", "compressor.k": "3"}}
+REQUIRED_SETTINGS = ["n", "d", "steps", "alpha", "beta"]
+
+
+@pytest.mark.parametrize("key", list(SETTING_VALUES))
+def test_setting_as_flag_or_config_key_writes_the_same_bytes(tmp_path, key):
+    assert SETTING_VALUES.keys() == cli.SETTINGS.keys()
+    value, flag = SETTING_VALUES[key], cli.SETTINGS[key].flag
+    base = {**{k: SETTING_VALUES[k] for k in REQUIRED_SETTINGS}, **SETTING_CONTEXT.get(key, {})}
+    base.pop(key, None)
+    runs = {"flag": (base, [flag] if value == "true" else [flag, value]),  # a bool flag takes no value
+            "file": ({**base, key: value}, [])}
+    outputs = {}
+    for name, (config, flags) in runs.items():
+        (tmp_path / f"{name}.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(tmp_path / f"{name}.cfg"), *flags,
+                     "--out", str(out)]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("trace.csv", "simulate.manifest.json")]
+    assert outputs["flag"] == outputs["file"]
+    manifest = json.loads(outputs["file"][1])
+    assert manifest["config"][key] == cli.SETTINGS[key].parse(value)
+
+
+@pytest.mark.parametrize("missing", [REQUIRED_SETTINGS, ["d", "beta"],
+                                     *([key] for key in REQUIRED_SETTINGS)],
+                         ids=lambda keys: "-".join(keys))
+def test_missing_required_settings_exit_2_named_in_order(tmp_path, capsys, missing):
+    assert [k for k, s in cli.SETTINGS.items() if s.default is cli.REQUIRED] == REQUIRED_SETTINGS
+    flags = [arg for key in REQUIRED_SETTINGS if key not in missing
+             for arg in (cli.SETTINGS[key].flag, SETTING_VALUES[key])]
+    out = tmp_path / "out"
+    assert main(["simulate", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: simulate needs values for: {', '.join(missing)}\n"
+    assert not out.exists()
+
+
+# An option given as the empty string is a bad value, not an absent option.
+@pytest.mark.parametrize("argv, named", [
+    (["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10", "--omegas", ""],
+     "bad compression ratio list ''"),
+    (["simulate", "--n", "2", "--d", "4", "--steps", "2", "--alpha", "1e-3", "--beta", "1e-8",
+      "--config", ""], "Is a directory"),  # the path "" is the working directory
+    (["fit", "--live", ""], "--live expects HOST:PORT, got ''"),
+], ids=["regions-omegas", "simulate-config", "fit-live"])
+def test_empty_option_value_exit_2(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 _REGIONS = ["regions", "--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10"]
 _SIMULATE = ["simulate", "--n", "2", "--d", "4", "--steps", "2"]
 # Every float option of every subcommand, with a finite value for each other

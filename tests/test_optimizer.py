@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gradcomm.optimizer import (
     Problem,
     SimConfig,
     TraceRow,
-    _round_rng,
+    stream_rng,
     _WorkerGradients,
     closed_form_optimum,
     default_stepsize,
@@ -422,7 +423,7 @@ def _first_draws(rng):
 ], ids=["from-zero", "rounds-2**16", "workers-2**16", "three-blocks"])
 def test_message_generators_match_seed_sequence(seed, stream, rounds, n_workers):
     for round_idx in rounds:
-        got = _round_rng(seed, stream, round_idx)
+        got = stream_rng(seed, stream, round_idx)
         want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, round_idx)))
         assert got.bit_generator.state == want.bit_generator.state, round_idx
         # Messages draw from it in worker order; each round's first four are checked.
@@ -558,3 +559,61 @@ def test_diverging_run_names_the_explicit_runs_round(spec):
         run_compressed_gd(problem, config)
     assert str(err.value).startswith(
         f"objective {first.objective:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at round {first.round}; ")
+
+
+# ROADMAP item 15's exact expectation for rand_k on the diagonal quadratic,
+# from x0 = 0.  With e = x - a-bar and omega = d/k - 1, each coordinate's
+# second moment follows E e2_{t+1} = A E e2_t + B, where
+# A = (1 - gamma h)^2 + gamma^2 h^2 omega / n and
+# B = gamma^2 h^2 omega / n^2 * sum_i (a-bar - a_i)^2, and the expected gap
+# is 0.5 * sum h E e2.  Fixed before the run: seeds 0..399, rounds 1..12 and
+# a Bonferroni z bound over both problems' 24 rounds at a family-wise level
+# of 1 %.
+ORACLE_PROBLEMS = {"mean": Problem.mean(np.random.default_rng(13).standard_normal((4, 8))),
+                   "random_quadratic": Problem.random_quadratic(4, 8, seed=13)}
+ORACLE_SEEDS, ORACLE_ROUNDS = 400, 12
+ORACLE_Z = NormalDist().inv_cdf(1 - 0.01 / (2 * len(ORACLE_PROBLEMS) * ORACLE_ROUNDS))
+
+
+def _expected_rand_k_gaps(problem: Problem, gamma: float, k: int, rounds: int) -> np.ndarray:
+    """E[f(x_t)] - f* for t = 0..rounds, from the per-coordinate recursion."""
+    x_bar, _ = closed_form_optimum(problem)
+    h, n, d = problem.curvature, problem.n, problem.d
+    omega = d / k - 1
+    a = (1 - gamma * h) ** 2 + gamma**2 * h**2 * omega / n
+    b = gamma**2 * h**2 * omega / n**2 * ((x_bar - problem.targets) ** 2).sum(axis=0)
+    second, gaps = x_bar**2, []
+    for _ in range(rounds + 1):
+        gaps.append(0.5 * np.sum(h * second))
+        second = a * second + b
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+def test_rand_k_mean_gap_matches_exact_expectation(name):
+    problem = ORACLE_PROBLEMS[name]
+    _, f_star = closed_form_optimum(problem)
+    spec = CompressorSpec("rand_k", k=2)
+    gaps = np.empty((ORACLE_SEEDS, ORACLE_ROUNDS))
+    for seed in range(ORACLE_SEEDS):
+        config = SimConfig(steps=ORACLE_ROUNDS, time_model=QUIET, compressor=spec, seed=seed)
+        trace = run_compressed_gd(problem, config)
+        gaps[seed] = [row.objective - f_star for row in trace.rows[1:]]
+    assert trace.gamma == default_stepsize(problem, spec)
+    expected = _expected_rand_k_gaps(problem, trace.gamma, spec.k, ORACLE_ROUNDS)[1:]
+    z = (gaps.mean(axis=0) - expected) / (gaps.std(axis=0, ddof=1) / math.sqrt(ORACLE_SEEDS))
+    assert np.abs(z).max() < ORACLE_Z, z
+
+
+@pytest.mark.parametrize("gamma", [None, 0.3])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+def test_identity_gap_matches_closed_form(name, gamma):
+    # Bounded by the starting gap: the relative error of a late, small gap
+    # grows with the rounds, its error over gap_0 does not.
+    problem, rounds = ORACLE_PROBLEMS[name], 40
+    x_bar, f_star = closed_form_optimum(problem)
+    trace = run_compressed_gd(problem, SimConfig(steps=rounds, time_model=QUIET, gamma=gamma))
+    h, gamma = problem.curvature, trace.gamma  # the default stepsize when gamma is None
+    want = [0.5 * np.sum(h * (1 - gamma * h) ** (2 * t) * x_bar**2) for t in range(rounds + 1)]
+    got = [row.objective - f_star for row in trace.rows]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])

@@ -98,3 +98,19 @@ def test_only_compression_names_the_batch_budgets():
                 names |= {alias.name for alias in node.names}
         naming += [(path.name, name) for name in sorted(names & budgets)]
     assert not naming
+
+
+def test_only_optimizer_names_seed_sequence():
+    # optimizer.stream_rng builds every seeded stream from the one table of
+    # spawn keys, so no other module can reuse a stream's key for its own.
+    naming = []
+    for path in sorted(Path(optimizer.__file__).parent.glob("*.py")):
+        if path.name == "optimizer.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            naming += [path.name] * names.count("SeedSequence")
+    assert not naming
