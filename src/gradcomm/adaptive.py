@@ -36,7 +36,7 @@ import numpy as np
 
 from . import estimator
 from .compression import DEFAULT_BITS_PER_SCALAR, CompressorSpec, message_bits
-from .errors import ParameterError, is_int
+from .errors import DegenerateDesignError, ParameterError, is_int
 
 SELECTION_FAMILIES = ("rand_k", "top_k")
 
@@ -138,12 +138,25 @@ def adaptive_controller(
     alpha and beta are not read), which ``estimator.fit`` keeps finite.  If
     forgetting has washed out all size variation the fit is degenerate; the
     controller keeps the last selection and moves on.
+
+    Each sample is absorbed by ``estimator.advance`` and fitted by
+    ``estimator.fit`` as it arrives, so a decision comes before the next
+    sample is read.  A sample the estimator refuses, or an overflowed fit,
+    raises at once; a stream whose sizes never varied raises once it ends.
     """
+    state = estimator.start(p_max, forgetting)
     last_k = None
-    for state, current in estimator.running_fits(samples, p_max, forgetting):
-        if current is None:  # a washed-out fit; running_fits never yields one first
+    for x, y in samples:
+        state = estimator.advance(state, x, y)
+        try:
+            current = estimator.fit(state)
+        except estimator.SumsOverflowedError:
+            raise  # refused, not waited out like a washed-out design
+        except DegenerateDesignError:  # not identified yet, or washed out
             continue
         k_star, cost = _argmin(objective, current.alpha_hat, current.beta_hat)
         if k_star != last_k:
             yield Decision(state.count, current, k_star, cost)
             last_k = k_star
+    if last_k is None:
+        raise DegenerateDesignError(estimator.SIZES_NEVER_VARIED)

@@ -4,7 +4,12 @@ Unit conventions at this boundary: message sizes are BYTES and rates are
 seconds per byte (human convention); all library internals work in bits and
 seconds per bit.  ``estimator.BITS_PER_BYTE`` is the one factor between them,
 applied exactly once on the way in or out: here, or by
-``estimator.read_samples_csv`` to the byte sizes of a samples CSV.  Every run
+``estimator.read_samples_csv`` to the byte sizes of a samples CSV.
+
+``fit`` takes every fit of its samples from one ``estimator.fit_columns``
+call.  ``fit --samples`` and ``select --fit`` parse their CSV columns in bulk
+(``csvio.load_columns``); a file that parse cannot vouch for is read row by
+row, which names a faulty file and line.  Every run
 writes a manifest next to its outputs recording the resolved configuration,
 seed (null for subcommands that draw no random numbers), output names, and
 tool version.
@@ -37,7 +42,7 @@ import numpy as np
 from . import __version__, adaptive, commodel, estimator, netprobe, optimizer
 from .commodel import TimeModelParams
 from .compression import DEFAULT_BITS_PER_SCALAR, KINDS, CompressorSpec
-from .csvio import format_rows, read_csv, write_csv
+from .csvio import format_rows, load_columns, read_csv, write_csv
 from .errors import ConfigError, DegenerateDesignError, GradcommError, NetworkError
 from .estimator import BITS_PER_BYTE
 
@@ -50,7 +55,8 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _parse_bool(text: str) -> bool:
+def boolean(text: str) -> bool:
+    """Parse a bool setting: true, 1, yes or on; false, 0, no or off (any case)."""
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
@@ -84,9 +90,12 @@ SETTINGS = {
     "beta": Setting("--beta", float, REQUIRED, "seconds per byte"),
     "alpha_m": Setting("--alpha-m", float, 0.0, "relative jitter (sd) of alpha"),
     "beta_m": Setting("--beta-m", float, 0.0, "relative jitter (sd) of beta"),
-    "downlink_compressed": Setting("--downlink-compressed", _parse_bool, False),
+    "downlink_compressed": Setting("--downlink-compressed", boolean, False,
+                                   "compress the broadcast too: true or false (bare: true)"),
     "seed": Setting("--seed", non_negative_int, 0, "randomness seed (default: config's, else 0)"),
 }
+
+FIT_COLUMNS = ("alpha_hat", "beta_hat")  # what select --fit reads of a fit trace
 
 # jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it;
 # the powers are computed and formatted in blocks of JCURVE_CHUNK.
@@ -195,25 +204,35 @@ def cmd_fit(args) -> None:
         if args.samples is None:
             raise ConfigError("fit needs --samples PATH or --live HOST:PORT")
         samples = estimator.read_samples_csv(args.samples)
-        p_max = max((x for x, _ in samples), default=1.0)
+        p_max = float(samples[:, 0].max()) if len(samples) else 1.0
         config = {"samples": args.samples, "forgetting": args.forgetting}
+    fits = estimator.fit_columns(
+        estimator.start(p_max, args.forgetting), samples[:, 0], samples[:, 1])
+    fitted = np.flatnonzero(~np.isnan(fits.alpha_hat))
+    first = fitted[0] if fitted.size else len(fits.count)
+    if fitted.size < len(fits.count) - first:  # a sample after the first fit has none
+        raise DegenerateDesignError(
+            "degenerate design: forgetting has washed out the size variation")
+    if fits.fault is not None:
+        raise fits.fault
+    if not fitted.size:
+        raise DegenerateDesignError(estimator.SIZES_NEVER_VARIED)
     # beta_hat is written in seconds per byte (boundary convention).
-    rows = []
-    for _, result in estimator.running_fits(samples, p_max, args.forgetting):
-        if result is None:
-            raise DegenerateDesignError(
-                "degenerate design: forgetting has washed out the size variation")
-        rows.append((result.k, result.alpha_hat, result.beta_hat * BITS_PER_BYTE))
+    columns = (fits.count[first:], fits.alpha_hat[first:], fits.beta_hat[first:] * BITS_PER_BYTE)
+    rows = [column.tolist() for column in columns]
     out = _out_dir(args)
     path = out / "fit_trace.csv"
-    write_csv(path, "k,alpha_hat,beta_hat", rows)
+    write_csv(path, "k,alpha_hat,beta_hat", zip(*rows))
     _write_manifest(out, "fit", config, args.seed, [path.name])
-    k, alpha, beta = rows[-1]
+    k, alpha, beta = (column[-1] for column in rows)
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
 
 
-def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
-    """Probe p_max, p_max/16 and one proposed size per round over one connection."""
+def _probe_live(args) -> tuple[np.ndarray, float]:
+    """Probe p_max, p_max/16 and one proposed size per round over one connection.
+
+    Returns the (size_bits, rtt_seconds) samples as an (N, 2) array, and p_max in bits.
+    """
     host, _, port_text = args.live.rpartition(":")
     if not host or not port_text.isdigit():
         raise ConfigError(f"--live expects HOST:PORT, got {args.live!r}")
@@ -232,7 +251,8 @@ def _probe_live(args) -> tuple[list[tuple[float, float]], float]:
     result = netprobe.probe(host, int(port_text), sizes, reps=1, warmup=args.warmup)
     if result.error or len(result.samples) < len(sizes):
         raise NetworkError(result.error or "probe returned too few samples")
-    return [(s.size_bytes * BITS_PER_BYTE, s.rtt_seconds) for s in result.samples], p_max
+    samples = [(s.size_bytes * BITS_PER_BYTE, s.rtt_seconds) for s in result.samples]
+    return np.array(samples, dtype=np.float64), p_max
 
 
 def _jcurve_rows(obj: adaptive.SelectionObjective, ks: np.ndarray) -> str:
@@ -287,12 +307,12 @@ def cmd_select(args) -> None:
     several blocks and CPUs; their bytes do not depend on that.
     """
     if args.fit is not None:
-        last = None
-        for last in read_csv(args.fit, ("alpha_hat", "beta_hat")):  # every row is checked
-            pass
-        if last is None:
+        fits = load_columns(args.fit, FIT_COLUMNS)
+        if fits is None:  # read_csv checks every row and names a faulty one
+            fits = list(read_csv(args.fit, FIT_COLUMNS))
+        if not len(fits):
             raise ConfigError(f"fit trace {args.fit} has no rows")
-        alpha, beta_per_byte = last
+        alpha, beta_per_byte = map(float, fits[-1])
     elif args.alpha is not None and args.beta is not None:
         alpha, beta_per_byte = args.alpha, args.beta
     else:
@@ -471,12 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[writes],
                        help="run the distributed GD simulator on the mean problem")
     for key, setting in SETTINGS.items():  # each flag is None unless given
-        if setting.parse is _parse_bool:  # given, a bool flag sets its setting true
-            p.add_argument(setting.flag, action="store_const", const=True, dest=key, help=setting.help)
-        else:
-            p.add_argument(setting.flag, type=setting.parse, choices=setting.choices, dest=key,
-                           metavar=None if setting.choices else key.rpartition(".")[2].upper(),
-                           help=setting.help)
+        # A bool flag takes an optional value; given bare, it sets its setting true.
+        optional = {"nargs": "?", "const": True} if setting.parse is boolean else {}
+        p.add_argument(setting.flag, type=setting.parse, choices=setting.choices, dest=key,
+                       metavar=None if setting.choices else key.rpartition(".")[2].upper(),
+                       help=setting.help, **optional)
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=cmd_simulate)
 

@@ -8,12 +8,18 @@ batch least-squares fit:
     beta  = (w * s_xy - s_x * s_y) / (w * s_xx - s_x^2)
     alpha = (s_y - beta * s_x) / w
 
-``start`` returns a state with zero sums and every sample goes through
-``advance``; ``fit`` raises :class:`DegenerateDesignError` until two sizes
-differ.  ``running_fits`` is the one loop that turns a (size, time) stream into
-fits.  ``batch_ls`` is the independent oracle: a centered two-pass fit over the
-stored points.  States and fits are immutable ``NamedTuple``s, so a snapshot
-can be read at any time while a single owner advances the stream.
+``start`` returns a state with zero sums; ``advance`` absorbs one sample and
+``fit`` raises :class:`DegenerateDesignError` until two sizes differ.
+``fit_columns`` turns a whole array of samples into fits: it takes size
+and time arrays, computes every running sum with one exact recurrence, and
+returns every sample's fit as columns plus the state to carry into the next
+call.  ``advance``, ``fit`` and ``update`` are its scalar reference: it
+gives their bits, and ``fit`` and it share the one identification test and
+alpha/beta formula.  A consumer that must act on each sample as it arrives,
+such as ``adaptive.adaptive_controller``, runs the scalar pair.  ``batch_ls`` is the independent oracle: a centered
+two-pass fit over the stored points.  States and fits are immutable
+``NamedTuple``s, so a snapshot can be read at any time while a single owner
+advances the stream.
 
 An optional exponential forgetting factor lambda (an extension; 1.0 reproduces
 the plain sums exactly) decays the sums and the weight before each sample, so
@@ -23,18 +29,20 @@ parameters can be tracked.
 
 from __future__ import annotations
 
+import array
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import csvio
-from .errors import DegenerateDesignError, ParameterError
+from .errors import DegenerateDesignError, GradcommError, ParameterError
 
 # Sizes arrive in bytes (CSV files, the CLI, netprobe) and the model works in bits.
 BITS_PER_BYTE = 8
 GRID_POINTS = 16
 GRID_SPAN = 1e4  # the geometric proposal grid covers (p_max / GRID_SPAN, p_max]
+SAMPLE_COLUMNS = ("size_bytes", "time_seconds")
 
 
 class EstimatorState(NamedTuple):
@@ -64,8 +72,58 @@ def start(p_max: float, forgetting: float = 1.0) -> EstimatorState:
                           p_max=p_max, forgetting=forgetting)
 
 
-class _SumsOverflowed(DegenerateDesignError):
-    """The fit's arithmetic left the floats: refused, never waited out."""
+class SumsOverflowedError(DegenerateDesignError):
+    """The fit's arithmetic left the floats: refused, never waited out like a washed-out design."""
+
+
+# What a stream whose sizes never varied raises once it ends.
+SIZES_NEVER_VARIED = "degenerate design: all message sizes are equal"
+
+
+class FitColumns(NamedTuple):
+    """``fit_columns``' result: one entry per sample it absorbed, and the state after them."""
+
+    count: np.ndarray  # int64: samples absorbed, the fit's k
+    alpha_hat: np.ndarray  # float64; NaN where ``fit`` finds the sizes do not vary
+    beta_hat: np.ndarray
+    state: EstimatorState
+    fault: GradcommError | None  # raised by the caller; the columns stop at its sample
+
+
+def _design(w, s_x, s_xx):
+    """The design determinant and whether it identifies the slope, for floats or arrays.
+
+    Cauchy-Schwarz keeps the determinant >= 0; a (near-)zero value means the
+    ingested sizes no longer vary, so the slope is unidentifiable.  NaN and
+    inf fail too.
+    """
+    denom = w * s_xx - s_x * s_x
+    return denom, denom > 1e-12 * w * s_xx
+
+
+def _coefficients(w, s_x, s_y, s_xy, denom):
+    """alpha and beta from the sums and the design determinant, for floats or arrays."""
+    beta = (w * s_xy - s_x * s_y) / denom
+    return (s_y - beta * s_x) / w, beta
+
+
+def _finite(value):
+    """``math.isfinite`` of a float, elementwise for an array."""
+    return abs(value) < math.inf
+
+
+def _sample_checks(bits, time):
+    """A samples file's rule for one sample, for floats or arrays: (positive, held).
+
+    ``positive``: the size is above 0.  ``held``: its bits squared and its
+    bits times its time are finite, so the fit's sums can hold the sample.
+    """
+    return bits > 0, _finite(bits * bits) & _finite(bits * time)
+
+
+def _products_finite(w, s_x, s_y, s_xy, s_xx):
+    """Whether a fit that sees no varying sizes could still trust its sums' products."""
+    return _finite(w * s_xx) & _finite(w * s_xy) & _finite(s_x * s_y)
 
 
 def fit(state: EstimatorState) -> FitResult:
@@ -76,27 +134,31 @@ def fit(state: EstimatorState) -> FitResult:
     that is not finite (each product may be finite while their difference
     or ``beta * s_x`` is not).
     """
-    w = state.weight
-    denom = w * state.s_xx - state.s_x * state.s_x
-    # Cauchy-Schwarz keeps denom >= 0; a (near-)zero value means the ingested
-    # sizes no longer vary, so the slope is unidentifiable.  NaN and inf fail too.
-    if denom > 1e-12 * w * state.s_xx:
-        beta = (w * state.s_xy - state.s_x * state.s_y) / denom
-        alpha = (state.s_y - beta * state.s_x) / w
-        if math.isfinite(alpha) and math.isfinite(beta):
+    _, w, s_x, s_y, s_xy, s_xx, _, _ = state
+    denom, identified = _design(w, s_x, s_xx)
+    if identified:
+        alpha, beta = _coefficients(w, s_x, s_y, s_xy, denom)
+        if _finite(alpha) and _finite(beta):
             return FitResult(alpha, beta, state.count)
-    elif (math.isfinite(w * state.s_xx) and math.isfinite(w * state.s_xy)
-          and math.isfinite(state.s_x * state.s_y)):
+    elif _products_finite(w, s_x, s_y, s_xy, s_xx):
         raise DegenerateDesignError("degenerate design: message sizes do not vary")
-    raise _SumsOverflowed("degenerate design: the running sums overflowed")
+    raise SumsOverflowedError("degenerate design: the running sums overflowed")
+
+
+def _sample_fault(p_max, x_k, y_k) -> ParameterError | None:
+    """Why ``advance`` refuses the sample ``(x_k, y_k)``, or None if it absorbs it."""
+    if not 0 < x_k <= p_max:
+        return ParameterError(f"message size {x_k} outside (0, {p_max}]")
+    if not -math.inf < y_k < math.inf:
+        return ParameterError(f"time {y_k} is not finite")
+    return None
 
 
 def advance(state: EstimatorState, x_k, y_k) -> EstimatorState:
     """Absorb one sample into the sums without computing a fit."""
-    if not 0 < x_k <= state.p_max:
-        raise ParameterError(f"message size {x_k} outside (0, {state.p_max}]")
-    if not -math.inf < y_k < math.inf:
-        raise ParameterError(f"time {y_k} is not finite")
+    fault = _sample_fault(state.p_max, x_k, y_k)
+    if fault is not None:
+        raise fault
     lam = state.forgetting
     return EstimatorState(  # positional, in field order: the cheapest call
         state.count + 1,
@@ -116,31 +178,64 @@ def update(state: EstimatorState, x_k, y_k) -> tuple[EstimatorState, FitResult]:
     return new_state, fit(new_state)
 
 
-def running_fits(samples, p_max: float, forgetting: float = 1.0):
-    """Absorb (size, time) samples from an empty state, one ``advance`` each.
+def fit_columns(state: EstimatorState, sizes, times) -> FitColumns:
+    """Absorb the samples ``(sizes[i], times[i])`` from ``state``: every fit and the end state.
 
-    Yields ``(state, fit)`` for every sample from the first one at which the
-    sizes vary.  A later fit that forgetting has made degenerate comes as
-    ``(state, None)``.  Overflow (of the sums or of the alpha and beta they
-    give) raises :class:`DegenerateDesignError` at once, a stream whose sizes
-    never vary once it ends.
+    Entry i of the columns is ``fit`` after ``advance`` on every sample up to
+    i, bit for bit, with sizes and times read as float64; where ``fit`` finds
+    that the sizes do not vary, alpha and beta are NaN.  The five running sums
+    follow ``advance``'s recurrence exactly: at forgetting 1, ``np.cumsum``
+    seeded with the carried sum makes the same additions in the same order,
+    and below 1 one loop runs ``lam * s + v`` from it for the five sums at
+    once.  So a stream fed in pieces, each from the state the last one ended
+    in, gives the same bits as one call.  The fits' formula is ``fit``'s own,
+    applied to the sums' columns.
+
+    A sample ``advance`` refuses, or a fit whose sums or coefficients
+    overflow, ends the columns before it: ``fault`` is the error that sample
+    raises, with ``advance``'s message on the caller's own values, and
+    ``state`` the state after the last sample absorbed.
     """
-    state = start(p_max, forgetting)
-    identified = False
-    for x, y in samples:
-        state = advance(state, x, y)
-        try:
-            result = fit(state)
-        except _SumsOverflowed:
-            raise  # refused, not waited out like a washed-out design
-        except DegenerateDesignError:
-            if not identified:
-                continue
-            result = None
-        identified = True
-        yield state, result
-    if not identified:
-        raise DegenerateDesignError("degenerate design: all message sizes are equal")
+    x = np.asarray(sizes, dtype=np.float64)
+    y = np.asarray(times, dtype=np.float64)
+    lam = state.forgetting
+    with np.errstate(all="ignore"):
+        # Row r of ``sums`` is sum r's carried value, then its value after each
+        # sample.  A sum depends on no later sample, so the samples after the
+        # first refused one, cut off below, cannot change it.
+        if lam == 1.0:  # the carried sum, then each term: cumsum adds them in advance's order
+            sums = np.empty((5, x.size + 1))
+            sums[:, 0] = state[1:6]
+            sums[0, 1:] = 1.0
+            sums[1, 1:] = x
+            sums[2, 1:] = y
+            np.multiply(x, y, out=sums[3, 1:])
+            np.multiply(x, x, out=sums[4, 1:])
+            np.cumsum(sums, axis=1, out=sums)
+        else:  # advance's arithmetic, sample by sample, into one buffer of doubles
+            w, s_x, s_y, s_xy, s_xx = state[1:6]
+            flat = array.array("d", state[1:6])
+            for x_k, y_k in zip(memoryview(x), memoryview(y)):
+                w, s_x, s_y = lam * w + 1.0, lam * s_x + x_k, lam * s_y + y_k
+                s_xy, s_xx = lam * s_xy + x_k * y_k, lam * s_xx + x_k * x_k
+                flat.extend((w, s_x, s_y, s_xy, s_xx))
+            sums = np.frombuffer(flat).reshape(-1, 5).T
+        w, s_x, s_y, s_xy, s_xx = sums[:, 1:]
+        denom, identified = _design(w, s_x, s_xx)
+        alpha, beta = _coefficients(w, s_x, s_y, s_xy, denom)
+        fitted = identified & _finite(alpha) & _finite(beta)
+        sound = ((0 < x) & (x <= state.p_max) & _finite(y)
+                 & (fitted | ~identified & _products_finite(w, s_x, s_y, s_xy, s_xx)))
+    stops = np.flatnonzero(~sound)
+    n = int(stops[0]) if stops.size else x.size
+    fault = None
+    if n < x.size:  # a refused sample, else a fit that overflowed
+        fault = (_sample_fault(state.p_max, sizes[n], times[n])
+                 or SumsOverflowedError("degenerate design: the running sums overflowed"))
+    end = EstimatorState(state.count + n, *sums[:, n].tolist(), state.p_max, lam)
+    alpha = np.where(fitted[:n], alpha[:n], np.nan)
+    beta = np.where(fitted[:n], beta[:n], np.nan)
+    return FitColumns(np.arange(state.count + 1, state.count + n + 1), alpha, beta, end, fault)
 
 
 def batch_ls(points) -> FitResult:
@@ -180,22 +275,38 @@ def propose_next_size(count: int, p_max: float, policy: str = "uniform", rng=Non
     raise ParameterError(f"unknown proposal policy: {policy!r}")
 
 
-def read_samples_csv(path) -> list[tuple[float, float]]:
-    """Load (size_bits, time_seconds) pairs from a ``size_bytes,time_seconds`` CSV.
+def read_samples_csv(path) -> np.ndarray:
+    """Load (size_bits, time_seconds) rows from a ``size_bytes,time_seconds`` CSV.
 
-    Sizes are converted from bytes to bits (x8).  Extra columns such as the
-    probe's ``rep`` are ignored.  A missing, non-numeric or non-finite field,
-    a size that is not positive, or a size whose bits squared or bits times
-    time is not finite (the fit's sums could not hold it), raises
-    :class:`ParameterError` naming its line.
+    Returns an (N, 2) float64 array.  Sizes are converted from bytes to bits
+    (x8).  Extra columns such as the probe's ``rep`` are ignored.  A missing,
+    non-numeric or non-finite field, a size that is not positive, or a size
+    whose bits squared or bits times time is not finite (the fit's sums could
+    not hold it), raises :class:`ParameterError` naming its line.
+
+    The rows are parsed in bulk by ``csvio.load_columns``.  A file it cannot
+    vouch for, or with a row that fails a check, is read again row by row,
+    which names the faulty line.
     """
-    rows = csvio.read_csv(path, ("size_bytes", "time_seconds"))
-    samples = []
+    samples = csvio.load_columns(path, SAMPLE_COLUMNS)
+    if samples is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples[:, 0] *= BITS_PER_BYTE
+            bits, time = samples.T
+            positive, held = _sample_checks(bits, time)
+            if (positive & held).all():
+                return samples
+    return np.array(list(_sample_rows(path)), dtype=np.float64).reshape(-1, 2)
+
+
+def _sample_rows(path):
+    """Yield each (size_bits, time_seconds) row, raising at the first faulty line."""
+    rows = csvio.read_csv(path, SAMPLE_COLUMNS)
     for size, time in rows:
-        if not size > 0:
-            rows.throw(ValueError(f"size_bytes must be positive, got {size!r}"))
         bits = size * BITS_PER_BYTE
-        if not (math.isfinite(bits * bits) and math.isfinite(bits * time)):
+        positive, held = _sample_checks(bits, time)
+        if not positive:
+            rows.throw(ValueError(f"size_bytes must be positive, got {size!r}"))
+        if not held:
             rows.throw(ValueError(f"non-finite bits**2 or bits*time for size_bytes {size!r}"))
-        samples.append((bits, time))
-    return samples
+        yield bits, time

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,16 +20,31 @@ from gradcomm.errors import DegenerateDesignError, ParameterError
 from gradcomm.optimizer import Problem, SimConfig, run_compressed_gd
 
 
-def oracle_decisions(samples, objective, p_max, forgetting):
-    """The controller's decisions rebuilt from ``select_power`` on each refreshed objective."""
-    decisions, last_k = [], None
-    for state, fit in estimator.running_fits(samples, p_max, forgetting):
-        if fit is None:
+def scalar_fits(samples, p_max, forgetting):
+    """Each (count, fit) of the scalar ``advance``/``fit`` loop, skipping unidentified fits."""
+    state = estimator.start(p_max, forgetting)
+    for x, y in samples:
+        state = estimator.advance(state, x, y)
+        try:
+            yield state.count, estimator.fit(state)
+        except estimator.SumsOverflowedError:
+            raise
+        except DegenerateDesignError:
             continue
+
+
+def oracle_decisions(samples, objective, p_max, forgetting):
+    """The controller's decisions rebuilt from ``select_power`` on each refreshed objective.
+
+    The fits come from a scalar loop written here, independent of the
+    controller's own.
+    """
+    decisions, last_k = [], None
+    for count, fit in scalar_fits(samples, p_max, forgetting):
         k_star, cost = select_power(
             dataclasses.replace(objective, alpha=fit.alpha_hat, beta=fit.beta_hat))
         if k_star != last_k:
-            decisions.append((state.count, k_star, cost.hex()))
+            decisions.append((count, k_star, cost.hex()))
             last_k = k_star
     return decisions
 
@@ -306,7 +322,7 @@ class TestController:
             got = [(dec.sample_index, dec.k_star, dec.predicted_cost.hex()) for dec in decisions]
             assert got == oracle_decisions(samples, objective, 1e6, forgetting)
             signs.update((fit.alpha_hat > 0, fit.beta_hat > 0)
-                         for _, fit in estimator.running_fits(samples, 1e6, forgetting))
+                         for _, fit in scalar_fits(samples, 1e6, forgetting))
         assert {(True, True), (False, True), (True, False)} <= signs
 
     def test_step_prices_at_most_four_candidates(self, monkeypatch):
@@ -318,9 +334,75 @@ class TestController:
         samples = [(s, (1e-5 if i < 250 else 1e-4) + 1e-9 * s + rng.normal(0.0, 1e-6))
                    for i, s in enumerate(sizes)]
         decisions = list(adaptive_controller(samples, self.template(d=10**6), 1e6, 0.9))
-        fits = sum(fit is not None for _, fit in estimator.running_fits(samples, 1e6, 0.9))
+        fits = sum(1 for _ in scalar_fits(samples, 1e6, 0.9))
         assert len(decisions) > 1 and fits > 400
         assert len(calls) <= 4 * fits
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    @pytest.mark.parametrize("fault", ["size_zero", "int_size_zero", "size_above_p_max",
+                                       "time_nan", "overflow"])
+    def test_a_fault_raises_after_every_earlier_decision(self, forgetting, fault):
+        samples, p_max = pipeline_stream(seed=11, count=6000)
+        if fault == "int_size_zero":  # the message names the caller's 0, not 0.0
+            samples = [(int(x), y) for x, y in samples]
+        at = 4200
+        x, y = samples[at]
+        samples[at] = {"size_zero": (0.0, y), "int_size_zero": (0, y),
+                       "size_above_p_max": (2 * p_max, y),
+                       "time_nan": (x, math.nan), "overflow": (x, 1e305)}[fault]
+        objective = SelectionObjective("rand_k", d=10**6, n=16, alpha=0.0, beta=0.0)
+        expected = oracle_decisions(samples[:at], objective, p_max, forgetting)
+        with pytest.raises(Exception) as scalar_error:
+            oracle_decisions(samples, objective, p_max, forgetting)
+        got = []
+        with pytest.raises(type(scalar_error.value), match=re.escape(str(scalar_error.value))):
+            for dec in adaptive_controller(samples, objective, p_max, forgetting):
+                got.append((dec.sample_index, dec.k_star, dec.predicted_cost.hex()))
+        assert len(expected) > 2 and got == expected
+        if "size_zero" in fault:
+            assert str(scalar_error.value).startswith(f"message size {samples[at][0]!r} outside")
+
+    def test_each_decision_comes_before_the_next_sample_is_read(self):
+        samples, p_max = pipeline_stream(seed=13, count=3000)
+        objective = SelectionObjective("rand_k", d=10**6, n=16, alpha=0.0, beta=0.0)
+        expected = [(dec.sample_index, dec.k_star) for dec in
+                    adaptive_controller(samples, objective, p_max, 0.9)]
+        assert len(expected) > 2
+        read = []
+
+        def source(stop):
+            for i, sample in enumerate(samples):
+                if i == stop:
+                    raise OSError("the source failed")
+                read.append(i)
+                yield sample
+
+        # A consumer that stops at a decision has read no sample past it.
+        for index, k_star in expected:
+            read.clear()
+            decisions = adaptive_controller(source(None), objective, p_max, 0.9)
+            got = next((dec.sample_index, dec.k_star) for dec in decisions
+                       if dec.sample_index == index)
+            assert got == (index, k_star) and len(read) == index
+        # A source that fails after sample j still delivers every decision up to j.
+        stop = (expected[1][0] + expected[2][0]) // 2
+        got = []
+        with pytest.raises(OSError, match="the source failed"):
+            for dec in adaptive_controller(source(stop), objective, p_max, 0.9):
+                got.append((dec.sample_index, dec.k_star))
+        assert got == [decision for decision in expected if decision[0] <= stop]
+
+    def test_washout_keeps_deciding_and_a_never_varied_stream_raises_at_its_end(self):
+        objective = self.template(d=10**6)
+        washout = [(10.0, 1.0), (1000.0, 2.0)] + [(500.0, 1.5)] * 5000 + [(20.0, 1.1)] * 3
+        got = [(dec.sample_index, dec.k_star, dec.predicted_cost.hex())
+               for dec in adaptive_controller(washout, objective, 1e4, 0.5)]
+        assert got == oracle_decisions(washout, objective, 1e4, 0.5)
+        consumed = []
+        stream = (consumed.append(i) or (7.0, 1.0) for i in range(5000))
+        with pytest.raises(DegenerateDesignError, match=estimator.SIZES_NEVER_VARIED):
+            list(adaptive_controller(stream, objective, 1e4, 0.9))
+        assert len(consumed) == 5000
 
     def test_decision_fields(self):
         assert adaptive.Decision._fields == ("sample_index", "fit", "k_star", "predicted_cost")

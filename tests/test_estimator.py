@@ -205,58 +205,213 @@ class TestForgetting:
                 state, _ = estimator.update(state, 500.0, 1.5)
 
 
-class TestRunningFits:
+def scalar_fits(state, sizes, times):
+    """The scalar reference: ``advance`` then ``fit`` per sample, as fit_columns reports them.
+
+    Returns the (count, alpha_hat, beta_hat) rows (NaN where the sizes do not
+    vary), the state after the last sample absorbed, and the error that
+    stopped the stream, or None.
+    """
+    rows = []
+    for x, y in zip(sizes, times):
+        try:
+            next_state = estimator.advance(state, x, y)
+        except ParameterError as exc:
+            return rows, state, exc
+        try:
+            result = estimator.fit(next_state)
+            rows.append((next_state.count, result.alpha_hat, result.beta_hat))
+        except estimator.SumsOverflowedError as exc:
+            return rows, state, exc
+        except DegenerateDesignError:
+            rows.append((next_state.count, math.nan, math.nan))
+        state = next_state
+    return rows, state, None
+
+
+def column_rows(fits):
+    return list(zip(fits.count.tolist(), fits.alpha_hat.tolist(), fits.beta_hat.tolist()))
+
+
+def same_bits(a, b):
+    """Equal floats bit for bit (so -0.0 differs from 0.0, and NaN equals NaN)."""
+    return repr(a) == repr(b)
+
+
+def assert_same_rows(fits, rows):
+    got = column_rows(fits)
+    assert len(got) == len(rows) and all(map(same_bits, got, rows))
+
+
+def drifting_stream(rng, n, p_max=1e6):
+    """Sizes in (0, p_max], times with a tenfold alpha step halfway and some negative."""
+    x = rng.uniform(1.0, p_max, size=n)
+    alpha = np.where(np.arange(n) < n // 2, 1e-4, 1e-3)
+    return x, alpha + 1e-9 * x + rng.normal(0.0, 3e-4, size=n)
+
+
+class TestFitColumns:
     def test_first_fit_at_first_distinct_size(self):
         samples = [(5.0, 1.0), (5.0, 1.1), (5.0, 1.2), (6.0, 1.3), (7.0, 1.4)]
-        fits = list(estimator.running_fits(samples, p_max=10))
-        assert [state.count for state, _ in fits] == [4, 5]
-        assert [result.k for _, result in fits] == [4, 5]
-        assert fits[-1][1] == estimator.fit(fits[-1][0])
+        fits = estimator.fit_columns(estimator.start(10), *zip(*samples))
+        assert fits.count.tolist() == [1, 2, 3, 4, 5]
+        assert np.isnan(fits.alpha_hat[:3]).all() and np.isnan(fits.beta_hat[:3]).all()
+        assert not np.isnan(fits.alpha_hat[3:]).any()
+        last = estimator.fit(fits.state)
+        assert (fits.alpha_hat[-1], fits.beta_hat[-1], fits.count[-1]) == last
+        assert fits.fault is None
 
     def test_last_fit_equals_batch(self):
         rng = np.random.default_rng(4)
         x, y = make_stream(rng, 300, alpha_m=0.1, beta_m=0.1)
-        *_, (state, last) = estimator.running_fits(zip(x, y), p_max=1e6)
+        fits = estimator.fit_columns(estimator.start(1e6), x, y)
         batch = estimator.batch_ls(zip(x, y))
-        assert last.k == state.count == batch.k == 300
-        assert last.beta_hat == pytest.approx(batch.beta_hat, rel=1e-9)
-        assert last.alpha_hat == pytest.approx(batch.alpha_hat, rel=1e-9)
+        assert fits.count[-1] == fits.state.count == batch.k == 300
+        assert fits.beta_hat[-1] == pytest.approx(batch.beta_hat, rel=1e-9)
+        assert fits.alpha_hat[-1] == pytest.approx(batch.alpha_hat, rel=1e-9)
 
     @pytest.mark.parametrize("forgetting", [0.5, 0.9, 0.99])
     def test_forgetting_equals_weighted_batch_on_every_prefix(self, forgetting):
         rng = np.random.default_rng(8)
         x, y = make_stream(rng, 200, alpha_m=0.05, beta_m=0.05)
-        fits = estimator.running_fits(zip(x, y), p_max=1e6, forgetting=forgetting)
-        for n, (state, online) in enumerate(fits, start=2):
+        fits = estimator.fit_columns(estimator.start(1e6, forgetting), x, y)
+        assert fits.count.tolist() == list(range(1, 201))
+        assert np.isnan(fits.alpha_hat[0])
+        for n, alpha_hat, beta_hat in column_rows(fits)[1:]:
             alpha, beta = weighted_ls(x[:n], y[:n], forgetting)
-            assert online.k == state.count == n
-            assert online.beta_hat == pytest.approx(beta, rel=1e-9)
-            assert online.alpha_hat == pytest.approx(alpha, rel=1e-9)
+            assert beta_hat == pytest.approx(beta, rel=1e-9)
+            assert alpha_hat == pytest.approx(alpha, rel=1e-9)
 
-    def test_all_equal_sizes_raise_at_the_end(self):
+    def test_all_equal_sizes_are_never_fitted(self):
         for samples in ([], [(5.0, 1.0)], [(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)]):
-            with pytest.raises(DegenerateDesignError, match="all message sizes are equal"):
-                list(estimator.running_fits(samples, p_max=10))
+            fits = estimator.fit_columns(estimator.start(10), [x for x, _ in samples],
+                                         [y for _, y in samples])
+            assert np.isnan(fits.alpha_hat).all() and fits.fault is None
+            assert fits.state.count == len(samples)
 
     @pytest.mark.parametrize("head", [[(8.0, 2.0)], []], ids=["after-first-fit", "before"])
-    def test_overflowed_sums_raise_at_once(self, head):
+    def test_overflowed_sums_stop_the_columns(self, head):
         # Each 8e153-bit size squares to a finite 6.4e307; three of them
         # overflow s_xx, and no later sample can bring it back.
         samples = head + [(8e153, 3.0), (8e153, 4.0), (8e153, 5.0), (40.0, 4.0)]
-        fits = estimator.running_fits(iter(samples), p_max=1e154)
+        fits = estimator.fit_columns(estimator.start(1e154), *zip(*samples))
         with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
-            for state, _ in fits:
-                assert math.isfinite(state.s_xx)
+            raise fits.fault
+        # The second 8e153 size overflows w * s_xx, so the columns end before it.
+        assert fits.state.count == len(head) + 1 == len(fits.count)
+        assert math.isfinite(fits.state.s_xx)
+        rows, end, _ = scalar_fits(estimator.start(1e154), *zip(*samples))
+        assert_same_rows(fits, rows)
+        assert fits.state == end
         overflowed = estimator.start(1e154)._replace(count=3, weight=3.0, s_x=2.4e154,
                                                      s_xx=math.inf)
         with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
             estimator.fit(overflowed)
 
-    def test_washed_out_fit_comes_as_none(self):
+    def test_washed_out_fit_comes_as_nan(self):
         samples = [(10.0, 1.0), (1000.0, 2.0)] + [(500.0, 1.5)] * 100
-        fits = list(estimator.running_fits(samples, p_max=1e4, forgetting=0.5))
-        assert len(fits) == 101
-        assert fits[0][1] is not None and fits[-1][1] is None
+        fits = estimator.fit_columns(estimator.start(1e4, 0.5), *zip(*samples))
+        assert len(fits.count) == 102 and fits.fault is None
+        assert not np.isnan(fits.alpha_hat[1]) and np.isnan(fits.alpha_hat[-1])
+
+
+class TestFitColumnsOracle:
+    """fit_columns against the scalar advance/fit loop, bit for bit."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.99, 0.9, 0.5])
+    def test_every_fit_and_the_end_state_equal_the_scalar_loop(self, forgetting):
+        rng = np.random.default_rng(int(forgetting * 100))
+        x, y = drifting_stream(rng, self.N)
+        y[0] = -0.0  # a first time of -0.0: 0.0 + -0.0 is 0.0, a copied first term is not
+        state = estimator.start(1e6, forgetting)
+        rows, end, fault = scalar_fits(state, x.tolist(), y.tolist())
+        fits = estimator.fit_columns(state, x, y)
+        assert fault is None and fits.fault is None
+        assert_same_rows(fits, rows)
+        assert same_bits(tuple(fits.state), tuple(end))
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.99, 0.9, 0.5])
+    def test_pieces_with_a_carried_state_equal_one_call(self, forgetting):
+        rng = np.random.default_rng(17 + int(forgetting * 100))
+        x, y = drifting_stream(rng, self.N)
+        state = estimator.start(1e6, forgetting)
+        whole = estimator.fit_columns(state, x, y)
+        cuts = [0, *sorted(rng.choice(np.arange(1, self.N), size=9, replace=False).tolist()),
+                self.N]
+        rows = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece = estimator.fit_columns(state, x[lo:hi], y[lo:hi])
+            rows += column_rows(piece)
+            state = piece.state
+        assert_same_rows(whole, rows)
+        assert same_bits(tuple(state), tuple(whole.state))
+
+    def test_first_time_negative_zero(self):
+        for forgetting in (1.0, 0.9):
+            state = estimator.start(10, forgetting)
+            fits = estimator.fit_columns(state, [1.0, 2.0], [-0.0, 1.0])
+            end = estimator.advance(estimator.advance(state, 1.0, -0.0), 2.0, 1.0)
+            assert same_bits(tuple(fits.state), tuple(end))
+            first = estimator.fit_columns(state, [1.0], [-0.0]).state
+            assert repr(first.s_y) == repr(estimator.advance(state, 1.0, -0.0).s_y) == "0.0"
+
+    def test_integer_sizes(self):
+        rng = np.random.default_rng(21)
+        sizes = rng.integers(1, 10**12, size=self.N)  # bits, below 2**53: exact as floats
+        times = 1e-4 + 1e-12 * sizes + rng.normal(0.0, 1e-5, size=self.N)
+        state = estimator.start(10**12, 0.99)
+        rows, end, _ = scalar_fits(state, sizes.tolist(), times.tolist())
+        fits = estimator.fit_columns(state, sizes, times)
+        assert_same_rows(fits, rows)
+        assert same_bits(tuple(fits.state), tuple(end))
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    @pytest.mark.parametrize("fault", ["size_zero", "int_size_zero", "size_above_p_max",
+                                       "time_nan", "time_inf", "overflow", "coefficients"])
+    def test_a_fault_stops_at_the_same_sample(self, forgetting, fault):
+        rng = np.random.default_rng(5)
+        x, y = drifting_stream(rng, 3000)
+        at = 1234
+        if fault == "size_zero":
+            x[at] = 0.0
+        elif fault == "int_size_zero":  # the message names the caller's 0, not 0.0
+            x = x.astype(np.int64)
+            x[at] = 0
+        elif fault == "size_above_p_max":
+            x[at] = 2e6
+        elif fault == "time_nan":
+            y[at] = math.nan
+        elif fault == "time_inf":
+            y[at] = -math.inf
+        elif fault == "overflow":
+            y[at] = 1e305  # its size times this time overflows s_xy
+        else:  # every sum stays finite; w * s_xy, and so beta, does not
+            x[at], y[at] = 1.0, -1.7e308
+        state = estimator.start(1e6, forgetting)
+        rows, end, expected = scalar_fits(state, x.tolist(), y.tolist())
+        fits = estimator.fit_columns(state, x, y)
+        assert expected is not None
+        assert type(fits.fault) is type(expected) and str(fits.fault) == str(expected)
+        if fault == "int_size_zero":
+            assert str(fits.fault).startswith("message size 0 outside")
+        assert len(rows) == len(fits.count) == fits.state.count
+        assert_same_rows(fits, rows)
+        assert same_bits(tuple(fits.state), tuple(end))
+
+    def test_washout_and_never_varied_are_nan_where_fit_raises(self):
+        for forgetting, samples in (
+                (0.5, [(10.0, 1.0), (1000.0, 2.0)] + [(500.0, 1.5)] * 2000),
+                (0.9, [(7.0, 1.0)] * 3000)):
+            sizes, times = zip(*samples)
+            state = estimator.start(1e4, forgetting)
+            rows, end, fault = scalar_fits(state, sizes, times)
+            fits = estimator.fit_columns(state, sizes, times)
+            assert fault is None and fits.fault is None
+            assert_same_rows(fits, rows)
+            assert same_bits(tuple(fits.state), tuple(end))
+            assert np.isnan(fits.alpha_hat[-1])
 
 
 class TestProposeNextSize:
@@ -299,12 +454,12 @@ class TestCsv:
         path = tmp_path / "samples.csv"
         path.write_text("size_bytes,time_seconds\n1,5\n2,7\n")
         samples = estimator.read_samples_csv(path)
-        assert samples == [(8.0, 5.0), (16.0, 7.0)]
+        assert samples.tolist() == [[8.0, 5.0], [16.0, 7.0]]
 
     def test_extra_rep_column_tolerated(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("size_bytes,time_seconds,rep\n4,0.5,0\n8,0.75,1\n")
-        assert estimator.read_samples_csv(path) == [(32.0, 0.5), (64.0, 0.75)]
+        assert estimator.read_samples_csv(path).tolist() == [[32.0, 0.5], [64.0, 0.75]]
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -325,11 +480,13 @@ class TestCsv:
     # Every product is finite; w * s_xy - s_x * s_y is not, so beta = inf.
     [(1.0, -1.1666666666666667e308), (2.0, 0.8333333333333334e308)],
 ], ids=["s_xy", "s_xx", "coefficients"])
-def test_overflowed_sums_raise_in_fit_and_running_fits(samples):
+def test_overflowed_sums_raise_in_fit_and_fit_columns(samples):
     state = estimator.start(1e300)
     for x, y in samples:
         state = estimator.advance(state, x, y)
     with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
         estimator.fit(state)
+    fits = estimator.fit_columns(estimator.start(1e300), *zip(*samples))
     with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
-        list(estimator.running_fits(samples, 1e300))
+        raise fits.fault
+    assert len(fits.count) == len(samples) - 1

@@ -396,8 +396,8 @@ class TestProbe:
         assert lines[0] == "size_bytes,time_seconds,rep"
         assert len(lines) == 1 + len(result.samples)
         from_csv = estimator.read_samples_csv(path)
-        in_memory = [(s.size_bytes * 8.0, s.rtt_seconds) for s in result.samples]
-        assert from_csv == in_memory
+        in_memory = [[s.size_bytes * 8.0, s.rtt_seconds] for s in result.samples]
+        assert from_csv.tolist() == in_memory
         assert estimator.batch_ls(from_csv) == estimator.batch_ls(in_memory)
 
     def test_sample_fields(self, server):
