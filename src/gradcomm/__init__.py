@@ -17,7 +17,7 @@ from . import adaptive, commodel, compression, estimator, netprobe, optimizer
 from .adaptive import SelectionObjective, adaptive_controller, predicted_cost, select_power
 from .commodel import (
     Region,
-    SpeedupReport,
+    SpeedupRow,
     TimeModelParams,
     classify_region,
     eta,
@@ -46,7 +46,7 @@ __all__ = [
     "__version__",
     "adaptive", "commodel", "compression", "estimator", "netprobe", "optimizer",
     "SelectionObjective", "adaptive_controller", "predicted_cost", "select_power",
-    "Region", "SpeedupReport", "TimeModelParams", "classify_region", "eta",
+    "Region", "SpeedupRow", "TimeModelParams", "classify_region", "eta",
     "expected_time", "sample_time", "transition_report",
     "CompressedMessage", "CompressorSpec", "DenseVector", "compress", "decompress",
     "omega_inf",

@@ -95,7 +95,7 @@ SETTINGS = {
     "seed": Setting("--seed", non_negative_int, 0, "randomness seed (default: config's, else 0)"),
 }
 
-FIT_COLUMNS = ("alpha_hat", "beta_hat")  # what select --fit reads of a fit trace
+FIT_TRACE_COLUMNS = ("k", "alpha_hat", "beta_hat")  # select --fit reads the last two
 
 # jcurve.csv lists every power up to SCAN_LIMIT and a geometric grid above it;
 # the powers are computed and formatted in blocks of JCURVE_CHUNK.
@@ -183,7 +183,7 @@ def cmd_synth(args) -> None:
     times = commodel.sample_time(params, np.array(sizes, dtype=np.float64) * BITS_PER_BYTE, rng)
     out = _out_dir(args)
     path = out / "samples.csv"
-    write_csv(path, "size_bytes,time_seconds", zip(sizes, times.tolist()))
+    write_csv(path, ",".join(estimator.SAMPLE_COLUMNS), zip(sizes, times.tolist()))
     config = {
         "alpha": args.alpha, "beta": args.beta,
         "alpha_m": args.alpha_m, "beta_m": args.beta_m,
@@ -222,7 +222,7 @@ def cmd_fit(args) -> None:
     rows = [column.tolist() for column in columns]
     out = _out_dir(args)
     path = out / "fit_trace.csv"
-    write_csv(path, "k,alpha_hat,beta_hat", zip(*rows))
+    write_csv(path, ",".join(FIT_TRACE_COLUMNS), zip(*rows))
     _write_manifest(out, "fit", config, args.seed, [path.name])
     k, alpha, beta = (column[-1] for column in rows)
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
@@ -307,9 +307,9 @@ def cmd_select(args) -> None:
     several blocks and CPUs; their bytes do not depend on that.
     """
     if args.fit is not None:
-        fits = load_columns(args.fit, FIT_COLUMNS)
+        fits = load_columns(args.fit, FIT_TRACE_COLUMNS[1:])
         if fits is None:  # read_csv checks every row and names a faulty one
-            fits = list(read_csv(args.fit, FIT_COLUMNS))
+            fits = list(read_csv(args.fit, FIT_TRACE_COLUMNS[1:]))
         if not len(fits):
             raise ConfigError(f"fit trace {args.fit} has no rows")
         alpha, beta_per_byte = map(float, fits[-1])
@@ -341,7 +341,7 @@ def cmd_regions(args) -> None:
     sizes = parse_sizes(args.sizes)
     bits = [size * BITS_PER_BYTE for size in sizes]
     # Classify and tabulate first: a bad --rho or --omegas makes no directory or file.
-    regions = [(s, commodel.classify_region(params, s, args.rho).value) for s in bits]
+    regions = [(s, commodel.classify_region(params, s, args.rho)) for s in bits]
     if args.omegas is not None:
         try:
             omegas = [float(w) for w in args.omegas.split(",")]
@@ -354,7 +354,7 @@ def cmd_regions(args) -> None:
     regions_path = out / "regions.csv"
     write_csv(regions_path, "size_bits,region", regions)
     speedup_path = out / "speedup.csv"
-    curve.to_csv(speedup_path)
+    write_csv(speedup_path, ",".join(commodel.SpeedupRow._fields), curve)
     config = {"alpha": args.alpha, "beta": args.beta, "sizes": args.sizes,
               "rho": args.rho, "omegas": args.omegas}
     _write_manifest(out, "regions", config, None, [regions_path.name, speedup_path.name])
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", parents=[writes],
                        help="estimate (alpha, beta) from samples or a live server")
-    p.add_argument("--samples", default=None, help="sample CSV (size_bytes,time_seconds)")
+    p.add_argument("--samples", default=None, help="samples.csv, as synth or probe writes it")
     p.add_argument("--live", default=None, help="HOST:PORT of a running serve instance")
     p.add_argument("--policy", choices=("uniform", "grid"), default="uniform")
     p.add_argument("--rounds", type=int, default=16, help="live probe rounds")

@@ -5,7 +5,8 @@ per message the coefficients jitter as alpha + N(0, (alpha_m*alpha)^2) and
 beta + N(0, (beta_m*beta)^2).  On top of the model sit the star round's
 time (``round_times``), the real-speedup ratio eta(s, omega) = T(s) / T(s/omega),
 a three-way classification of the operating regime by which term dominates,
-and tabulated speedup reports.
+and the per-ratio speedup table as ``SpeedupRow``s, which the CLI writes to
+``speedup.csv`` as they are: the module does no file I/O.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .compression import row_batches
-from .csvio import write_csv
 from .errors import DegenerateModelError, ParameterError
 
 # Sampled transmission times are clamped here: normal noise admits negative
@@ -25,8 +26,6 @@ from .errors import DegenerateModelError, ParameterError
 MIN_TIME_S = 1e-12
 
 DEFAULT_RHO = 10.0
-
-CSV_HEADER = "omega,compressed_bits,region_from,region_to,expected_time_s,speedup"
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,10 @@ class TimeModelParams:
         return self.beta_m * self.beta_const
 
 
-class Region(enum.Enum):
+class Region(str, enum.Enum):
     """Which term of alpha + beta*s dominates at a given message size."""
+
+    __str__ = str.__str__  # format as the value, as enum.StrEnum (Python >= 3.11) does
 
     AREA1_ALPHA_DOMINATED = "area1_alpha_dominated"
     AREA2_MIXED = "area2_mixed"
@@ -139,8 +140,7 @@ def classify_region(params: TimeModelParams, s: float, rho: float = DEFAULT_RHO)
     return Region.AREA2_MIXED
 
 
-@dataclass(frozen=True)
-class SpeedupRow:
+class SpeedupRow(NamedTuple):  # the fields are speedup.csv's columns
     omega: float
     compressed_bits: float
     region_from: Region
@@ -149,27 +149,12 @@ class SpeedupRow:
     speedup: float
 
 
-@dataclass
-class SpeedupReport:
-    """Per-omega speedup table for a fixed source message size."""
-
-    rows: list[SpeedupRow]
-
-    def to_csv(self, target) -> None:
-        """Write the report; ``target`` is a path or a writable text file."""
-        write_csv(target, CSV_HEADER, (
-            (row.omega, row.compressed_bits, row.region_from.value, row.region_to.value,
-             row.expected_time_s, row.speedup)
-            for row in self.rows
-        ))
-
-
 def transition_report(
     params: TimeModelParams,
     s_from: float,
     omegas,
     rho: float = DEFAULT_RHO,
-) -> SpeedupReport:
+) -> list[SpeedupRow]:
     """Tabulate, per compression ratio, where the message lands and how much it gains."""
     if not 0 < s_from < math.inf:
         raise ParameterError("source message size must be finite and positive")
@@ -189,4 +174,4 @@ def transition_report(
                 speedup=eta(params, s_from, omega),
             )
         )
-    return SpeedupReport(rows=rows)
+    return rows

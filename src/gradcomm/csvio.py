@@ -1,7 +1,8 @@
 """The one CSV row format and reader behind every file the package uses.
 
 Fields must be ints, Python floats or strings without a comma, quote or
-newline, as many per row as the header has.  Each is written by ``"{}"``,
+newline (a str-valued enum member such as ``commodel.Region`` writes as its
+value), as many per row as the header has.  Each is written by ``"{}"``,
 which gives the bytes ``csv.writer`` gives them (a float as its shortest
 ``repr``, so ``float`` reads back the value written) and quotes nothing.
 ``write_csv`` streams rows to a file; ``format_rows`` returns the same bytes as
@@ -57,26 +58,32 @@ def read_csv(path, names):
     """Yield the ``names`` columns of each row of the CSV at ``path`` as a list of finite floats.
 
     Columns are found by header name (a repeated name: its last column); other
-    columns and blank lines are ignored.  A missing column, or a short,
-    non-numeric or non-finite field, raises :class:`ParameterError` naming the
-    file (and line).  So does a ``ValueError`` the caller throws into the
-    iterator, naming the line of the row it last yielded.
+    columns and blank lines are ignored.  A short, non-numeric or non-finite
+    field, or one longer than ``csv.field_size_limit()``, raises
+    :class:`ParameterError` naming the file and line.  So does a
+    ``ValueError`` the caller throws into the iterator, naming the line of the
+    row it last yielded.  A missing column, or text that is not in the file's
+    encoding, raises it naming the file alone: the decoder reads ahead of the
+    line count.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        where = {name: i for i, name in enumerate(header)}
-        if not all(name in where for name in names):
-            raise ParameterError(f"{path}: needs columns {', '.join(names)}, got {header}")
-        columns = [where[name] for name in names]
         try:
+            header = next(reader, [])
+            where = {name: i for i, name in enumerate(header)}
+            columns = [where[name] for name in names]
             for row in reader:
                 if row:
                     values = [float(row[i]) for i in columns]
                     if not all(map(math.isfinite, values)):
                         raise ValueError(f"non-finite value in {values}")
                     yield values
-        except (IndexError, ValueError) as exc:
+        except KeyError:  # a column is missing from the header
+            raise ParameterError(
+                f"{path}: needs columns {', '.join(names)}, got {header}") from None
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+        except (IndexError, ValueError, csv.Error) as exc:
             raise ParameterError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
@@ -112,6 +119,6 @@ def load_columns(path, names):
             handle.seek(start)
             values = np.loadtxt(handle, dtype=np.float64, delimiter=",", comments=None,
                                 usecols=[where[name] for name in names], ndmin=2)
-        except ValueError:  # np.loadtxt refuses the text, or it is not in the file's encoding
+        except (ValueError, csv.Error):  # a parser refuses the text, or it is not in the encoding
             return None
     return values if np.isfinite(values).all() else None

@@ -42,7 +42,7 @@ from .errors import DegenerateDesignError, GradcommError, ParameterError
 BITS_PER_BYTE = 8
 GRID_POINTS = 16
 GRID_SPAN = 1e4  # the geometric proposal grid covers (p_max / GRID_SPAN, p_max]
-SAMPLE_COLUMNS = ("size_bytes", "time_seconds")
+SAMPLE_COLUMNS = ("size_bytes", "time_seconds")  # samples.csv's columns; probe adds "rep"
 
 
 class EstimatorState(NamedTuple):
@@ -276,7 +276,7 @@ def propose_next_size(count: int, p_max: float, policy: str = "uniform", rng=Non
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Load (size_bits, time_seconds) rows from a ``size_bytes,time_seconds`` CSV.
+    """Load (size_bits, time_seconds) rows from a samples CSV, by its ``SAMPLE_COLUMNS``.
 
     Returns an (N, 2) float64 array.  Sizes are converted from bytes to bits
     (x8).  Extra columns such as the probe's ``rep`` are ignored.  A missing,

@@ -40,11 +40,13 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .csvio import write_csv
 from .errors import NetworkError, ParameterError, is_int
+from .estimator import SAMPLE_COLUMNS
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +56,10 @@ DEFAULT_P_MAX_BYTES = 1 << 30
 DEFAULT_TIMEOUT_S = 5.0
 _MAX_PORT = 65535
 
-SAMPLES_CSV_HEADER = "size_bytes,time_seconds,rep"
+SAMPLES_CSV_HEADER = ",".join(SAMPLE_COLUMNS + ("rep",))  # a row is a ProbeSample
 
 
-@dataclass(frozen=True)
-class ProbeSample:
+class ProbeSample(NamedTuple):
     size_bytes: int
     rtt_seconds: float
     rep: int
@@ -316,5 +317,5 @@ def probe(
 
 
 def write_samples_csv(target, samples) -> None:
-    """Write probe samples as ``size_bytes,time_seconds,rep`` rows."""
-    write_csv(target, SAMPLES_CSV_HEADER, ((s.size_bytes, s.rtt_seconds, s.rep) for s in samples))
+    """Write probe samples under ``SAMPLES_CSV_HEADER``, one ``ProbeSample`` per row."""
+    write_csv(target, SAMPLES_CSV_HEADER, samples)

@@ -142,7 +142,7 @@ def test_criterion_3_eta_limits_and_bounds():
         omega_floor = 1e4 * params.beta_const * s / params.alpha_const
         grid = np.geomspace(omega_floor, 100 * omega_floor, 20)
         report = transition_report(params, s, grid)
-        for row in report.rows:
+        for row in report:
             assert abs(row.speedup - plateau) <= 1e-3 * plateau
 
 
@@ -156,7 +156,7 @@ def test_criterion_4_area3_transition_speedup():
         for params in cases:
             for s in (1e6, 1e8):
                 report = transition_report(params, s, [2.0, 10.0, 100.0])
-                for row in report.rows:
+                for row in report:
                     # both endpoints beta-dominated at the 100x level
                     assert params.beta_const * s >= 100 * params.alpha_const
                     assert params.beta_const * row.compressed_bits >= 100 * params.alpha_const

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,6 +669,53 @@ def golden_offline_dir(tmp_path_factory):
 def test_offline_output_matches_golden_hash(golden_offline_dir, run, filename):
     digest = hashlib.sha256((golden_offline_dir / run / filename).read_bytes()).hexdigest()
     assert digest == GOLDEN_OFFLINE_SHA256[run, filename]
+
+
+# Probe samples written through netprobe.write_samples_csv, and the sha256 of
+# the bytes, recorded while ProbeSample was a dataclass whose fields were
+# written one by one.  It pins that every byte stayed the same; never
+# regenerate it from the current code.
+PROBE_ROWS = [netprobe.ProbeSample(1, 1e-9, 0),
+              netprobe.ProbeSample(1048576, 0.012345678901234567, 4),
+              netprobe.ProbeSample(3, 2.5e-05, 1),
+              netprobe.ProbeSample(1 << 30, 1.0, 123)]
+GOLDEN_PROBE_SAMPLES_SHA256 = "4fac6fadfb5de084fb1694d34ed0c34967a67af1b04a9e5cc12c2ac48abed7b0"
+
+
+def test_probe_samples_match_golden_hash(tmp_path):
+    netprobe.write_samples_csv(tmp_path / "samples.csv", PROBE_ROWS)
+    assert _digest(tmp_path / "samples.csv") == GOLDEN_PROBE_SAMPLES_SHA256
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_file_headers():
+    """The table under README's ``## File formats``: file name -> header as written there."""
+    section = README.read_text().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `([\w.]+)` +\|[^|]+\| `([^`]+)`", section, re.M))
+
+
+def test_readme_file_formats_match_the_written_headers(golden_offline_dir, tmp_path):
+    assert main(GOLDEN_ARGS + ["--out", str(tmp_path)]) == 0
+    netprobe.write_samples_csv(tmp_path / "samples.csv", PROBE_ROWS)
+    runs = golden_offline_dir
+    written = {
+        "samples.csv": [runs / "synth" / "samples.csv", tmp_path / "samples.csv"],
+        "fit_trace.csv": [runs / run / "fit_trace.csv" for run in ("fit", "fit_forgetting")],
+        "jcurve.csv": [runs / "select" / "jcurve.csv"],
+        "regions.csv": [runs / "regions" / "regions.csv"],
+        "speedup.csv": [runs / "regions" / "speedup.csv"],
+        "trace.csv": [tmp_path / "trace.csv"],
+    }
+    headers = readme_file_headers()
+    assert headers.keys() == written.keys() >= {path.name for path in runs.rglob("*.csv")}
+    for name, paths in written.items():
+        # A bracketed "[,rep]" is written by some producers (probe) and not others (synth).
+        header = headers[name]
+        allowed = {re.sub(r"\[.*?\]", "", header), re.sub(r"\[(.*?)\]", r"\1", header)}
+        for path in paths:
+            assert path.read_text().split("\n", 1)[0] in allowed, path
 
 
 # sha256 of jcurve.csv from `select --alpha 2e-3 --beta 1e-8 --d JCURVE_D --n 16`

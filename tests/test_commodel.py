@@ -8,6 +8,7 @@ from gradcomm import estimator
 from gradcomm.commodel import (
     MIN_TIME_S,
     Region,
+    SpeedupRow,
     TimeModelParams,
     classify_region,
     eta,
@@ -17,6 +18,7 @@ from gradcomm.commodel import (
     transition_report,
 )
 from gradcomm.compression import BATCH_VALUES
+from gradcomm.csvio import write_csv
 from gradcomm.errors import DegenerateModelError, ParameterError
 
 
@@ -181,18 +183,26 @@ class TestClassifyRegion:
             assert all(a <= b for a, b in zip(labels, labels[1:]))
 
 
+@pytest.mark.parametrize("region", list(Region))
+def test_region_is_its_value_as_a_str(region):
+    # csvio writes each field by "{}", so a Region must format as its value.
+    assert isinstance(region, str) and region == region.value
+    assert "{}".format(region) == f"{region}" == str(region) == region.value
+    assert Region(region.value) is region
+
+
 class TestReports:
     def test_omega_one_is_unity_speedup(self):
         params = TimeModelParams(1e-3, 1e-9)
         report = transition_report(params, 1e6, [1.0])
-        assert report.rows[0].speedup == 1.0
-        assert report.rows[0].compressed_bits == 1e6
+        assert report[0].speedup == 1.0
+        assert report[0].compressed_bits == 1e6
 
     def test_deep_area3_transition_keeps_most_of_omega(self):
         # beta*s >= 100*alpha at both endpoints implies speedup >= 0.95*omega
         params = TimeModelParams(1e-6, 1e-3)
         report = transition_report(params, 1e6, [2.0, 10.0, 100.0])
-        for row in report.rows:
+        for row in report:
             assert row.region_from is Region.AREA3_BETA_DOMINATED
             assert row.region_to is Region.AREA3_BETA_DOMINATED
             assert row.speedup >= 0.95 * row.omega
@@ -203,7 +213,7 @@ class TestReports:
         plateau = expected_time(params, s) / params.alpha_const
         omega = 1e4 * params.beta_const * s / params.alpha_const
         report = transition_report(params, s, [omega, 10 * omega])
-        for row in report.rows:
+        for row in report:
             assert row.region_to is Region.AREA1_ALPHA_DOMINATED
             assert abs(row.speedup - plateau) <= 1e-3 * plateau
 
@@ -211,14 +221,14 @@ class TestReports:
         params = TimeModelParams(0.0, 1e-9)
         grid = np.geomspace(1, 1e6, 25)
         report = transition_report(params, 1e9, grid)
-        for row in report.rows:
+        for row in report:
             assert row.speedup == row.omega
 
     def test_curve_monotone_and_bounded(self):
         params = TimeModelParams(1e-3, 1e-9)
         s = 1e8
         report = transition_report(params, s, np.geomspace(1, 1e8, 40))
-        speeds = [row.speedup for row in report.rows]
+        speeds = [row.speedup for row in report]
         assert all(a <= b + 1e-12 for a, b in zip(speeds, speeds[1:]))
         assert speeds[-1] <= 1 + params.beta_const * s / params.alpha_const
 
@@ -226,7 +236,7 @@ class TestReports:
         params = TimeModelParams(1e-3, 1e-9)
         report = transition_report(params, 1e6, [1.0, 10.0, 100.0])
         buf = io.StringIO()
-        report.to_csv(buf)
+        write_csv(buf, ",".join(SpeedupRow._fields), report)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "omega,compressed_bits,region_from,region_to,expected_time_s,speedup"
         assert len(lines) == 4

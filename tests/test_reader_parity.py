@@ -61,7 +61,10 @@ FILES = {
     "huge_size": SAMPLES_HEADER + "1,5\n1e200,7\n",
     "size_times_time_overflows": SAMPLES_HEADER + "1,5\n1e100,1e300\n",
     "long_unused_field": "size_bytes,time_seconds,note\n1,5," + "x" * 140_000 + "\n2,7,y\n",
+    "long_header_field": "size_bytes,time_seconds," + "h" * 140_000 + "\n1,5,a\n2,7,b\n",
     "invalid_utf8": SAMPLES_HEADER.encode() + b"1,5\n\xff,7\n",
+    # The bad byte on line 5002, past the decoder's first 8 KiB read.
+    "invalid_utf8_late": SAMPLES_HEADER.encode() + b"1,5\n" * 5000 + b"\xff,7\n",
 }
 
 
@@ -144,3 +147,26 @@ def test_the_table_takes_both_paths(tmp_path):
     assert not accepted & {"quoted_numbers", "quote_spans_lines", "underscore_digits",
                            "non_ascii_digits", "separator_controls", "long_unused_field",
                            "header_only", "whitespace_line", "nan", "invalid_utf8"}
+
+
+# The files that fault in the text itself, and the line their error names
+# (None: the file alone, since the decoder reads ahead of the line count).
+FAULT_LINES = {"long_unused_field": 2, "long_header_field": 1,
+               "invalid_utf8": None, "invalid_utf8_late": None}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_LINES))
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_a_fault_in_the_text_is_a_named_error(tmp_path, capsys, command, name):
+    if command == "fit":
+        path = write(tmp_path, name, FILES[name])
+        argv = ["fit", "--samples", str(path)]
+    else:
+        path = write(tmp_path, name, FILES[name], header=("alpha_hat", "beta_hat"))
+        argv = ["select", "--fit", str(path), "--d", "1000", "--n", "16"]
+    got = run([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert got[:3] == ("exit", 2, "")
+    line = FAULT_LINES[name]
+    where = f"{path}: " if line is None else f"{path}, line {line}: "
+    assert got[3].startswith(f"error: {where}") and got[3].count("\n") == 1
+    assert not (tmp_path / "out").exists()
