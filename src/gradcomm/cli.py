@@ -195,7 +195,7 @@ def cmd_synth(args) -> None:
 
 def cmd_fit(args) -> None:
     if args.live is not None:
-        samples, p_max = _probe_live(args)
+        samples = _probe_live(args)
         config = {
             "live": args.live, "policy": args.policy, "rounds": args.rounds,
             "pmax": args.pmax, "warmup": args.warmup, "forgetting": args.forgetting,
@@ -204,10 +204,9 @@ def cmd_fit(args) -> None:
         if args.samples is None:
             raise ConfigError("fit needs --samples PATH or --live HOST:PORT")
         samples = estimator.read_samples_csv(args.samples)
-        p_max = float(samples[:, 0].max()) if len(samples) else 1.0
         config = {"samples": args.samples, "forgetting": args.forgetting}
     fits = estimator.fit_columns(
-        estimator.start(p_max, args.forgetting), samples[:, 0], samples[:, 1])
+        estimator.start(math.inf, args.forgetting), samples[:, 0], samples[:, 1])
     fitted = np.flatnonzero(~np.isnan(fits.alpha_hat))
     first = fitted[0] if fitted.size else len(fits.count)
     if fitted.size < len(fits.count) - first:  # a sample after the first fit has none
@@ -228,10 +227,10 @@ def cmd_fit(args) -> None:
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
 
 
-def _probe_live(args) -> tuple[np.ndarray, float]:
+def _probe_live(args) -> np.ndarray:
     """Probe p_max, p_max/16 and one proposed size per round over one connection.
 
-    Returns the (size_bits, rtt_seconds) samples as an (N, 2) array, and p_max in bits.
+    Returns the (size_bits, rtt_seconds) samples as an (N, 2) array, sizes in [1, --pmax] bytes.
     """
     host, _, port_text = args.live.rpartition(":")
     if not host or not port_text.isdigit():
@@ -242,7 +241,7 @@ def _probe_live(args) -> tuple[np.ndarray, float]:
     if args.rounds < 0:
         raise ConfigError(f"--rounds must be >= 0, got {args.rounds}")
     p_max = p_max_bytes * BITS_PER_BYTE
-    estimator.start(p_max, args.forgetting)  # refuse a bad --forgetting before any exchange
+    estimator.start(math.inf, args.forgetting)  # refuse a bad --forgetting before any exchange
     rng = np.random.default_rng(args.seed)
     proposals = (estimator.propose_next_size(count, p_max, args.policy, rng)
                  for count in range(2, args.rounds + 2))
@@ -252,7 +251,7 @@ def _probe_live(args) -> tuple[np.ndarray, float]:
     if result.error or len(result.samples) < len(sizes):
         raise NetworkError(result.error or "probe returned too few samples")
     samples = [(s.size_bytes * BITS_PER_BYTE, s.rtt_seconds) for s in result.samples]
-    return np.array(samples, dtype=np.float64), p_max
+    return np.array(samples, dtype=np.float64)
 
 
 def _jcurve_rows(obj: adaptive.SelectionObjective, ks: np.ndarray) -> str:
@@ -413,7 +412,7 @@ def cmd_probe(args) -> None:
     path = out / "samples.csv"
     netprobe.write_samples_csv(path, result.samples)
     config = {"host": args.host, "port": args.port, "sizes": args.sizes,
-              "reps": args.reps, "warmup": args.warmup}
+              "reps": args.reps, "warmup": args.warmup, "timeout": args.timeout}
     _write_manifest(out, "probe", config, None, [path.name])
     if result.error:
         raise NetworkError(f"{result.error} ({len(result.samples)} partial samples kept)")

@@ -490,8 +490,7 @@ def add_decompressed(out: np.ndarray, spec: CompressorSpec, rows: np.ndarray,
         # their order within the row does not change its sums.
         cols = _floyd_subsets(d, spec.k, m, rng)
         values = rows.take(cols + np.arange(0, m * d, d)[:, None])
-        if spec.k < d:  # at k = d the scale is 1, which changes no bit
-            values *= d / spec.k
+        values *= d / spec.k  # at k = d the scale is 1, which changes no bit
         # One-dimensional operands take np.add.at's fast path, about 7x the
         # speed of the (m, k) ones.
         np.add.at(out, cols.reshape(-1), values.reshape(-1))

@@ -10,26 +10,26 @@ batch least-squares fit:
 
 ``start`` returns a state with zero sums; ``advance`` absorbs one sample and
 ``fit`` raises :class:`DegenerateDesignError` until two sizes differ.
-``fit_columns`` turns a whole array of samples into fits: it takes size
-and time arrays, computes every running sum with one exact recurrence, and
-returns every sample's fit as columns plus the state to carry into the next
-call.  ``advance``, ``fit`` and ``update`` are its scalar reference: it
-gives their bits, and ``fit`` and it share the one identification test and
-alpha/beta formula.  A consumer that must act on each sample as it arrives,
-such as ``adaptive.adaptive_controller``, runs the scalar pair.  ``batch_ls`` is the independent oracle: a centered
-two-pass fit over the stored points.  States and fits are immutable
-``NamedTuple``s, so a snapshot can be read at any time while a single owner
-advances the stream.
+``fit_columns`` turns size and time arrays into every sample's fit, as
+columns, plus the state to carry into the next call.  ``advance``, ``fit``
+and ``update`` are its scalar reference: it gives their bits, and ``fit``
+and it share the one identification test and alpha/beta formula.  A
+consumer that must act on each sample as it arrives, such as
+``adaptive.adaptive_controller``, runs the scalar pair.  ``batch_ls`` is
+the independent oracle: a centered two-pass fit over the stored points.
+States and fits are immutable ``NamedTuple``s, so a snapshot can be read
+at any time while a single owner advances the stream.
 
 An optional exponential forgetting factor lambda (an extension; 1.0 reproduces
 the plain sums exactly) decays the sums and the weight before each sample, so
 after n samples sample i carries weight lambda**(n - i) and drifting channel
-parameters can be tracked.
+parameters can be tracked.  The two regimes differ only in how ``fit_columns``
+scans its table of sums: a cumulative sum at 1, ``lam * s + v`` below it.
 """
 
 from __future__ import annotations
 
-import array
+import itertools
 import math
 from typing import NamedTuple
 
@@ -78,6 +78,9 @@ class SumsOverflowedError(DegenerateDesignError):
 
 # What a stream whose sizes never varied raises once it ends.
 SIZES_NEVER_VARIED = "degenerate design: all message sizes are equal"
+# What a fit of sizes that do not vary raises, and a fit whose arithmetic overflowed.
+SIZES_DO_NOT_VARY = "degenerate design: message sizes do not vary"
+SUMS_OVERFLOWED = "degenerate design: the running sums overflowed"
 
 
 class FitColumns(NamedTuple):
@@ -141,8 +144,8 @@ def fit(state: EstimatorState) -> FitResult:
         if _finite(alpha) and _finite(beta):
             return FitResult(alpha, beta, state.count)
     elif _products_finite(w, s_x, s_y, s_xy, s_xx):
-        raise DegenerateDesignError("degenerate design: message sizes do not vary")
-    raise SumsOverflowedError("degenerate design: the running sums overflowed")
+        raise DegenerateDesignError(SIZES_DO_NOT_VARY)
+    raise SumsOverflowedError(SUMS_OVERFLOWED)
 
 
 def _sample_fault(p_max, x_k, y_k) -> ParameterError | None:
@@ -183,13 +186,14 @@ def fit_columns(state: EstimatorState, sizes, times) -> FitColumns:
 
     Entry i of the columns is ``fit`` after ``advance`` on every sample up to
     i, bit for bit, with sizes and times read as float64; where ``fit`` finds
-    that the sizes do not vary, alpha and beta are NaN.  The five running sums
-    follow ``advance``'s recurrence exactly: at forgetting 1, ``np.cumsum``
-    seeded with the carried sum makes the same additions in the same order,
-    and below 1 one loop runs ``lam * s + v`` from it for the five sums at
-    once.  So a stream fed in pieces, each from the state the last one ended
-    in, gives the same bits as one call.  The fits' formula is ``fit``'s own,
-    applied to the sums' columns.
+    that the sizes do not vary, alpha and beta are NaN.  One (5, n + 1) table
+    holds each running sum's carried value and then its term for each sample,
+    and one scan along each row turns the terms into ``advance``'s sums: at
+    forgetting 1 ``np.cumsum``, which makes the same additions in the same
+    order, and below 1 ``itertools.accumulate`` of ``advance``'s own
+    ``lam * s + v``.  So a stream fed in pieces, each from the state the last
+    one ended in, gives the same bits as one call.  The fits' formula is
+    ``fit``'s own, applied to the sums' columns.
 
     A sample ``advance`` refuses, or a fit whose sums or coefficients
     overflow, ends the columns before it: ``fault`` is the error that sample
@@ -203,23 +207,18 @@ def fit_columns(state: EstimatorState, sizes, times) -> FitColumns:
         # Row r of ``sums`` is sum r's carried value, then its value after each
         # sample.  A sum depends on no later sample, so the samples after the
         # first refused one, cut off below, cannot change it.
+        sums = np.empty((5, x.size + 1))
+        sums[:, 0] = state[1:6]
+        sums[0, 1:] = 1.0
+        sums[1, 1:] = x
+        sums[2, 1:] = y
+        np.multiply(x, y, out=sums[3, 1:])
+        np.multiply(x, x, out=sums[4, 1:])
         if lam == 1.0:  # the carried sum, then each term: cumsum adds them in advance's order
-            sums = np.empty((5, x.size + 1))
-            sums[:, 0] = state[1:6]
-            sums[0, 1:] = 1.0
-            sums[1, 1:] = x
-            sums[2, 1:] = y
-            np.multiply(x, y, out=sums[3, 1:])
-            np.multiply(x, x, out=sums[4, 1:])
             np.cumsum(sums, axis=1, out=sums)
-        else:  # advance's arithmetic, sample by sample, into one buffer of doubles
-            w, s_x, s_y, s_xy, s_xx = state[1:6]
-            flat = array.array("d", state[1:6])
-            for x_k, y_k in zip(memoryview(x), memoryview(y)):
-                w, s_x, s_y = lam * w + 1.0, lam * s_x + x_k, lam * s_y + y_k
-                s_xy, s_xx = lam * s_xy + x_k * y_k, lam * s_xx + x_k * x_k
-                flat.extend((w, s_x, s_y, s_xy, s_xx))
-            sums = np.frombuffer(flat).reshape(-1, 5).T
+        else:  # advance's own arithmetic along each row
+            for row in sums:
+                row[:] = list(itertools.accumulate(row.tolist(), lambda s, v: lam * s + v))
         w, s_x, s_y, s_xy, s_xx = sums[:, 1:]
         denom, identified = _design(w, s_x, s_xx)
         alpha, beta = _coefficients(w, s_x, s_y, s_xy, denom)
@@ -231,7 +230,7 @@ def fit_columns(state: EstimatorState, sizes, times) -> FitColumns:
     fault = None
     if n < x.size:  # a refused sample, else a fit that overflowed
         fault = (_sample_fault(state.p_max, sizes[n], times[n])
-                 or SumsOverflowedError("degenerate design: the running sums overflowed"))
+                 or SumsOverflowedError(SUMS_OVERFLOWED))
     end = EstimatorState(state.count + n, *sums[:, n].tolist(), state.p_max, lam)
     alpha = np.where(fitted[:n], alpha[:n], np.nan)
     beta = np.where(fitted[:n], beta[:n], np.nan)
@@ -252,7 +251,7 @@ def batch_ls(points) -> FitResult:
     dx = x - x_mean
     sxx = float(dx @ dx)
     if sxx <= 1e-18 * max(1.0, float(x @ x)):
-        raise DegenerateDesignError("degenerate design: message sizes do not vary")
+        raise DegenerateDesignError(SIZES_DO_NOT_VARY)
     beta = float(dx @ (y - y_mean)) / sxx
     alpha = y_mean - beta * x_mean
     return FitResult(alpha_hat=float(alpha), beta_hat=float(beta), k=pts.shape[0])

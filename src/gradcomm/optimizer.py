@@ -69,8 +69,8 @@ class Problem:
     Worker i holds row a_i of ``targets`` (n, d); the positive ``curvature``
     h (length d) is shared, so the minimizer is the mean target, L = max h and
     mu = min h.  ``mean`` is the problem with h = 1, and refuses non-finite
-    targets.  The mean target and f* are cached on first use, so neither
-    array may change once it is built.
+    targets.  The mean target and f* are cached on first use, so both arrays
+    are made read-only once it is built, a caller's float64 array included.
     """
 
     targets: np.ndarray
@@ -88,6 +88,7 @@ class Problem:
                                  f"got shape {curvature.shape}")
         if not np.all((curvature > 0) & (curvature < math.inf)):
             raise ParameterError("curvature must be finite and positive")
+        targets.flags.writeable = curvature.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "curvature", curvature)
 

@@ -377,13 +377,12 @@ class TestController:
                 read.append(i)
                 yield sample
 
-        # A consumer that stops at a decision has read no sample past it.
-        for index, k_star in expected:
-            read.clear()
-            decisions = adaptive_controller(source(None), objective, p_max, 0.9)
-            got = next((dec.sample_index, dec.k_star) for dec in decisions
-                       if dec.sample_index == index)
-            assert got == (index, k_star) and len(read) == index
+        # Each decision is yielded before the sample after it is read.
+        got = []
+        for dec in adaptive_controller(source(None), objective, p_max, 0.9):
+            assert len(read) == dec.sample_index
+            got.append((dec.sample_index, dec.k_star))
+        assert got == expected
         # A source that fails after sample j still delivers every decision up to j.
         stop = (expected[1][0] + expected[2][0]) // 2
         got = []

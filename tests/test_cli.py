@@ -828,6 +828,19 @@ class TestProbeAndServe:
         assert len(rows) == 4
         assert all(float(r["time_seconds"]) > 0 for r in rows)
 
+    def test_probe_manifest_records_every_setting(self, tmp_path):
+        srv = PingPongServer()
+        port = srv.start()
+        try:
+            rc = main(["probe", "--port", str(port), "--sizes", "64,4096", "--reps", "2",
+                       "--warmup", "0", "--timeout", "7.5", "--out", str(tmp_path)])
+        finally:
+            srv.stop()
+        assert rc == 0
+        manifest = json.loads((tmp_path / "probe.manifest.json").read_text())
+        assert manifest["config"] == {"host": "127.0.0.1", "port": port, "sizes": "64,4096",
+                                      "reps": 2, "warmup": 0, "timeout": 7.5}
+
     def test_probe_aborted_mid_stream_exit_4_keeps_partial_samples(self, tmp_path, capsys):
         srv = PingPongServer(p_max_bytes=100)  # resets the connection at the 4096-byte frame
         port = srv.start()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,3 +491,10 @@ def test_overflowed_sums_raise_in_fit_and_fit_columns(samples):
     with pytest.raises(DegenerateDesignError, match="running sums overflowed"):
         raise fits.fault
     assert len(fits.count) == len(samples) - 1
+
+
+@pytest.mark.parametrize("text", [estimator.SIZES_NEVER_VARIED, estimator.SIZES_DO_NOT_VARY,
+                                  estimator.SUMS_OVERFLOWED])
+def test_each_refusal_text_is_written_once(text):
+    package = Path(estimator.__file__).parent
+    assert sum(path.read_text().count(text) for path in package.glob("*.py")) == 1

@@ -176,6 +176,18 @@ class TestProblem:
         assert Problem.mean(targets).targets is targets
         assert Problem(targets, np.full(3, 2.0)).targets is targets
 
+    def test_arrays_are_read_only_once_built(self):
+        # The problem caches the mean target and f*: a write would leave them stale.
+        rng = np.random.default_rng(0)
+        targets, curvature = rng.standard_normal((3, 4)), np.full(4, 2.0)
+        Problem.mean(targets)
+        with pytest.raises(ValueError, match="read-only"):
+            targets += 1
+        problem = Problem(rng.standard_normal((3, 4)), curvature)
+        for array in (problem.targets, curvature):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     @pytest.mark.parametrize("curvature", [
         np.ones(4), np.ones(2), np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0),
     ], ids=["too-long", "too-short", "row", "column", "scalar"])
