@@ -9,10 +9,10 @@ applied exactly once on the way in or out: here, or by
 ``fit`` takes every fit of its samples from one ``estimator.fit_columns``
 call.  ``fit --samples`` and ``select --fit`` parse their CSV columns in bulk
 (``csvio.load_columns``); a file that parse cannot vouch for is read row by
-row, which names a faulty file and line.  Every run
-writes a manifest next to its outputs recording the resolved configuration,
-seed (null for subcommands that draw no random numbers), output names, and
-tool version.
+row, which names a faulty file and line.  Every run writes a manifest next
+to its outputs (``_write_manifest``): its parsed flags overlaid with what it
+resolved, its seed (null for subcommands that draw no random numbers),
+output names, and tool version.
 
 ``simulate``'s settings are the rows of ``SETTINGS``; a run takes each default,
 then the config file, then the flags given.  ``run_compressed_gd`` resolves
@@ -162,15 +162,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, subcommand: str, config: dict, seed, outputs: list[str]) -> None:
+def _write_manifest(out: Path, args, outputs: list[str], resolved: dict | None = None) -> None:
+    """Record a run: its parsed flags overlaid with what it ``resolved``, unset (None)
+    ones left out, and its seed: the resolved one, else ``--seed``, else null."""
+    resolved = resolved or {}
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "out", "config", "seed")}
     manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
+        "subcommand": args.command,
+        "config": {key: value for key, value in {**flags, **resolved}.items() if value is not None},
+        "seed": resolved.get("seed", getattr(args, "seed", None)),
         "outputs": outputs,
         "version": __version__,
     }
-    path = out / f"{subcommand}.manifest.json"
+    path = out / f"{args.command}.manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -184,27 +189,17 @@ def cmd_synth(args) -> None:
     out = _out_dir(args)
     path = out / "samples.csv"
     write_csv(path, ",".join(estimator.SAMPLE_COLUMNS), zip(sizes, times.tolist()))
-    config = {
-        "alpha": args.alpha, "beta": args.beta,
-        "alpha_m": args.alpha_m, "beta_m": args.beta_m,
-        "sizes": args.sizes, "reps": args.reps,
-    }
-    _write_manifest(out, "synth", config, args.seed, [path.name])
+    _write_manifest(out, args, [path.name])
     print(f"wrote {len(sizes)} samples to {path}")
 
 
 def cmd_fit(args) -> None:
     if args.live is not None:
         samples = _probe_live(args)
-        config = {
-            "live": args.live, "policy": args.policy, "rounds": args.rounds,
-            "pmax": args.pmax, "warmup": args.warmup, "forgetting": args.forgetting,
-        }
-    else:
-        if args.samples is None:
-            raise ConfigError("fit needs --samples PATH or --live HOST:PORT")
+    elif args.samples is not None:
         samples = estimator.read_samples_csv(args.samples)
-        config = {"samples": args.samples, "forgetting": args.forgetting}
+    else:
+        raise ConfigError("fit needs --samples PATH or --live HOST:PORT")
     fits = estimator.fit_columns(
         estimator.start(math.inf, args.forgetting), samples[:, 0], samples[:, 1])
     fitted = np.flatnonzero(~np.isnan(fits.alpha_hat))
@@ -222,7 +217,7 @@ def cmd_fit(args) -> None:
     out = _out_dir(args)
     path = out / "fit_trace.csv"
     write_csv(path, ",".join(FIT_TRACE_COLUMNS), zip(*rows))
-    _write_manifest(out, "fit", config, args.seed, [path.name])
+    _write_manifest(out, args, [path.name])
     k, alpha, beta = (column[-1] for column in rows)
     print(f"k={k} alpha_hat={alpha!r} beta_hat={beta!r} (s/byte)")
 
@@ -316,6 +311,8 @@ def cmd_select(args) -> None:
         alpha, beta_per_byte = args.alpha, args.beta
     else:
         raise ConfigError("select needs either --fit PATH or both --alpha and --beta")
+    if args.d >= 2**63 or float(args.d) >= 2**63:  # jcurve's powers are int64, spaced as floats
+        raise ConfigError(f"--d must round to a float below 2**63, got {args.d}")
     obj = adaptive.SelectionObjective(
         family=args.family, d=args.d, n=args.n,
         alpha=alpha, beta=beta_per_byte / BITS_PER_BYTE, b=args.b,
@@ -326,12 +323,7 @@ def cmd_select(args) -> None:
     with open(path, "w", newline="") as handle:
         write_csv(handle, "k,predicted_cost", ())
         _write_jcurve(handle, obj)
-    config = {
-        "family": args.family, "d": args.d, "n": args.n, "b": args.b,
-        "alpha": alpha, "beta": beta_per_byte,
-        "fit": args.fit,
-    }
-    _write_manifest(out, "select", config, None, [path.name])
+    _write_manifest(out, args, [path.name], {"alpha": alpha, "beta": beta_per_byte})
     print(f"k_star={k_star} predicted_cost={cost!r}")
 
 
@@ -354,9 +346,7 @@ def cmd_regions(args) -> None:
     write_csv(regions_path, "size_bits,region", regions)
     speedup_path = out / "speedup.csv"
     write_csv(speedup_path, ",".join(commodel.SpeedupRow._fields), curve)
-    config = {"alpha": args.alpha, "beta": args.beta, "sizes": args.sizes,
-              "rho": args.rho, "omegas": args.omegas}
-    _write_manifest(out, "regions", config, None, [regions_path.name, speedup_path.name])
+    _write_manifest(out, args, [regions_path.name, speedup_path.name])
     print(f"wrote {regions_path} and {speedup_path}")
 
 
@@ -369,6 +359,9 @@ def cmd_simulate(args) -> None:
     missing = [key for key, value in config.items() if value is REQUIRED]
     if missing:
         raise ConfigError(f"simulate needs values for: {', '.join(missing)}")
+    for key in ("n", "d"):  # the problem's shape: refused before it is drawn
+        if config[key] < 1:
+            raise ConfigError(f"simulate needs {key} >= 1, got {config[key]}")
     seed = config["seed"]
 
     params = _time_model(config["alpha"], config["beta"], config["alpha_m"], config["beta_m"])
@@ -389,8 +382,7 @@ def cmd_simulate(args) -> None:
     path = out / "trace.csv"
     trace.to_csv(path)
     final = trace.rows[-1]
-    manifest = {key: value for key, value in config.items() if value is not None}
-    _write_manifest(out, "simulate", manifest, seed, [path.name])
+    _write_manifest(out, args, [path.name], config)
     print(
         f"final_objective={final.objective!r} wall_clock_s={final.wall_clock_s!r} "
         f"uplink_bits={final.uplink_bits} downlink_bits={final.downlink_bits}"
@@ -411,9 +403,7 @@ def cmd_probe(args) -> None:
     )
     path = out / "samples.csv"
     netprobe.write_samples_csv(path, result.samples)
-    config = {"host": args.host, "port": args.port, "sizes": args.sizes,
-              "reps": args.reps, "warmup": args.warmup, "timeout": args.timeout}
-    _write_manifest(out, "probe", config, None, [path.name])
+    _write_manifest(out, args, [path.name])
     if result.error:
         raise NetworkError(f"{result.error} ({len(result.samples)} partial samples kept)")
     print(f"wrote {len(result.samples)} samples to {path}")

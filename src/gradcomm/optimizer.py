@@ -68,9 +68,9 @@ class Problem:
 
     Worker i holds row a_i of ``targets`` (n, d); the positive ``curvature``
     h (length d) is shared, so the minimizer is the mean target, L = max h and
-    mu = min h.  ``mean`` is the problem with h = 1, and refuses non-finite
-    targets.  The mean target and f* are cached on first use, so both arrays
-    are made read-only once it is built, a caller's float64 array included.
+    mu = min h; both arrays must be finite.  ``mean`` is the problem with h = 1.
+    The mean target and f* are cached on first use, so both arrays are made
+    read-only once it is built, a caller's float64 array included.
     """
 
     targets: np.ndarray
@@ -88,6 +88,8 @@ class Problem:
                                  f"got shape {curvature.shape}")
         if not np.all((curvature > 0) & (curvature < math.inf)):
             raise ParameterError("curvature must be finite and positive")
+        if not np.all(np.isfinite(targets)):  # before the caller's array is made read-only
+            raise ParameterError("targets must be finite")
         targets.flags.writeable = curvature.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "curvature", curvature)
@@ -102,11 +104,7 @@ class Problem:
 
     @classmethod
     def mean(cls, targets) -> "Problem":
-        arr = np.asarray(targets, dtype=np.float64)
-        problem = cls(targets=arr, curvature=np.ones(arr.shape[-1:]))
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("targets must be finite")
-        return problem
+        return cls(targets=targets, curvature=np.ones(np.shape(targets)[-1:]))
 
     @classmethod
     def random_quadratic(cls, n: int, d: int, seed=0) -> "Problem":

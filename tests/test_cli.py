@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -1048,6 +1049,50 @@ class TestManifests:
         manifest = json.loads((tmp_path / "select.manifest.json").read_text())
         assert manifest["seed"] is None
 
+    @pytest.mark.parametrize("command", ["synth", "fit", "select", "regions", "probe", "simulate"])
+    def test_manifest_records_every_flag(self, tmp_path, command):
+        # Every flag set away from its default: the config must hold each one.
+        fit_trace = tmp_path / "fit_trace.csv"
+        fit_trace.write_text("k,alpha_hat,beta_hat\n2,0.004,2e-09\n")
+        settings = tmp_path / "run.cfg"
+        settings.write_text("n = 2\nd = 2\nsteps = 1\n")
+        srv = PingPongServer()
+        port = srv.start()
+        argv = {
+            "synth": ["--alpha", "0.002", "--beta", "3e-9", "--alpha-m", "0.1", "--beta-m", "0.2",
+                      "--sizes", "64,4096", "--reps", "2", "--seed", "5"],
+            "fit": ["--samples", "unread.csv", "--live", f"127.0.0.1:{port}", "--policy", "grid",
+                    "--rounds", "3", "--pmax", "65536", "--warmup", "0", "--forgetting", "0.99",
+                    "--seed", "3"],
+            "select": ["--alpha", "1e-3", "--beta", "1e-8", "--fit", str(fit_trace),
+                       "--family", "top_k", "--d", "50", "--n", "4", "--b", "16"],
+            "regions": ["--alpha", "1e-3", "--beta", "1e-8", "--sizes", "10,1000", "--rho", "2",
+                        "--omegas", "2,4"],
+            "probe": ["--host", "localhost", "--port", str(port), "--sizes", "64,4096",
+                      "--reps", "2", "--warmup", "0", "--timeout", "7.5"],
+            "simulate": ["--n", "3", "--d", "4", "--steps", "2", "--gamma", "0.5",
+                         "--compressor", "rand_k", "--k", "2", "--r", "1", "--alpha", "1e-3",
+                         "--beta", "1e-8", "--alpha-m", "0.1", "--beta-m", "0.1",
+                         "--downlink-compressed", "--seed", "7", "--config", str(settings)],
+        }[command] + ["--out", str(tmp_path / "out")]
+        try:
+            assert main([command, *argv]) == 0
+        finally:
+            srv.stop()
+        parser = cli.build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices[command]
+        dests = {action.dest for action in sub._actions} - {"help"}
+        parsed = vars(parser.parse_args([command, *argv]))
+        assert [dest for dest in dests if parsed[dest] == sub.get_default(dest)] == []
+        expected = {dest: parsed[dest] for dest in dests - {"out", "seed", "config"}}
+        if command == "select":  # the resolved coefficients: the fit trace's last row
+            expected.update(alpha=0.004, beta=2e-09)
+        if command == "simulate":  # its resolved settings include the seed
+            expected["seed"] = 7
+        manifest = json.loads((tmp_path / "out" / f"{command}.manifest.json").read_text())
+        assert manifest["config"] == expected
+
     @pytest.mark.parametrize("argv", [
         ["serve", "--pmax", "0", "--out", "."],  # a bad --pmax, so it can never start serving
         ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "50", "--n", "4", "--seed", "1"],
@@ -1082,6 +1127,36 @@ def test_size_range_reaching_2_63_exit_2(tmp_path, capsys, argv):
     text = argv[argv.index("--sizes") + 1]
     assert f"size range {text!r} reaches 2**63 bytes" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("d", ["10000000000000000000", "9223372036854775807"])
+def test_select_d_rounding_to_2_63_exit_2(tmp_path, capsys, d):
+    argv = ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", d, "--n", "4"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: --d must round to a float below 2**63, got {d}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_select_d_below_2_63_writes_its_grid(tmp_path, capsys):
+    argv = ["select", "--alpha", "1e-3", "--beta", "1e-8", "--d", "9223372036854775000", "--n", "4"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    ks = [int(row["k"]) for row in read_csv(tmp_path / "jcurve.csv")]
+    assert ks[0] == 1 and ks[-1] == int(2.0**63 - 1024) and len(ks) == cli.GRID_SIZE
+
+
+@pytest.mark.parametrize("key", ["n", "d"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_simulate_negative_shape_exit_2(tmp_path, capsys, key, source):
+    settings = {"n": "2", "d": "3", "steps": "1", "alpha": "1e-3", "beta": "1e-8", key: "-1"}
+    if source == "flag":
+        argv = [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        argv = ["--config", str(config)]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: simulate needs {key} >= 1, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_size_range_stops_below_2_63():

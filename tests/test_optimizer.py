@@ -188,6 +188,22 @@ class TestProblem:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
+    def test_refused_targets_stay_writeable(self):
+        targets = np.array([[np.nan, 0.0], [1.0, 2.0]])
+        with pytest.raises(ParameterError, match="targets must be finite"):
+            Problem.mean(targets)
+        targets[0, 0] = 1.0
+        assert targets.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        with pytest.raises(ParameterError, match="targets must be finite"):
+            Problem(targets=[[bad, 1.0]], curvature=np.ones(2))
+
+    def test_non_finite_targets_of_wrong_shape_get_the_shape_error(self):
+        with pytest.raises(ParameterError, match="targets must be an"):
+            Problem.mean(np.full(3, np.nan))
+
     @pytest.mark.parametrize("curvature", [
         np.ones(4), np.ones(2), np.ones((1, 3)), np.ones((3, 1)), np.float64(1.0),
     ], ids=["too-long", "too-short", "row", "column", "scalar"])
@@ -282,10 +298,11 @@ class TestRunGd:
             run_compressed_gd(problem, config)
 
     def test_nan_objective_counts_as_divergence(self):
-        # Built directly: Problem.mean refuses a non-finite target.
-        problem = Problem(targets=np.array([[math.nan, 0.0]]), curvature=np.ones(2))
+        # Finite targets whose mean overflows: the first step's x - a-bar is inf - inf.
+        problem = Problem(targets=np.array([[1.7e308, 0.0], [1.7e308, 0.0]]), curvature=np.ones(2))
         config = SimConfig(steps=3, time_model=QUIET, gamma=0.5)
-        with pytest.raises(DivergenceError, match="objective nan"):
+        with pytest.raises(DivergenceError, match="objective nan"), \
+                np.errstate(over="ignore", invalid="ignore"):
             run_compressed_gd(problem, config)
 
 
